@@ -28,6 +28,8 @@ import numpy as np
 
 from . import metaeval, model1, ngram, scoring, subword
 from .data import (
+    SEGMENT_KEYS,
+    SYSTEM_KEYS,
     HumanJudgments,
     LanguagePair,
     SegmentPair,
@@ -35,15 +37,10 @@ from .data import (
     load_human_scores,
     load_token_scores,
     read_lines_with_ids,
+    read_score_table,
     write_token_scores,
 )
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DomainError,
-    ParseError,
-    PeerEvalError,
-)
+from .errors import AlignmentError, ConfigError, DomainError, PeerEvalError
 
 
 def _read_text(path) -> list:
@@ -67,78 +64,13 @@ def _write_rows(path, header, rows):
             out.close()
 
 
-def read_scores_tsv(path) -> dict:
-    """Read a metric-score TSV with named columns into {(lp, system): score}.
-
-    Accepts any column order as long as the header names lang_pair, system,
-    and score.
-    """
-    scores = {}
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if header is None:
-                header = {name: i for i, name in enumerate(fields)}
-                for required in ("lang_pair", "system", "score"):
-                    if required not in header:
-                        raise ParseError(f"missing column {required!r}",
-                                         path, 1)
-                continue
-            try:
-                lp = fields[header["lang_pair"]]
-                system = fields[header["system"]]
-                score = float(fields[header["score"]])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"bad row {raw!r}", path, lineno) from exc
-            key = (lp, system)
-            if key in scores:
-                raise ParseError(f"duplicate row for {lp}/{system}", path,
-                                 lineno)
-            scores[key] = score
-    if header is None:
-        raise ParseError("empty scores file", path)
-    return scores
-
-
 def read_segment_scores_tsv(path) -> dict:
     """Read segment-level scores into {lp: {system: {seg_id: score}}}."""
-    human = load_human_scores_like_segments(path)
     nested = {}
-    for (lp, system, seg), score in human.items():
+    flat = read_score_table(path, SEGMENT_KEYS)
+    for (lp, system, seg), score in flat.items():
         nested.setdefault(lp, {}).setdefault(system, {})[seg] = score
     return nested
-
-
-def load_human_scores_like_segments(path) -> dict:
-    flat = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if lineno == 1:
-                if [f.strip() for f in fields] != ["lang_pair", "system",
-                                                   "seg", "score"]:
-                    raise ParseError(
-                        "expected header lang_pair/system/seg/score", path, 1)
-                continue
-            if len(fields) != 4:
-                raise ParseError(f"expected 4 columns, got {len(fields)}",
-                                 path, lineno)
-            try:
-                key = (fields[0], fields[1], int(fields[2]))
-                score = float(fields[3])
-            except ValueError as exc:
-                raise ParseError(f"bad row {raw!r}", path, lineno) from exc
-            if key in flat:
-                raise ParseError(f"duplicate row {key}", path, lineno)
-            flat[key] = score
-    return flat
 
 
 def _aligned_segment_matrix(per_system: dict) -> dict:
@@ -233,12 +165,12 @@ def _format_r(value) -> str:
 
 def _cmd_meta_eval(args) -> int:
     human = load_human_scores(args.human)
-    metric_scores = read_scores_tsv(args.scores)
+    metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
     report = metaeval.metric_report(_human_by_pair(human), metric_scores)
 
     comparisons = {}
     if args.baseline:
-        baseline_scores = read_scores_tsv(args.baseline)
+        baseline_scores = read_score_table(args.baseline, SYSTEM_KEYS)
         for comp in metaeval.compare_metrics(_human_by_pair(human),
                                              metric_scores, baseline_scores,
                                              tails=args.tails):
@@ -706,7 +638,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PeerEvalError as exc:
+    except (PeerEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

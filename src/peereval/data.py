@@ -4,9 +4,11 @@ Wire formats:
   * token scores: JSON lines, one object per segment,
     ``{"seg": <int>, "tokens": [<str>...], "logp": [<float>...]}``.
     K regularization samples are K separate files.
-  * human scores: TSV with header ``lang_pair<TAB>system<TAB>score``
-    (system level) and optionally ``lang_pair<TAB>system<TAB>seg<TAB>score``
-    (segment level). UTF-8, LF.
+  * score tables (human judgments and metric scores): TSV whose first
+    non-blank line is a header naming ``lang_pair``, ``system`` and
+    ``score`` (system level), plus ``seg`` (segment level). Columns are
+    matched by name, in any order; other columns are ignored. UTF-8, LF.
+    ``read_score_table`` is the one reader.
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
 
@@ -165,9 +167,6 @@ class HumanJudgments:
     def lang_pairs(self) -> list:
         return sorted({lp for lp, _ in self.system_scores})
 
-    def systems_for(self, lang_pair: str) -> list:
-        return sorted(s for lp, s in self.system_scores if lp == lang_pair)
-
     def scores_for(self, lang_pair: str) -> dict:
         return {
             s: v for (lp, s), v in self.system_scores.items() if lp == lang_pair
@@ -284,86 +283,80 @@ def write_token_scores(path, segments: Iterable) -> None:
             )
 
 
-def _parse_header(fields, expected, path):
-    if [f.strip() for f in fields] != expected:
-        raise ParseError(
-            f"expected header {chr(9).join(expected)!r}", path, 1
-        )
+SYSTEM_KEYS = ("lang_pair", "system")
+SEGMENT_KEYS = ("lang_pair", "system", "seg")
 
 
-def load_human_scores(system_path, segment_path=None) -> HumanJudgments:
-    """Read system-level (and optionally segment-level) human score TSVs."""
-    system_scores = {}
-    with open(system_path, encoding="utf-8") as fh:
+def read_score_table(path, keys) -> dict:
+    """Read a score TSV into ``{key tuple: score}``.
+
+    ``keys`` is ``SYSTEM_KEYS`` or ``SEGMENT_KEYS``. The first non-blank line
+    is the header; it names the key columns and ``score`` in any order, and
+    other columns are ignored. Every row has as many fields as the header.
+    Scores are finite floats, ``seg`` values are integers, and each language
+    pair must parse.
+    """
+    keys = tuple(keys)
+    if keys not in (SYSTEM_KEYS, SEGMENT_KEYS):
+        raise ValueError(f"unknown key columns {keys!r}")
+    table = {}
+    known_pairs = set()
+    columns = None
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
             if not raw:
                 continue
             fields = raw.split("\t")
-            if lineno == 1:
-                _parse_header(fields, ["lang_pair", "system", "score"], system_path)
+            if columns is None:
+                names = [f.strip() for f in fields]
+                for name in (*keys, "score"):
+                    if names.count(name) != 1:
+                        raise ParseError(f"header must name {name!r} once",
+                                         path, lineno)
+                columns = [names.index(name) for name in (*keys, "score")]
+                width = len(fields)
                 continue
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 columns, got {len(fields)}",
-                                 system_path, lineno)
-            lp, system, score_text = fields
-            LanguagePair.parse(lp)
+            if len(fields) != width:
+                raise ParseError(f"expected {width} columns, got {len(fields)}",
+                                 path, lineno)
+            *key, score_text = (fields[i] for i in columns)
             try:
                 score = float(score_text)
+                if not math.isfinite(score):
+                    raise ValueError(score_text)
             except ValueError as exc:
-                raise ParseError(f"non-numeric score {score_text!r}",
-                                 system_path, lineno) from exc
-            if (lp, system) in system_scores:
-                raise StructureError(
-                    f"{system_path}:{lineno}: duplicate row for {lp}/{system}"
-                )
-            system_scores[(lp, system)] = score
+                raise ParseError(f"non-finite or non-numeric score "
+                                 f"{score_text!r}", path, lineno) from exc
+            if keys == SEGMENT_KEYS:
+                try:
+                    key[2] = int(key[2])
+                except ValueError as exc:
+                    raise ParseError(f"non-integer seg {key[2]!r}",
+                                     path, lineno) from exc
+            if key[0] not in known_pairs:
+                try:
+                    LanguagePair.parse(key[0])
+                except DomainError as exc:
+                    raise DomainError(f"{path}:{lineno}: {exc}") from exc
+                known_pairs.add(key[0])
+            key = tuple(key)
+            if key in table:
+                raise StructureError(f"{path}:{lineno}: duplicate row for "
+                                     + "/".join(str(k) for k in key))
+            table[key] = score
+    if columns is None:
+        raise ParseError("no header line", path)
+    return table
 
+
+def load_human_scores(system_path, segment_path=None) -> HumanJudgments:
+    """Read system-level (and optionally segment-level) human score TSVs."""
     segment_scores = None
     if segment_path is not None:
-        segment_scores = {}
-        with open(segment_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.rstrip("\n")
-                if not raw:
-                    continue
-                fields = raw.split("\t")
-                if lineno == 1:
-                    _parse_header(fields, ["lang_pair", "system", "seg", "score"],
-                                  segment_path)
-                    continue
-                if len(fields) != 4:
-                    raise ParseError(f"expected 4 columns, got {len(fields)}",
-                                     segment_path, lineno)
-                lp, system, seg_text, score_text = fields
-                try:
-                    seg_id = int(seg_text)
-                    score = float(score_text)
-                except ValueError as exc:
-                    raise ParseError(f"bad seg/score in {fields!r}",
-                                     segment_path, lineno) from exc
-                key = (lp, system, seg_id)
-                if key in segment_scores:
-                    raise StructureError(
-                        f"{segment_path}:{lineno}: duplicate row for "
-                        f"{lp}/{system}/seg {seg_id}"
-                    )
-                segment_scores[key] = score
-
-    return HumanJudgments(system_scores, segment_scores)
-
-
-def write_human_scores(system_path, judgments: HumanJudgments,
-                       segment_path=None) -> None:
-    with open(system_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lang_pair\tsystem\tscore\n")
-        for (lp, system), score in sorted(judgments.system_scores.items()):
-            fh.write(f"{lp}\t{system}\t{score!r}\n")
-    if segment_path is not None and judgments.segment_scores is not None:
-        with open(segment_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lang_pair\tsystem\tseg\tscore\n")
-            for (lp, system, seg), score in sorted(judgments.segment_scores.items()):
-                fh.write(f"{lp}\t{system}\t{seg}\t{score!r}\n")
+        segment_scores = read_score_table(segment_path, SEGMENT_KEYS)
+    return HumanJudgments(read_score_table(system_path, SYSTEM_KEYS),
+                          segment_scores)
 
 
 def read_lines_with_ids(path, ids_path=None) -> list:
@@ -374,8 +367,6 @@ def read_lines_with_ids(path, ids_path=None) -> list:
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if lines and lines[-1] == "":
-        lines.pop()
     if ids_path is None:
         return list(enumerate(lines))
     with open(ids_path, encoding="utf-8") as fh:
@@ -393,22 +384,6 @@ def read_lines_with_ids(path, ids_path=None) -> list:
     if len(set(ids)) != len(ids):
         raise StructureError(f"{ids_path}: duplicate segment ids")
     return list(zip(ids, lines))
-
-
-def load_system_output(output_path, system_name, lang_pair,
-                       source_path=None, ids_path=None,
-                       token_scores=None) -> SystemOutput:
-    """Build a SystemOutput from plain-text files."""
-    if isinstance(lang_pair, str):
-        lang_pair = LanguagePair.parse(lang_pair)
-    targets = read_lines_with_ids(output_path, ids_path)
-    sources = dict(read_lines_with_ids(source_path, ids_path)) if source_path else {}
-    segments = [
-        SegmentPair(seg_id, sources.get(seg_id, ""), text)
-        for seg_id, text in targets
-    ]
-    return SystemOutput(system_name, lang_pair, tuple(segments),
-                        tuple(token_scores) if token_scores else None)
 
 
 def assemble_dataset(outputs: Sequence, human: HumanJudgments,

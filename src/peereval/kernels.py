@@ -1,11 +1,9 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
 Two loop families dominate runtime at corpus scale: per-segment statistics
 over flattened log-probability arrays (CSR layout: one values array plus an
 offsets array of length n_segments + 1) and the expectation step of the
-lexical-table EM trainer. Both are provided as ``@njit`` kernels with numpy
-fallbacks of identical semantics; ``peereval.backend.active_backend``
-decides which one runs.
+lexical-table EM trainer. Each has one numpy implementation.
 
 Layout conventions:
   values  : float64[n_tokens], concatenated per-segment log-probs
@@ -14,63 +12,6 @@ Segments must be nonempty (offsets strictly increasing).
 """
 
 import numpy as np
-
-from .backend import active_backend, njit
-
-
-# ---------------------------------------------------------------------------
-# Batched segment statistics
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _segment_stats_numba(values, offsets):
-    n = offsets.shape[0] - 1
-    sums = np.empty(n)
-    means = np.empty(n)
-    medians = np.empty(n)
-    mins = np.empty(n)
-    stds = np.empty(n)
-    for i in range(n):
-        lo = offsets[i]
-        hi = offsets[i + 1]
-        t = hi - lo
-        s = 0.0
-        mn = values[lo]
-        for j in range(lo, hi):
-            v = values[j]
-            s += v
-            if v < mn:
-                mn = v
-        m = s / t
-        ss = 0.0
-        for j in range(lo, hi):
-            d = values[j] - m
-            ss += d * d
-        srt = np.sort(values[lo:hi])
-        if t % 2 == 1:
-            med = srt[t // 2]
-        else:
-            med = 0.5 * (srt[t // 2 - 1] + srt[t // 2])
-        sums[i] = s
-        means[i] = m
-        medians[i] = med
-        mins[i] = mn
-        stds[i] = np.sqrt(ss / t)
-    return sums, means, medians, mins, stds
-
-
-def _segment_stats_numpy(values, offsets):
-    counts = np.diff(offsets)
-    starts = offsets[:-1]
-    sums = np.add.reduceat(values, starts)
-    means = sums / counts
-    mins = np.minimum.reduceat(values, starts)
-    centered = values - np.repeat(means, counts)
-    stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
-    medians = np.empty(len(counts))
-    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        medians[i] = np.median(values[lo:hi])
-    return sums, means, medians, mins, stds
 
 
 def segment_stats(values, offsets):
@@ -83,65 +24,19 @@ def segment_stats(values, offsets):
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.shape[0] < 2:
         raise ValueError("offsets must have length n_segments + 1")
-    if np.any(np.diff(offsets) < 1):
+    counts = np.diff(offsets)
+    if np.any(counts < 1):
         raise ValueError("empty segment in offsets")
-    if active_backend() == "numba":
-        return _segment_stats_numba(values, offsets)
-    return _segment_stats_numpy(values, offsets)
-
-
-# ---------------------------------------------------------------------------
-# Lexical-table EM (one expectation/maximization sweep)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _model1_em_step_numba(tgt_flat, src_flat, tgt_off, src_off, table):
-    n_pairs = tgt_off.shape[0] - 1
-    counts = np.zeros_like(table)
-    loglik = 0.0
-    for p in range(n_pairs):
-        t_lo, t_hi = tgt_off[p], tgt_off[p + 1]
-        s_lo, s_hi = src_off[p], src_off[p + 1]
-        n_src = s_hi - s_lo
-        log_n_src = np.log(float(n_src))
-        for i in range(t_lo, t_hi):
-            y = tgt_flat[i]
-            denom = 0.0
-            for j in range(s_lo, s_hi):
-                denom += table[y, src_flat[j]]
-            loglik += np.log(denom) - log_n_src
-            for j in range(s_lo, s_hi):
-                s = src_flat[j]
-                counts[y, s] += table[y, s] / denom
-    totals = np.zeros(table.shape[1])
-    for y in range(counts.shape[0]):
-        for s in range(counts.shape[1]):
-            totals[s] += counts[y, s]
-    new_table = np.empty_like(table)
-    for y in range(counts.shape[0]):
-        for s in range(counts.shape[1]):
-            if totals[s] > 0.0:
-                new_table[y, s] = counts[y, s] / totals[s]
-            else:
-                new_table[y, s] = table[y, s]
-    return new_table, loglik
-
-
-def _model1_em_step_numpy(tgt_flat, src_flat, tgt_off, src_off, table):
-    counts = np.zeros_like(table)
-    loglik = 0.0
-    n_pairs = len(tgt_off) - 1
-    for p in range(n_pairs):
-        t_ids = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
-        s_ids = src_flat[src_off[p]:src_off[p + 1]]
-        sub = table[np.ix_(t_ids, s_ids)]
-        denom = sub.sum(axis=1)
-        loglik += float(np.log(denom).sum()) - len(t_ids) * np.log(len(s_ids))
-        # np.add.at accumulates correctly for repeated token ids
-        np.add.at(counts, (t_ids[:, None], s_ids[None, :]), sub / denom[:, None])
-    totals = counts.sum(axis=0)
-    new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
-    return new_table, loglik
+    starts = offsets[:-1]
+    sums = np.add.reduceat(values, starts)
+    means = sums / counts
+    mins = np.minimum.reduceat(values, starts)
+    centered = values - np.repeat(means, counts)
+    stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
+    medians = np.empty(len(counts))
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        medians[i] = np.median(values[lo:hi])
+    return sums, means, medians, mins, stds
 
 
 def model1_em_step(tgt_flat, src_flat, tgt_off, src_off, table):
@@ -157,6 +52,16 @@ def model1_em_step(tgt_flat, src_flat, tgt_off, src_off, table):
     tgt_off = np.ascontiguousarray(tgt_off, dtype=np.int64)
     src_off = np.ascontiguousarray(src_off, dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=np.float64)
-    if active_backend() == "numba":
-        return _model1_em_step_numba(tgt_flat, src_flat, tgt_off, src_off, table)
-    return _model1_em_step_numpy(tgt_flat, src_flat, tgt_off, src_off, table)
+    counts = np.zeros_like(table)
+    loglik = 0.0
+    for p in range(len(tgt_off) - 1):
+        t_ids = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
+        s_ids = src_flat[src_off[p]:src_off[p + 1]]
+        sub = table[np.ix_(t_ids, s_ids)]
+        denom = sub.sum(axis=1)
+        loglik += float(np.log(denom).sum()) - len(t_ids) * np.log(len(s_ids))
+        # np.add.at accumulates correctly for repeated token ids
+        np.add.at(counts, (t_ids[:, None], s_ids[None, :]), sub / denom[:, None])
+    totals = counts.sum(axis=0)
+    new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
+    return new_table, loglik

@@ -57,9 +57,11 @@ def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation; raises on zero variance.
 
-    The result does not depend on the scale of the input: each centred
-    vector is divided by its largest magnitude before the sums of squares,
-    so values near the float64 range limits neither overflow nor underflow.
+    The result does not depend on the scale of the input: each input is
+    scaled by a power of two (exact) to a largest magnitude below 1 before
+    the mean, and each centred vector is divided by its largest magnitude
+    before the sums of squares, so values near the float64 range limits
+    neither overflow nor underflow.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -71,6 +73,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     # from its value and leave a nonzero centred vector
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise DomainError("undefined correlation: zero variance input")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     xc = x - x.mean()
     yc = y - y.mean()
     xc /= np.abs(xc).max()

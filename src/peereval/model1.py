@@ -115,17 +115,6 @@ def train_model1(parallel: Sequence, iterations: int = 10,
     return result
 
 
-def corpus_loglik(table: LexicalTable, parallel: Sequence) -> float:
-    """Model 1 log-likelihood of a corpus under a trained table."""
-    total = 0.0
-    for src_tokens, tgt_tokens in parallel:
-        if not src_tokens or not tgt_tokens:
-            continue
-        seg = score_tokens(table, src_tokens, tgt_tokens)
-        total += sum(seg.logprobs)
-    return total
-
-
 def score_tokens(table: LexicalTable, source_tokens: Sequence[str],
                  target_tokens: Sequence[str],
                  seg_id: int = 0) -> TokenScoredSegment:
@@ -173,7 +162,7 @@ def save_lexical_table(table: LexicalTable, path,
             for r, c in zip(rows.tolist(), cols.tolist())
         )
         for tgt, src, prob in entries:
-            fh.write(f"{tgt}\t{src}\t{prob!r}\n")
+            fh.write(f"{tgt}\t{src}\t{float(prob)!r}\n")
 
 
 def load_lexical_table(path) -> LexicalTable:

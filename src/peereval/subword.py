@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -115,17 +115,6 @@ def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
     probs = np.exp(weights)
     probs /= probs.sum()
     return candidates[int(rng.choice(len(candidates), p=probs))]
-
-
-def segmentation_probabilities(model: UnigramSubwordModel, text: str,
-                               n: int = 10, alpha: float = 1.0) -> list:
-    """The (segmentation, probability) pairs sample_segmentation draws from."""
-    candidates = nbest_segmentations(model, text, n)
-    weights = alpha * np.array([c.score for c in candidates])
-    weights -= weights.max()
-    probs = np.exp(weights)
-    probs /= probs.sum()
-    return list(zip(candidates, probs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +256,6 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
     if return_history:
         return model, history
     return model
-
-
-def corpus_viterbi_loglik(model: UnigramSubwordModel,
-                          corpus: Iterable[str]) -> float:
-    return sum(viterbi_segmentation(model, line).score
-               for line in corpus if line)
 
 
 # ---------------------------------------------------------------------------

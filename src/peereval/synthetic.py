@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import HumanJudgments, LanguagePair, SegmentPair, SystemOutput
+from .data import LanguagePair
 
 
 def _vocabulary(n_words: int, prefix: str) -> list:
@@ -72,27 +72,6 @@ def make_noise_benchmark(n_segments: int = 1000,
         LanguagePair("xa", "xb"),
         tuple(sources), tuple(references), system_outputs, rates,
     )
-
-
-def benchmark_system_outputs(bench: NoiseBenchmark) -> list:
-    """The benchmark as SystemOutput objects (texts are space-joined)."""
-    outputs = []
-    for name in sorted(bench.system_outputs):
-        segments = tuple(
-            SegmentPair(i, " ".join(src), " ".join(out))
-            for i, (src, out) in enumerate(
-                zip(bench.sources, bench.system_outputs[name]))
-        )
-        outputs.append(SystemOutput(name, bench.lang_pair, segments))
-    return outputs
-
-
-def benchmark_human_judgments(bench: NoiseBenchmark) -> HumanJudgments:
-    """Ground-truth judgments: system score is the negated noise rate."""
-    lp = str(bench.lang_pair)
-    return HumanJudgments({
-        (lp, name): -rate for name, rate in bench.noise_rates.items()
-    })
 
 
 def write_benchmark_files(bench: NoiseBenchmark, directory) -> dict:

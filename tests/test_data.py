@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 
 from peereval.data import (
+    SEGMENT_KEYS,
+    SYSTEM_KEYS,
     EvalDataset,
     HumanJudgments,
     LanguagePair,
@@ -13,6 +16,7 @@ from peereval.data import (
     load_human_scores,
     load_token_scores,
     read_lines_with_ids,
+    read_score_table,
     write_token_scores,
 )
 from peereval.errors import (
@@ -168,6 +172,80 @@ class TestHumanScores:
         assert human.segment_vector("de-en", "A") == {0: 0.4, 1: 0.6}
 
 
+    def test_leading_blank_line(self, tmp_path):
+        path = tmp_path / "h.tsv"
+        path.write_text("\nlang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
+        assert load_human_scores(path).system_scores == {("de-en", "A"): 0.1}
+
+
+class TestScoreTable:
+    def write(self, tmp_path, text):
+        path = tmp_path / "scores.tsv"
+        path.write_text(text)
+        return path
+
+    def test_columns_by_name(self, tmp_path):
+        # the column order the score subcommand writes, with an extra column
+        path = self.write(tmp_path, "system\tlang_pair\tscore\tn_segments\n"
+                                    "A\tde-en\t-0.25\t100\n")
+        assert read_score_table(path, SYSTEM_KEYS) == {("de-en", "A"): -0.25}
+
+    def test_segment_keys(self, tmp_path):
+        path = self.write(tmp_path, "seg\tscore\tsystem\tlang_pair\n"
+                                    "3\t0.5\tA\tde-en\n0\t1e-3\tA\tde-en\n")
+        assert read_score_table(path, SEGMENT_KEYS) == {
+            ("de-en", "A", 3): 0.5, ("de-en", "A", 0): 1e-3}
+
+    @pytest.mark.parametrize("header", [
+        "lang_pair\tsystem\n", "lang_pair\tsystem\tscore\tscore\n",
+    ], ids=["missing", "repeated"])
+    def test_header_names_each_column_once(self, tmp_path, header):
+        path = self.write(tmp_path, header + "de-en\tA\t0.1\t0.2\n")
+        with pytest.raises(ParseError) as err:
+            read_score_table(path, SYSTEM_KEYS)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("row", ["de-en\tA\n", "de-en\tA\t0.1\t9\n"],
+                             ids=["short", "long"])
+    def test_column_count(self, tmp_path, row):
+        path = self.write(tmp_path, "lang_pair\tsystem\tscore\n"
+                                    "de-en\tB\t0.2\n" + row)
+        with pytest.raises(ParseError) as err:
+            read_score_table(path, SYSTEM_KEYS)
+        assert (err.value.path, err.value.line) == (path, 3)
+
+    @pytest.mark.parametrize("row", ["de-en\tA\t0\tabc\n",
+                                     "de-en\tA\t0\tnan\n",
+                                     "de-en\tA\t0.5\t0.1\n"],
+                             ids=["score", "nan-score", "seg"])
+    def test_bad_value_names_line(self, tmp_path, row):
+        path = self.write(tmp_path, "lang_pair\tsystem\tseg\tscore\n\n" + row)
+        with pytest.raises(ParseError) as err:
+            read_score_table(path, SEGMENT_KEYS)
+        assert err.value.line == 3
+
+    def test_bad_language_pair_names_line(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tscore\n"
+                                    "de-en\tA\t0.1\ndeen\tA\t0.2\n")
+        with pytest.raises(DomainError, match=re.escape(f"{path}:3:")):
+            read_score_table(path, SYSTEM_KEYS)
+
+    def test_duplicate_key_names_line(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tseg\tscore\n"
+                                    "de-en\tA\t0\t0.1\nde-en\tA\t00\t0.2\n")
+        with pytest.raises(StructureError, match=re.escape(f"{path}:3:")):
+            read_score_table(path, SEGMENT_KEYS)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_no_header(self, tmp_path, text):
+        with pytest.raises(ParseError):
+            read_score_table(self.write(tmp_path, text), SYSTEM_KEYS)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tscore\n")
+        assert read_score_table(path, SYSTEM_KEYS) == {}
+
+
 class TestAssembleDataset:
     def test_valid(self):
         outputs = [make_output(n, [f"text {i}" for i in range(10)])
@@ -230,6 +308,8 @@ class TestPlainText:
         path = tmp_path / "out.txt"
         path.write_text("one\n\nthree\n")
         assert read_lines_with_ids(path) == [(0, "one"), (1, ""), (2, "three")]
+        path.write_text("a\nb\n\n")
+        assert read_lines_with_ids(path) == [(0, "a"), (1, "b"), (2, "")]
 
 
 def test_eval_dataset_rejects_mismatched_references():

@@ -1,10 +1,9 @@
-"""Parity between the numba kernels and their numpy fallbacks."""
+"""The numpy kernels against plain per-segment and per-pair loops."""
 
 import numpy as np
 import pytest
 
 from peereval import kernels
-from peereval.backend import BACKEND_ENV, NUMBA_AVAILABLE, active_backend
 
 
 def random_csr(rng, n_segments=200, max_len=30):
@@ -15,12 +14,37 @@ def random_csr(rng, n_segments=200, max_len=30):
     return values, offsets
 
 
-def test_segment_stats_backends_agree():
+def segment_stats_loop(values, offsets):
+    """Scalar loop over each segment: the definition the kernel vectorizes."""
+    n = offsets.shape[0] - 1
+    sums, means, medians, mins, stds = (np.empty(n) for _ in range(5))
+    for i in range(n):
+        lo, hi = offsets[i], offsets[i + 1]
+        t = hi - lo
+        s = 0.0
+        mn = values[lo]
+        for j in range(lo, hi):
+            s += values[j]
+            mn = min(mn, values[j])
+        m = s / t
+        ss = 0.0
+        for j in range(lo, hi):
+            ss += (values[j] - m) ** 2
+        srt = np.sort(values[lo:hi])
+        if t % 2 == 1:
+            med = srt[t // 2]
+        else:
+            med = 0.5 * (srt[t // 2 - 1] + srt[t // 2])
+        sums[i], means[i], medians[i], mins[i] = s, m, med, mn
+        stds[i] = np.sqrt(ss / t)
+    return sums, means, medians, mins, stds
+
+
+def test_segment_stats_against_loop_reference():
     rng = np.random.default_rng(7)
     values, offsets = random_csr(rng)
-    numba_out = kernels._segment_stats_numba(values, offsets)
-    numpy_out = kernels._segment_stats_numpy(values, offsets)
-    for a, b in zip(numba_out, numpy_out):
+    expected = segment_stats_loop(values, offsets)
+    for a, b in zip(kernels.segment_stats(values, offsets), expected):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -60,13 +84,39 @@ def random_corpus(rng, n_pairs=40, n_tgt=25, n_src=20, max_len=12):
     return tgt_flat, src_flat, tgt_off, src_off, table
 
 
-def test_model1_em_backends_agree():
+def model1_em_step_loop(tgt_flat, src_flat, tgt_off, src_off, table):
+    """Scalar loop over each (target token, source token) link of each pair."""
+    counts = np.zeros_like(table)
+    loglik = 0.0
+    for p in range(tgt_off.shape[0] - 1):
+        s_lo, s_hi = src_off[p], src_off[p + 1]
+        for i in range(tgt_off[p], tgt_off[p + 1]):
+            y = tgt_flat[i]
+            denom = 0.0
+            for j in range(s_lo, s_hi):
+                denom += table[y, src_flat[j]]
+            loglik += np.log(denom) - np.log(float(s_hi - s_lo))
+            for j in range(s_lo, s_hi):
+                s = src_flat[j]
+                counts[y, s] += table[y, s] / denom
+    new_table = table.copy()
+    for s in range(table.shape[1]):
+        total = counts[:, s].sum()
+        if total > 0.0:
+            new_table[:, s] = counts[:, s] / total
+    return new_table, loglik
+
+
+def test_model1_em_against_loop_reference():
     rng = np.random.default_rng(3)
     args = random_corpus(rng)
-    table_nb, ll_nb = kernels._model1_em_step_numba(*args)
-    table_np, ll_np = kernels._model1_em_step_numpy(*args)
-    np.testing.assert_allclose(table_nb, table_np, rtol=1e-10, atol=1e-14)
-    assert ll_nb == pytest.approx(ll_np, rel=1e-12)
+    # repeated ids within a sentence must each add their own count
+    assert any(len(set(args[0][lo:hi])) < hi - lo
+               for lo, hi in zip(args[2][:-1], args[2][1:]))
+    table, ll = kernels.model1_em_step(*args)
+    table_ref, ll_ref = model1_em_step_loop(*args)
+    np.testing.assert_allclose(table, table_ref, rtol=1e-10, atol=1e-14)
+    assert ll == pytest.approx(ll_ref, rel=1e-12)
 
 
 def test_model1_em_columns_normalized():
@@ -75,31 +125,3 @@ def test_model1_em_columns_normalized():
     table, _ = kernels.model1_em_step(*args)
     sums = table.sum(axis=0)
     np.testing.assert_allclose(sums, 1.0, rtol=1e-9)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    assert active_backend() == "numba"
-    monkeypatch.delenv(BACKEND_ENV)
-    assert active_backend() == "numba"
-
-
-def test_unknown_backend_rejected(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "cuda")
-    with pytest.raises(RuntimeError):
-        active_backend()
-
-
-def test_numpy_backend_used_end_to_end(monkeypatch):
-    # the dispatcher honors the env flag at call time
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    rng = np.random.default_rng(13)
-    values, offsets = random_csr(rng, n_segments=10)
-    out_numpy = kernels.segment_stats(values, offsets)
-    monkeypatch.delenv(BACKEND_ENV)
-    out_default = kernels.segment_stats(values, offsets)
-    for a, b in zip(out_numpy, out_default):
-        np.testing.assert_allclose(a, b, rtol=1e-12)

@@ -87,6 +87,9 @@ class TestPearson:
         # a subnormal sum of squares keeps only about 7 digits
         assert pearson([0, 3.4e-159, 0], [0, 0, 1]) == \
             pytest.approx(-0.5, abs=1e-15)
+        # the plain mean of these overflows
+        assert pearson([1.5e308, 1.7e308, 1e308], [1, 2, 3]) == \
+            pytest.approx(-0.693, abs=1e-3)
 
     @given(st.lists(st.tuples(
         st.floats(min_value=-100, max_value=100),
