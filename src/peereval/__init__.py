@@ -52,7 +52,6 @@ from .scoring import (
     aggregate_segments,
     regularize,
     system_score,
-    threshold_segment,
     tune_thresholds,
 )
 from .subword import (

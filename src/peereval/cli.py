@@ -104,10 +104,6 @@ def _cmd_score(args) -> int:
     seg_ids = sorted(id_sets[0])
 
     method = args.method
-    segment_scores = []
-    if method == "threshold" and not args.low < args.high:
-        raise ConfigError(f"need --low < --high, got ({args.low}, {args.high})")
-
     if args.sample_mode == "token" or len(sample_lists) == 1:
         if len(sample_lists) == 1:
             merged = [by_id[0][i] for i in seg_ids]
@@ -115,29 +111,23 @@ def _cmd_score(args) -> int:
             merged = [scoring.regularize([b[i] for b in by_id], "token")
                       for i in seg_ids]
         if method == "threshold":
-            segment_scores = [
-                scoring.threshold_segment(seg, args.low, args.high)
-                for seg in merged
-            ]
+            values = scoring.mean_token_logprobs(merged)
         else:
-            segment_scores = scoring.aggregate_segments(
-                merged, scoring.Aggregation(method))
+            values = [s.value for s in scoring.aggregate_segments(
+                merged, scoring.Aggregation(method))]
     else:  # segment-level regularization
         if method not in ("sum", "mean", "threshold"):
             raise ConfigError(
                 f"--sample-mode segment supports sum, mean, threshold; "
                 f"got {method}"
             )
-        for i in seg_ids:
-            samples = [b[i] for b in by_id]
-            normalized = method in ("mean", "threshold")
-            score = scoring.regularize(samples, "segment",
-                                       length_normalize=normalized)
-            if method == "threshold":
-                score = scoring.SegmentScore(
-                    i, float(scoring.threshold_value(score.value, args.low,
-                                                     args.high)))
-            segment_scores.append(score)
+        values = [scoring.regularize([b[i] for b in by_id], "segment",
+                                     length_normalize=method != "sum").value
+                  for i in seg_ids]
+    if method == "threshold":
+        values = scoring.threshold_value(values, args.low, args.high)
+    segment_scores = [scoring.SegmentScore(i, float(v))
+                      for i, v in zip(seg_ids, values)]
 
     method_label = method
     if method == "threshold":
@@ -163,6 +153,10 @@ def _format_r(value) -> str:
     return "-" if value is None else f"{value:.3f}"
 
 
+def _repr_r(value) -> str:
+    return "-" if value is None else repr(value)
+
+
 def _cmd_meta_eval(args) -> int:
     human = load_human_scores(args.human)
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
@@ -179,12 +173,14 @@ def _cmd_meta_eval(args) -> int:
     print("lang_pair\tr\tn_systems\toutliers"
           + ("\tbaseline_r\twilliams_p" if comparisons else ""))
     for res in report.per_pair:
-        row = (f"{res.lang_pair}\t{res.r:.3f}\t{res.n_systems}\t"
+        row = (f"{res.lang_pair}\t{_format_r(res.r)}\t{res.n_systems}\t"
                f"{','.join(res.outliers) or '-'}")
         comp = comparisons.get(res.lang_pair)
         if comparisons:
             row += (f"\t{comp.r_second:.3f}\t{comp.p:.3f}"
                     if comp else "\t-\t-")
+        if res.r is None:
+            row += "\t(degenerate: constant scores)"
         if not res.reliable:
             row += "\t(unreliable: <4 systems)"
         print(row)
@@ -210,10 +206,10 @@ def _cmd_meta_eval(args) -> int:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         else:
-            rows = [[res.lang_pair, repr(res.r), res.n_systems,
+            rows = [[res.lang_pair, _repr_r(res.r), res.n_systems,
                      ",".join(res.outliers) or "-"]
                     for res in report.per_pair]
-            rows += [[group, "-" if avg is None else repr(avg), "-", "-"]
+            rows += [[group, _repr_r(avg), "-", "-"]
                      for group, avg in report.group_averages.items()]
             _write_rows(args.output,
                         ["lang_pair", "r", "n_systems", "outliers"], rows)

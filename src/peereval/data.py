@@ -143,26 +143,13 @@ class SystemOutput:
 
 @dataclass(frozen=True)
 class HumanJudgments:
-    """System-level human scores, optionally with segment-level scores.
-
-    ``system_scores`` maps (lang_pair, system) to a score; ``segment_scores``
-    maps (lang_pair, system, seg_id) likewise.
-    """
+    """System-level human scores: ``system_scores`` maps (lang_pair, system)
+    to a score."""
 
     system_scores: Mapping
-    segment_scores: Optional[Mapping] = None
 
     def __post_init__(self):
         object.__setattr__(self, "system_scores", dict(self.system_scores))
-        if self.segment_scores is not None:
-            object.__setattr__(self, "segment_scores", dict(self.segment_scores))
-            known = set(self.system_scores)
-            for lp, system, _seg in self.segment_scores:
-                if (lp, system) not in known:
-                    raise StructureError(
-                        f"segment scores for {lp}/{system} without a "
-                        "system-level score"
-                    )
 
     def lang_pairs(self) -> list:
         return sorted({lp for lp, _ in self.system_scores})
@@ -172,27 +159,10 @@ class HumanJudgments:
             s: v for (lp, s), v in self.system_scores.items() if lp == lang_pair
         }
 
-    def segment_vector(self, lang_pair: str, system: str) -> dict:
-        """Map seg_id -> human segment score for one system, or None."""
-        if self.segment_scores is None:
-            return None
-        vec = {
-            seg: v
-            for (lp, s, seg), v in self.segment_scores.items()
-            if lp == lang_pair and s == system
-        }
-        return vec or None
-
     def restrict(self, lang_pair: str) -> "HumanJudgments":
-        sys_scores = {
+        return HumanJudgments({
             k: v for k, v in self.system_scores.items() if k[0] == lang_pair
-        }
-        seg_scores = None
-        if self.segment_scores is not None:
-            seg_scores = {
-                k: v for k, v in self.segment_scores.items() if k[0] == lang_pair
-            }
-        return HumanJudgments(sys_scores, seg_scores or None)
+        })
 
 
 @dataclass(frozen=True)
@@ -202,7 +172,6 @@ class EvalDataset:
     lang_pair: LanguagePair
     systems: tuple
     human: HumanJudgments
-    references: Optional[tuple] = None
 
     def __post_init__(self):
         systems = tuple(sorted(self.systems, key=lambda s: s.system_name))
@@ -214,12 +183,6 @@ class EvalDataset:
             if sys_out.seg_ids != base:
                 raise AlignmentError(
                     f"system {sys_out.system_name} disagrees on segment ids"
-                )
-        if self.references is not None:
-            object.__setattr__(self, "references", tuple(self.references))
-            if len(self.references) != len(base):
-                raise AlignmentError(
-                    f"{len(self.references)} references for {len(base)} segments"
                 )
 
     @property
@@ -350,13 +313,9 @@ def read_score_table(path, keys) -> dict:
     return table
 
 
-def load_human_scores(system_path, segment_path=None) -> HumanJudgments:
-    """Read system-level (and optionally segment-level) human score TSVs."""
-    segment_scores = None
-    if segment_path is not None:
-        segment_scores = read_score_table(segment_path, SEGMENT_KEYS)
-    return HumanJudgments(read_score_table(system_path, SYSTEM_KEYS),
-                          segment_scores)
+def load_human_scores(path) -> HumanJudgments:
+    """Read a system-level human score TSV."""
+    return HumanJudgments(read_score_table(path, SYSTEM_KEYS))
 
 
 def read_lines_with_ids(path, ids_path=None) -> list:
@@ -386,8 +345,7 @@ def read_lines_with_ids(path, ids_path=None) -> list:
     return list(zip(ids, lines))
 
 
-def assemble_dataset(outputs: Sequence, human: HumanJudgments,
-                     references=None) -> EvalDataset:
+def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
     """Validate alignment across systems and attach human judgments.
 
     Order-insensitive in ``outputs``: any permutation produces an equal
@@ -420,5 +378,4 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments,
         raise StructureError(
             "no human system score for: " + ", ".join(missing)
         )
-    return EvalDataset(lang_pair, tuple(outputs), human.restrict(lp),
-                       tuple(references) if references is not None else None)
+    return EvalDataset(lang_pair, tuple(outputs), human.restrict(lp))

@@ -25,7 +25,7 @@ class ParseError(PeerEvalError):
 
 class StructureError(PeerEvalError):
     """Well-formed input violating a structural invariant (length mismatch,
-    duplicate key, segment-level rows without a system-level row, ...)."""
+    duplicate key, ...)."""
 
 
 class DomainError(PeerEvalError):

@@ -11,7 +11,18 @@ Layout conventions:
 Segments must be nonempty (offsets strictly increasing).
 """
 
+import itertools
+
 import numpy as np
+
+
+def to_csr(sequences, dtype):
+    """Flatten a list of sequences into ``(values, offsets)`` in CSR layout."""
+    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum([len(seq) for seq in sequences], out=offsets[1:])
+    values = np.fromiter(itertools.chain.from_iterable(sequences), dtype=dtype,
+                         count=offsets[-1])
+    return values, offsets
 
 
 def segment_stats(values, offsets):

@@ -54,6 +54,24 @@ def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
     return set(names) - outliers, outliers
 
 
+def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
+                 *metric_scores: Mapping[str, object]) -> Tuple[list, set]:
+    """Systems the MAD filter keeps, sorted, and the outliers it drops.
+
+    Raises InsufficientDataError naming ``lang_pair`` and every kept system
+    that one of the ``metric_scores`` mappings has no entry for.
+    """
+    kept, outliers = mad_outliers(human_scores)
+    kept = sorted(kept)
+    missing = [s for s in kept if any(s not in m for m in metric_scores)]
+    if missing:
+        prefix = f"{lang_pair}: " if lang_pair else ""
+        raise InsufficientDataError(
+            f"{prefix}no metric score for " + ", ".join(missing)
+        )
+    return kept, outliers
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation; raises on zero variance.
 
@@ -214,8 +232,11 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class CorrelationResult:
+    """Outlier-filtered correlation for one pair; ``r`` is None when the
+    pair is degenerate (constant scores, or fewer than 2 kept systems)."""
+
     lang_pair: str
-    r: float
+    r: Optional[float]
     n_systems: int
     outliers: tuple
 
@@ -237,21 +258,23 @@ class MetricReport:
         return None
 
 
+def _pair_scores(scores: Mapping[Tuple[str, str], float], lang_pair: str) -> dict:
+    """{system: score} for one pair of a (lang_pair, system)-keyed mapping."""
+    return {system: v for (lp, system), v in scores.items() if lp == lang_pair}
+
+
 def correlate_pair(human_scores: Mapping[str, float],
                    metric_scores: Mapping[str, float],
                    lang_pair: str) -> CorrelationResult:
     """Outlier-filtered Pearson correlation for one language pair."""
-    kept, outliers = mad_outliers(human_scores)
-    kept = sorted(kept)
-    missing = [s for s in kept if s not in metric_scores]
-    if missing:
-        raise InsufficientDataError(
-            f"{lang_pair}: no metric score for " + ", ".join(missing)
-        )
+    kept, outliers = kept_systems(lang_pair, human_scores, metric_scores)
     h = [human_scores[s] for s in kept]
     m = [metric_scores[s] for s in kept]
-    return CorrelationResult(lang_pair, pearson(m, h), len(kept),
-                             tuple(sorted(outliers)))
+    try:
+        r = pearson(m, h)
+    except DomainError:
+        r = None
+    return CorrelationResult(lang_pair, r, len(kept), tuple(sorted(outliers)))
 
 
 def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
@@ -261,19 +284,16 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     ``human_scores_by_pair`` maps lang_pair -> {system: human score};
     ``metric_scores`` maps (lang_pair, system) -> metric score. Averages are
     Fisher-combined with n-system weights over the reliable pairs (>= 4 kept
-    systems).
+    systems); degenerate pairs (``r`` None) are left out too.
     """
-    per_pair = []
-    for lp in sorted(human_scores_by_pair):
-        metric_lp = {
-            system: score
-            for (pair, system), score in metric_scores.items() if pair == lp
-        }
-        per_pair.append(correlate_pair(human_scores_by_pair[lp], metric_lp, lp))
+    per_pair = [
+        correlate_pair(human, _pair_scores(metric_scores, lp), lp)
+        for lp, human in sorted(human_scores_by_pair.items())
+    ]
 
     def average(results):
         usable = [(res.r, float(res.n_systems)) for res in results
-                  if res.reliable]
+                  if res.reliable and res.r is not None]
         return fisher_weighted_average(usable) if usable else None
 
     group_averages = {"all": average(per_pair)}
@@ -299,18 +319,26 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
                     first_scores: Mapping[Tuple[str, str], float],
                     second_scores: Mapping[Tuple[str, str], float],
                     tails: int = 1) -> list:
-    """Williams-test comparison of two metrics on every language pair."""
+    """Williams-test comparison of two metrics on every language pair.
+
+    Pairs with fewer than 4 kept systems, and degenerate pairs (a constant
+    score vector), are skipped.
+    """
     comparisons = []
     for lp in sorted(human_scores_by_pair):
         human = human_scores_by_pair[lp]
-        kept, _ = mad_outliers(human)
-        kept = sorted(kept)
+        first = _pair_scores(first_scores, lp)
+        second = _pair_scores(second_scores, lp)
+        kept, _ = kept_systems(lp, human, first, second)
         if len(kept) < MIN_RELIABLE_SYSTEMS:
             continue
         h = [human[s] for s in kept]
-        a = [first_scores[(lp, s)] for s in kept]
-        b = [second_scores[(lp, s)] for s in kept]
-        r1h, r2h, r12 = pearson(a, h), pearson(b, h), pearson(a, b)
+        a = [first[s] for s in kept]
+        b = [second[s] for s in kept]
+        try:
+            r1h, r2h, r12 = pearson(a, h), pearson(b, h), pearson(a, b)
+        except DomainError:
+            continue
         t, p = williams_test(r1h, r2h, r12, len(kept), tails=tails)
         comparisons.append(
             WilliamsComparison(lp, r1h, r2h, r12, len(kept), t, p)
@@ -439,13 +467,7 @@ def subsample_correlations(human_scores: Mapping[str, float],
     system scores are recomputed as subset means, and the Pearson correlation
     with the human scores is averaged over draws.
     """
-    kept, _ = mad_outliers(human_scores)
-    kept = sorted(kept)
-    missing = [s for s in kept if s not in metric_segment_scores]
-    if missing:
-        raise InsufficientDataError(
-            "no metric segment scores for " + ", ".join(missing)
-        )
+    kept, _ = kept_systems(None, human_scores, metric_segment_scores)
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
     matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)

@@ -48,13 +48,6 @@ class LexicalTable:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise DomainError("per-source probabilities do not sum to 1")
 
-    def prob(self, target: str, source: str) -> float:
-        ti = self.target_index.get(target)
-        si = self.source_index.get(source)
-        if ti is None or si is None:
-            return 0.0
-        return float(self.probs[ti, si])
-
 
 def _encode_corpus(parallel):
     source_index = {NULL_TOKEN: 0}
@@ -79,16 +72,6 @@ def _encode_corpus(parallel):
     return source_index, target_index, src_sents, tgt_sents
 
 
-def _flatten(sents):
-    offsets = np.zeros(len(sents) + 1, dtype=np.int64)
-    for i, sent in enumerate(sents):
-        offsets[i + 1] = offsets[i] + len(sent)
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    for i, sent in enumerate(sents):
-        flat[offsets[i]:offsets[i + 1]] = sent
-    return flat, offsets
-
-
 def train_model1(parallel: Sequence, iterations: int = 10,
                  return_loglik: bool = False):
     """EM-train a lexical table on (source tokens, target tokens) pairs.
@@ -100,8 +83,8 @@ def train_model1(parallel: Sequence, iterations: int = 10,
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     source_index, target_index, src_sents, tgt_sents = _encode_corpus(parallel)
-    src_flat, src_off = _flatten(src_sents)
-    tgt_flat, tgt_off = _flatten(tgt_sents)
+    src_flat, src_off = kernels.to_csr(src_sents, np.int64)
+    tgt_flat, tgt_off = kernels.to_csr(tgt_sents, np.int64)
     n_tgt, n_src = len(target_index), len(source_index)
     table = np.full((n_tgt, n_src), 1.0 / n_tgt)
     logliks = []

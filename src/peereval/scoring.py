@@ -52,14 +52,10 @@ class SystemScore:
             raise DomainError(f"{self.system_name}: non-finite system score")
 
 
-def _stats_arrays(segments: Sequence[TokenScoredSegment]):
-    offsets = np.zeros(len(segments) + 1, dtype=np.int64)
-    for i, seg in enumerate(segments):
-        offsets[i + 1] = offsets[i] + len(seg)
-    values = np.empty(offsets[-1], dtype=np.float64)
-    for i, seg in enumerate(segments):
-        values[offsets[i]:offsets[i + 1]] = seg.logprobs
-    return values, offsets
+def _segment_stats(segments: Sequence[TokenScoredSegment]):
+    values, offsets = kernels.to_csr([seg.logprobs for seg in segments],
+                                     np.float64)
+    return kernels.segment_stats(values, offsets)
 
 
 def aggregate_segments(segments: Sequence[TokenScoredSegment],
@@ -68,8 +64,7 @@ def aggregate_segments(segments: Sequence[TokenScoredSegment],
     if not segments:
         return []
     method = Aggregation(method)
-    values, offsets = _stats_arrays(segments)
-    sums, means, medians, mins, stds = kernels.segment_stats(values, offsets)
+    sums, means, medians, mins, stds = _segment_stats(segments)
     chosen = {
         Aggregation.SUM: sums,
         Aggregation.MEAN: means,
@@ -91,26 +86,19 @@ def mean_token_logprobs(segments: Sequence[TokenScoredSegment]) -> np.ndarray:
     """Per-segment mean token log-prob, ordered like ``segments``."""
     if not segments:
         return np.empty(0)
-    values, offsets = _stats_arrays(segments)
-    return kernels.segment_stats(values, offsets)[1]
+    return _segment_stats(segments)[1]
 
 
-def threshold_value(mean_logprob: float, low: float, high: float) -> int:
-    """Map a mean token log-prob to {-1, 0, +1}; boundary values map to 0."""
-    if mean_logprob < low:
-        return -1
-    if mean_logprob > high:
-        return 1
-    return 0
+def threshold_value(mean_logprob, low: float, high: float):
+    """Map mean token log-probs to {-1, 0, +1}; boundary values map to 0.
 
-
-def threshold_segment(seg: TokenScoredSegment, low: float,
-                      high: float) -> SegmentScore:
-    """Confidence-threshold score of one segment."""
+    ``mean_logprob`` is a scalar or an array; the result is an integer of
+    the same shape. Raises ConfigError unless ``low < high``.
+    """
     if not low < high:
         raise ConfigError(f"thresholds need low < high, got ({low}, {high})")
-    m = float(np.mean(seg.logprob_array))
-    return SegmentScore(seg.seg_id, float(threshold_value(m, low, high)))
+    m = np.asarray(mean_logprob)
+    return (m > high).astype(np.int64) - (m < low)
 
 
 def regularize(samples: Sequence[TokenScoredSegment], mode: str,
@@ -162,20 +150,20 @@ DEFAULT_THRESHOLD_GRID = tuple(np.linspace(-3.0, 0.0, 16))
 def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     """Grid-search the threshold band maximizing dev-set correlation.
 
-    Every (low, high) pair with low < high from the grid is scored by the
-    weighted average correlation (outlier-filtered Pearson per dataset,
-    Fisher-combined with n-system weights). Ties prefer smaller high, then
-    larger low. Returns (low, high).
+    Every (low, high) pair with low < high from the grid, which must be
+    strictly ascending, is scored by the weighted average correlation
+    (outlier-filtered Pearson per dataset, Fisher-combined with n-system
+    weights). Ties prefer smaller high, then larger low. Returns (low, high).
     """
-    from .metaeval import fisher_weighted_average, mad_outliers, pearson
+    from .metaeval import fisher_weighted_average, kept_systems, pearson
 
     if grid is None:
         grid = DEFAULT_THRESHOLD_GRID
     grid = [float(g) for g in grid]
     if len(grid) < 2:
         raise ConfigError("grid needs at least 2 points")
-    if sorted(grid) != grid:
-        raise ConfigError("grid must be sorted ascending")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("grid must be strictly ascending")
 
     # Mean token log-probs and outlier-filtered human vectors never change
     # across candidates, so compute them once per dataset.
@@ -183,28 +171,23 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     for ds in datasets:
         lp = str(ds.lang_pair)
         human = ds.human.scores_for(lp)
-        kept, _ = mad_outliers(human)
-        kept = sorted(kept)
-        per_system = {}
+        means = {}
         for out in ds.systems:
             if out.token_scores is None:
                 raise ConfigError(f"{out.system_name}: no token scores loaded")
-            per_system[out.system_name] = mean_token_logprobs(out.token_scores)
-        h_vec = np.array([human[s] for s in kept])
-        prepared.append((kept, per_system, h_vec))
+            means[out.system_name] = mean_token_logprobs(out.token_scores)
+        kept, _ = kept_systems(lp, human, means)
+        prepared.append(([means[s] for s in kept],
+                         np.array([human[s] for s in kept])))
 
     best = None
     for j, high in enumerate(grid):
         for low in grid[:j]:
             rs = []
-            for kept, per_system, h_vec in prepared:
-                m_vec = np.array([
-                    np.mean([threshold_value(m, low, high)
-                             for m in per_system[s]])
-                    for s in kept
-                ])
+            for means, h_vec in prepared:
+                m_vec = [threshold_value(m, low, high).mean() for m in means]
                 try:
-                    rs.append((pearson(m_vec, h_vec), len(kept)))
+                    rs.append((pearson(m_vec, h_vec), len(means)))
                 except DomainError:
                     continue  # constant metric vector on this candidate
             if not rs:

@@ -27,9 +27,6 @@ class Segmentation:
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
-    def text(self) -> str:
-        return "".join(self.pieces)
-
 
 @dataclass(frozen=True)
 class UnigramSubwordModel:
@@ -53,9 +50,6 @@ class UnigramSubwordModel:
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "max_piece_len",
                            max(len(p) for p in vocab))
-
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.vocab
 
 
 def nbest_segmentations(model: UnigramSubwordModel, text: str,
@@ -98,18 +92,16 @@ def viterbi_segmentation(model: UnigramSubwordModel, text: str) -> Segmentation:
 
 
 def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
-                        alpha: float = 1.0, seed: Optional[int] = None,
-                        rng: Optional[np.random.Generator] = None) -> Segmentation:
+                        alpha: float = 1.0, *,
+                        rng: np.random.Generator) -> Segmentation:
     """Sample from the n-best list with weights exp(alpha * score).
 
     alpha = 0 is uniform over the list; large alpha collapses to the top
-    segmentation. Deterministic given ``seed`` (or a caller-owned ``rng``).
+    segmentation. Draws from the caller-owned ``rng``.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     candidates = nbest_segmentations(model, text, n)
-    if rng is None:
-        rng = np.random.default_rng(seed)
     weights = alpha * np.array([c.score for c in candidates])
     weights -= weights.max()
     probs = np.exp(weights)
@@ -171,16 +163,15 @@ _CHAR_FLOOR_LOGP = math.log(1e-100)
 
 
 def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
-                  max_piece_len: int = 8, min_count: int = 2,
-                  return_history: bool = False):
+                  max_piece_len: int = 8,
+                  min_count: int = 2) -> UnigramSubwordModel:
     """Train a unigram subword model by Viterbi EM with utility pruning.
 
     Seeds the vocabulary with all substrings up to ``max_piece_len`` seen at
     least ``min_count`` times plus every character, then alternates Viterbi
     re-segmentation and count re-estimation, pruning the lowest-utility
     pieces each round until ``vocab_size`` is reached. Characters are never
-    pruned. With ``return_history`` also returns a list of per-round
-    ``(viterbi_loglik, n_pruned)`` entries.
+    pruned.
     """
     corpus = [line for line in corpus if line]
     if not corpus:
@@ -204,7 +195,6 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
     total = sum(counts[p] for p in pieces)
     vocab = {p: math.log(counts[p] / total) for p in sorted(pieces)}
 
-    history = []
     for rnd in range(rounds):
         max_len = max(len(p) for p in vocab)
         # E-step: Viterbi-segment the corpus, collect piece counts
@@ -224,7 +214,6 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
         vocab = new_vocab
 
         # Pruning: walk down to vocab_size on a linear schedule
-        n_pruned = 0
         excess = len(vocab) - vocab_size
         if excess > 0:
             if rnd == rounds - 1:
@@ -243,19 +232,8 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
             utilities.sort()
             for _, _, p in utilities[:quota]:
                 del vocab[p]
-                n_pruned += 1
 
-        max_len = max(len(p) for p in vocab)
-        ll = 0.0
-        for line in corpus:
-            _, score = _viterbi_with_vocab(vocab, max_len, line)
-            ll += score
-        history.append((ll, n_pruned))
-
-    model = UnigramSubwordModel(vocab)
-    if return_history:
-        return model, history
-    return model
+    return UnigramSubwordModel(vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from peereval.data import (
     SEGMENT_KEYS,
     SYSTEM_KEYS,
-    EvalDataset,
     HumanJudgments,
     LanguagePair,
     SegmentPair,
@@ -153,25 +152,6 @@ class TestHumanScores:
         with pytest.raises(ParseError):
             load_human_scores(path)
 
-    def test_segment_rows_need_system_row(self, tmp_path):
-        sys_path = tmp_path / "sys.tsv"
-        sys_path.write_text("lang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
-        seg_path = tmp_path / "seg.tsv"
-        seg_path.write_text("lang_pair\tsystem\tseg\tscore\n"
-                            "de-en\tB\t0\t0.4\n")
-        with pytest.raises(StructureError):
-            load_human_scores(sys_path, seg_path)
-
-    def test_segment_scores_load(self, tmp_path):
-        sys_path = tmp_path / "sys.tsv"
-        sys_path.write_text("lang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
-        seg_path = tmp_path / "seg.tsv"
-        seg_path.write_text("lang_pair\tsystem\tseg\tscore\n"
-                            "de-en\tA\t0\t0.4\nde-en\tA\t1\t0.6\n")
-        human = load_human_scores(sys_path, seg_path)
-        assert human.segment_vector("de-en", "A") == {0: 0.4, 1: 0.6}
-
-
     def test_leading_blank_line(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("\nlang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
@@ -310,11 +290,3 @@ class TestPlainText:
         assert read_lines_with_ids(path) == [(0, "one"), (1, ""), (2, "three")]
         path.write_text("a\nb\n\n")
         assert read_lines_with_ids(path) == [(0, "a"), (1, "b"), (2, "")]
-
-
-def test_eval_dataset_rejects_mismatched_references():
-    outputs = [make_output(n, ["x", "y"]) for n in "AB"]
-    human = HumanJudgments({("de-en", "A"): 0.0, ("de-en", "B"): 1.0})
-    with pytest.raises(AlignmentError):
-        EvalDataset(LanguagePair.parse("de-en"), tuple(outputs), human,
-                    references=("only one",))

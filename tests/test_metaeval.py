@@ -322,6 +322,20 @@ class TestMetricReport:
         assert report.weighted_average == pytest.approx(
             fisher_weighted_average([(big.r, big.n_systems)]))
 
+    def test_degenerate_pair_left_out_of_averages(self):
+        names = [f"s{i}" for i in range(6)]
+        human = {lp: dict(zip(names, range(6))) for lp in ("xa-xb", "xc-xd")}
+        metric = {("xa-xb", s): 0.5 for s in names}
+        metric.update({("xc-xd", s): v
+                       for s, v in zip(names, [0, 2, 1, 3, 5, 4])})
+        report = metric_report(human, metric)
+        assert report.result_for("xa-xb").r is None
+        r = report.result_for("xc-xd").r
+        assert report.weighted_average == pytest.approx(r, abs=1e-12)
+        assert report.group_averages["xx-yy"] == report.weighted_average
+        comps = compare_metrics(human, metric, metric)
+        assert [c.lang_pair for c in comps] == ["xc-xd"]
+
     def test_missing_metric_score_named(self):
         human = {"xa-xb": {"A": 0.0, "B": 1.0}}
         with pytest.raises(InsufficientDataError, match="B"):

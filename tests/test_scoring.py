@@ -23,7 +23,6 @@ from peereval.scoring import (
     mean_token_logprobs,
     regularize,
     system_score,
-    threshold_segment,
     threshold_value,
     tune_thresholds,
 )
@@ -122,18 +121,23 @@ class TestThreshold:
         assert threshold_value(-2.0, -1.0, -0.6) == -1
         assert threshold_value(-0.5, -1.0, -0.6) == 1
         assert threshold_value(-0.8, -1.0, -0.6) == 0
+        values = threshold_value(np.array([-2.0, -0.5, -0.8]), -1.0, -0.6)
+        assert values.dtype.kind == "i"
+        assert values.tolist() == [-1, 1, 0]
 
     def test_boundaries_map_to_zero(self):
         assert threshold_value(-1.0, -1.0, -0.6) == 0
         assert threshold_value(-0.6, -1.0, -0.6) == 0
 
     def test_segment_uses_mean(self):
-        s = seg([-1.5, -2.5])  # mean -2.0
-        assert threshold_segment(s, -1.0, -0.6).value == -1.0
+        means = mean_token_logprobs([seg([-1.5, -2.5]), seg([-0.5, -0.7])])
+        assert threshold_value(means, -1.0, -0.6).tolist() == [-1, 0]
 
     def test_requires_low_below_high(self):
         with pytest.raises(ConfigError):
-            threshold_segment(seg([-1]), -0.6, -1.0)
+            threshold_value(-1.0, -0.6, -1.0)
+        with pytest.raises(ConfigError):
+            threshold_value(np.array([-1.0]), -0.6, -0.6)
 
     @given(st.floats(min_value=-10, max_value=0),
            st.floats(min_value=-10, max_value=0))
@@ -314,6 +318,8 @@ class TestTuneThresholds:
             tune_thresholds([ds], [-1.0])
         with pytest.raises(ConfigError):
             tune_thresholds([ds], [0.0, -1.0])
+        with pytest.raises(ConfigError):
+            tune_thresholds([ds], [-1.0, -1.0, 0.0])
 
 
 def test_mean_token_logprobs_order():
