@@ -307,13 +307,13 @@ def _cmd_cross_bleu(args) -> int:
     else:
         if len(args.outputs) != 2:
             raise ConfigError("pair mode needs exactly 2 output files")
-        name_a, name_b = (os.path.splitext(os.path.basename(p))[0]
-                          for p in args.outputs)
-        forward = ngram.cross_bleu(texts[name_a], texts[name_b], cfg)
-        print(f"{name_a}->{name_b}\t{forward:.3f}")
+        name_a, name_b = texts
+        # One matrix call tokenizes each file once for both directions.
+        names, matrix, _ = ngram.cross_bleu_matrix(texts, cfg)
+        i, j = names.index(name_a), names.index(name_b)
+        print(f"{name_a}->{name_b}\t{matrix[i][j]:.3f}")
         if args.both:
-            backward = ngram.cross_bleu(texts[name_b], texts[name_a], cfg)
-            print(f"{name_b}->{name_a}\t{backward:.3f}")
+            print(f"{name_b}->{name_a}\t{matrix[j][i]:.3f}")
     return 0
 
 
@@ -330,21 +330,29 @@ def _cmd_subsample(args) -> int:
 
     rows = []
     per_size_all = {size: [] for size in sizes}
+    degenerate = {size: [] for size in sizes}
     for lp in sorted(metric):
         human_lp = human.scores_for(lp)
         if not human_lp:
             raise AlignmentError(f"no human scores for {lp}")
         matrix = _aligned_segment_matrix(metric[lp])
         curve = metaeval.subsample_correlations(
-            human_lp, matrix, sizes, draws=args.draws, seed=args.seed)
+            human_lp, matrix, sizes, draws=args.draws, seed=args.seed,
+            lang_pair=lp)
         kept, _ = metaeval.mad_outliers(human_lp)
         for size in sizes:
-            rows.append([lp, size, repr(curve[size])])
+            rows.append([lp, size, _repr_r(curve[size])])
             per_size_all[size].append((curve[size], float(len(kept))))
+            if curve[size] is None:
+                degenerate[size].append(lp)
     for size in sizes:
-        avg = metaeval.fisher_weighted_average(per_size_all[size])
-        rows.append(["[all]", size, repr(avg)])
-        print(f"{size}\t{avg:.3f}")
+        avg = metaeval.average_correlations(per_size_all[size])
+        rows.append(["[all]", size, _repr_r(avg)])
+        line = f"{size}\t{_format_r(avg)}"
+        if degenerate[size]:
+            line += ("\t(degenerate: constant scores: "
+                     + ",".join(degenerate[size]) + ")")
+        print(line)
     _write_rows(args.output, ["lang_pair", "size", "mean_r"], rows)
     if args.curves:
         with open(args.curves, "w", encoding="utf-8", newline="\n") as fh:

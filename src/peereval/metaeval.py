@@ -124,6 +124,17 @@ def fisher_weighted_average(results: Sequence[Tuple[float, float]]) -> float:
     return math.tanh(num / den)
 
 
+def average_correlations(results: Sequence[Tuple[Optional[float], float]]
+                         ) -> Optional[float]:
+    """Fisher average of the (r, weight) pairs whose r is not None.
+
+    A None r marks a degenerate pair (constant scores) and is left out;
+    returns None when no pair is left.
+    """
+    usable = [(r, w) for r, w in results if r is not None]
+    return fisher_weighted_average(usable) if usable else None
+
+
 def williams_test(r1h: float, r2h: float, r12: float, n: int,
                   tails: int = 1) -> Tuple[float, float]:
     """Significance of the difference between two correlations with a shared
@@ -292,9 +303,8 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     ]
 
     def average(results):
-        usable = [(res.r, float(res.n_systems)) for res in results
-                  if res.reliable and res.r is not None]
-        return fisher_weighted_average(usable) if usable else None
+        return average_correlations([(res.r, float(res.n_systems))
+                                     for res in results if res.reliable])
 
     group_averages = {"all": average(per_pair)}
     for group in GROUPS[1:]:
@@ -459,32 +469,40 @@ def pairwise_compare(metric_segment_scores, human_segment_scores,
 def subsample_correlations(human_scores: Mapping[str, float],
                            metric_segment_scores: Mapping[str, Sequence[float]],
                            sizes: Sequence[int], draws: int = 10,
-                           seed: int = 0) -> Dict[int, float]:
+                           seed: int = 0, lang_pair: Optional[str] = None
+                           ) -> Dict[int, Optional[float]]:
     """Mean outlier-filtered correlation at each subsampled test-set size.
 
     For every size, ``draws`` segment subsets are drawn without replacement
     (seed derived per (seed, size, draw), so draws are order-independent),
     system scores are recomputed as subset means, and the Pearson correlation
-    with the human scores is averaged over draws.
+    with the human scores is averaged over draws. A size at which some draw
+    has no correlation (constant scores, or fewer than 2 kept systems) maps
+    to None. Errors name ``lang_pair``.
     """
-    kept, _ = kept_systems(None, human_scores, metric_segment_scores)
+    kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
     matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in kept])
     n_segments = matrix.shape[1]
     h = np.array([human_scores[s] for s in kept])
+    prefix = f"{lang_pair}: " if lang_pair else ""
     result = {}
     for size in sizes:
         size = int(size)
         if not 1 <= size <= n_segments:
             raise DomainError(
-                f"subset size {size} outside [1, {n_segments}]"
+                f"{prefix}subset size {size} outside [1, {n_segments}]"
             )
         rs = []
-        for draw in range(draws):
-            rng = np.random.default_rng([seed, size, draw])
-            idx = rng.choice(n_segments, size=size, replace=False)
-            rs.append(pearson(matrix[:, idx].mean(axis=1), h))
+        try:
+            for draw in range(draws):
+                rng = np.random.default_rng([seed, size, draw])
+                idx = rng.choice(n_segments, size=size, replace=False)
+                rs.append(pearson(matrix[:, idx].mean(axis=1), h))
+        except DomainError:
+            result[size] = None
+            continue
         result[size] = float(np.mean(rs))
     return result

@@ -17,7 +17,7 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AlignmentError, ConfigError, DomainError
 
@@ -26,16 +26,37 @@ from .errors import AlignmentError, ConfigError, DomainError
 # Tokenization
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _chars_in_category(prefix: str) -> str:
-    return "".join(chr(x) for x in range(sys.maxunicode)
-                   if unicodedata.category(chr(x)).startswith(prefix))
+def _category_classes() -> Tuple[str, str]:
+    """Regex class bodies matching Unicode punctuation (P*) and symbols (S*).
+
+    One pass over the code points collects each class as runs of
+    consecutive code points, and each run becomes one ``a-b`` range, so
+    ``sre`` tests a few hundred ranges rather than thousands of single
+    characters.
+    """
+    runs = {"P": [], "S": []}
+    for code in range(sys.maxunicode):
+        class_runs = runs.get(unicodedata.category(chr(code))[0])
+        if class_runs is None:
+            continue
+        if class_runs and class_runs[-1][1] == code - 1:
+            class_runs[-1][1] = code
+        else:
+            class_runs.append([code, code])
+
+    def body(major: str) -> str:
+        return "".join(
+            re.escape(chr(first)) if first == last
+            else f"{re.escape(chr(first))}-{re.escape(chr(last))}"
+            for first, last in runs[major]
+        )
+
+    return body("P"), body("S")
 
 
 @functools.lru_cache(maxsize=None)
 def _intl_regexes():
-    punct = re.escape(_chars_in_category("P"))
-    symbols = re.escape(_chars_in_category("S"))
+    punct, symbols = _category_classes()
     return (
         re.compile(rf"([^\d])([{punct}])"),
         re.compile(rf"([{punct}])([^\d])"),
@@ -104,35 +125,44 @@ class BleuConfig:
 def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
     counts = Counter()
     for n in range(1, max_order + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i:i + n])] += 1
+        counts.update(zip(*(tokens[k:] for k in range(n))))
     return counts
 
 
-def bleu(hypotheses: Sequence[str], references: Sequence[str],
-         cfg: BleuConfig = BleuConfig()) -> float:
-    """Corpus BLEU in [0, 100] of hypotheses against aligned references."""
-    if len(hypotheses) != len(references):
-        raise AlignmentError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise DomainError("empty corpus")
+def _corpus_counts(lines: Iterable[str],
+                   cfg: BleuConfig) -> Iterator[Tuple[int, Counter]]:
+    """Per segment, in order: its token count and its n-gram counts."""
     tok = TOKENIZERS[cfg.tokenizer]
-    correct = [0] * cfg.max_order
-    total = [0] * cfg.max_order
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_tokens = tok(hyp)
-        ref_tokens = tok(ref)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        ref_counts = _ngram_counts(ref_tokens, cfg.max_order)
-        for ngram, count in _ngram_counts(hyp_tokens, cfg.max_order).items():
+    for line in lines:
+        tokens = tok(line)
+        yield len(tokens), _ngram_counts(tokens, cfg.max_order)
+
+
+class _BleuStats:
+    """Clipped n-gram matches and lengths of one hypothesis/reference pair,
+    added up segment by segment."""
+
+    def __init__(self, max_order: int):
+        self.correct = [0] * max_order
+        self.total = [0] * max_order
+        self.hyp_len = 0
+        self.ref_len = 0
+
+    def add(self, hyp: Tuple[int, Counter], ref: Tuple[int, Counter]) -> None:
+        (hyp_n, hyp_counts), (ref_n, ref_counts) = hyp, ref
+        self.hyp_len += hyp_n
+        self.ref_len += ref_n
+        correct, total = self.correct, self.total
+        for ngram, count in hyp_counts.items():
             n = len(ngram)
             total[n - 1] += count
             correct[n - 1] += min(count, ref_counts.get(ngram, 0))
+
+
+def _bleu_score(stats: _BleuStats, cfg: BleuConfig) -> float:
+    """Corpus BLEU in [0, 100] from the summed segment statistics."""
+    correct, total = stats.correct, stats.total
+    hyp_len, ref_len = stats.hyp_len, stats.ref_len
     if ref_len == 0:
         raise DomainError("reference corpus has no tokens")
     if hyp_len == 0:
@@ -157,6 +187,23 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str],
         return 0.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * math.exp(sum(log_precisions) / len(log_precisions))
+
+
+def bleu(hypotheses: Sequence[str], references: Sequence[str],
+         cfg: BleuConfig = BleuConfig()) -> float:
+    """Corpus BLEU in [0, 100] of hypotheses against aligned references."""
+    if len(hypotheses) != len(references):
+        raise AlignmentError(
+            f"{len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise DomainError("empty corpus")
+    # Both generators advance one segment at a time: nothing is kept.
+    stats = _BleuStats(cfg.max_order)
+    for hyp, ref in zip(_corpus_counts(hypotheses, cfg),
+                        _corpus_counts(references, cfg)):
+        stats.add(hyp, ref)
+    return _bleu_score(stats, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +286,31 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
 
     Returns (names, matrix, averages): matrix[i][j] scores system i as the
     hypothesis against system j as the reference; averages[i] is system i's
-    mean over the other systems (its proximity to the field).
+    mean over the other systems (its proximity to the field). Each output
+    is tokenized and counted once, and every cell reuses those counts; the
+    outputs advance together one segment at a time, so only one segment's
+    counts per system are kept.
     """
     names = sorted(outputs)
     if len(names) < 2:
         raise DomainError("cross-BLEU matrix needs at least 2 systems")
+    lengths = {len(outputs[name]) for name in names}
+    if len(lengths) > 1:
+        raise AlignmentError("cross-BLEU needs equal-length outputs, got "
+                             + ", ".join(f"{name}: {len(outputs[name])}"
+                                         for name in names))
+    if lengths == {0}:
+        raise DomainError("empty corpus")
     size = len(names)
+    cells = {(i, j): _BleuStats(cfg.max_order)
+             for i in range(size) for j in range(size) if i != j}
+    streams = [_corpus_counts(outputs[name], cfg) for name in names]
+    for segment in zip(*streams):
+        for (i, j), stats in cells.items():
+            stats.add(segment[i], segment[j])
     matrix = [[100.0] * size for _ in range(size)]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i != j:
-                matrix[i][j] = cross_bleu(outputs[a], outputs[b], cfg)
+    for (i, j), stats in cells.items():
+        matrix[i][j] = _bleu_score(stats, cfg)
     averages = [
         sum(matrix[i][j] for j in range(size) if j != i) / (size - 1)
         for i in range(size)

@@ -19,6 +19,12 @@ def ngram_oracle():
 
 
 @pytest.fixture(scope="session")
+def tokenize_oracle():
+    with open(os.path.join(DATA_DIR, "tokenize_oracle.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
 def noise_benchmark():
     from peereval.synthetic import make_noise_benchmark
 

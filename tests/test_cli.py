@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from peereval import cli, synthetic
+from peereval import cli, ngram, synthetic
 from peereval.data import TokenScoredSegment, write_token_scores
 
 
@@ -155,3 +155,87 @@ def test_meta_eval_reports_degenerate_pair(tmp_path, capsys):
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "-o", str(tsv)]) == 0
     assert "fr-en\t-\t5\t-\n" in tsv.read_text()
+
+
+def segment_rows(lang_pair, per_system):
+    return "".join(f"{lang_pair}\t{s}\t{seg}\t{v!r}\n"
+                   for s, values in zip(SYSTEMS, per_system)
+                   for seg, v in enumerate(values))
+
+
+def test_subsample_reports_degenerate_pair(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
+    varied = [[m + 0.125 * seg for seg in range(4)] for m in METRIC]
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", varied)
+                      + segment_rows("fr-en", [[0.5] * 4] * len(SYSTEMS)))
+    out_tsv = tmp_path / "curve.tsv"
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "2,4", "--draws", "3",
+                     "-o", str(out_tsv)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith("\t(degenerate: constant scores: fr-en)")
+    table = {(lp, size): r for lp, size, r in
+             (line.split("\t") for line in out_tsv.read_text().splitlines()[1:])}
+    assert table["fr-en", "2"] == table["fr-en", "4"] == "-"
+    # each draw shifts every de-en system by the same amount: r stays 0.9
+    assert float(table["de-en", "4"]) == pytest.approx(0.9, abs=1e-12)
+    assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
+
+    # no pair left: the average is "-" too
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("fr-en", [[0.5] * 4] * len(SYSTEMS)))
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "2", "-o", str(out_tsv)]) == 0
+    assert capsys.readouterr().out == \
+        "2\t-\t(degenerate: constant scores: fr-en)\n"
+    assert "[all]\t2\t-\n" in out_tsv.read_text()
+
+    # an out-of-range size is still an error, naming the pair
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: fr-en: subset size 5")
+
+
+CROSS_OUTPUTS = {
+    "alpha": ["the cat sat on the mat.", "pi is 3.14, e is 2.718!"],
+    "beta": ["the cat sat on a mat .", "pi is 3.14 and e is 2.718"],
+    "gamma": ["a dog sat on the mat", "«pi» is 3,14!"],
+}
+
+
+def write_outputs(tmp_path, names):
+    paths = []
+    for name in names:
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(CROSS_OUTPUTS[name]) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_cross_bleu_matrix_tsv(tmp_path):
+    out = tmp_path / "matrix.tsv"
+    assert cli.main(["cross-bleu", "--matrix", "--max-order", "2",
+                     "--outputs", *write_outputs(tmp_path, ["gamma", "alpha", "beta"]),
+                     "-o", str(out)]) == 0
+    names, matrix, averages = ngram.cross_bleu_matrix(
+        CROSS_OUTPUTS, ngram.BleuConfig(max_order=2))
+    lines = [line.split("\t") for line in out.read_text().splitlines()]
+    assert lines[0] == ["hyp\\ref"] + names
+    assert lines[1:-1] == [[name] + [repr(v) for v in row]
+                           for name, row in zip(names, matrix)]
+    assert lines[-1] == ["[average]"] + [repr(a) for a in averages]
+
+
+def test_cross_bleu_pair_both_directions(tmp_path, capsys):
+    paths = write_outputs(tmp_path, ["gamma", "alpha"])
+    forward = ngram.cross_bleu(CROSS_OUTPUTS["gamma"], CROSS_OUTPUTS["alpha"])
+    backward = ngram.cross_bleu(CROSS_OUTPUTS["alpha"], CROSS_OUTPUTS["gamma"])
+    assert forward != backward
+    assert cli.main(["cross-bleu", "--outputs", *paths]) == 0
+    assert capsys.readouterr().out == f"gamma->alpha\t{forward:.3f}\n"
+    assert cli.main(["cross-bleu", "--both", "--outputs", *paths]) == 0
+    assert capsys.readouterr().out == \
+        f"gamma->alpha\t{forward:.3f}\nalpha->gamma\t{backward:.3f}\n"

@@ -9,6 +9,7 @@ from peereval.errors import DomainError, InsufficientDataError
 from peereval.metaeval import (
     GROUPS,
     PairwiseTally,
+    average_correlations,
     compare_metrics,
     correlate_pair,
     fisher_weighted_average,
@@ -163,6 +164,12 @@ class TestFisherAverage:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             fisher_weighted_average([])
+
+    def test_average_correlations_leaves_out_degenerate(self):
+        assert average_correlations([(0.3, 4), (None, 9), (0.6, 2)]) == \
+            fisher_weighted_average([(0.3, 4), (0.6, 2)])
+        assert average_correlations([(None, 5)]) is None
+        assert average_correlations([]) is None
 
 
 class TestWilliams:
@@ -469,8 +476,14 @@ class TestSubsample:
 
     def test_oversize_rejected(self):
         human, metric = self.make_fixture(n_segs=50)
-        with pytest.raises(DomainError):
-            subsample_correlations(human, metric, [51])
+        with pytest.raises(DomainError, match="^de-en: subset size 51"):
+            subsample_correlations(human, metric, [51], lang_pair="de-en")
+
+    def test_constant_scores_give_none(self):
+        human, metric = self.make_fixture(n_segs=20)
+        constant = {s: np.full(20, 0.5) for s in metric}
+        assert subsample_correlations(human, constant, [5, 20]) == \
+            {5: None, 20: None}
 
 
 def test_tally_addition():
