@@ -64,6 +64,14 @@ def _write_rows(path, header, rows):
             out.close()
 
 
+def _parse_number(kind, token: str, what: str):
+    """``kind(token)``, or a ConfigError naming the bad token."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ConfigError(f"bad {what} {token!r}") from None
+
+
 def read_segment_scores_tsv(path) -> dict:
     """Read segment-level scores into {lp: {system: {seg_id: score}}}."""
     nested = {}
@@ -253,15 +261,11 @@ def _cmd_pairwise(args) -> int:
                 tally.ns_metric_ns]
 
     rows = [tally_row(lp, tallies[lp]) for lp in shared_pairs]
-    for group in metaeval.GROUPS:
-        members = [lp for lp in shared_pairs
-                   if group == "all" or LanguagePair.parse(lp).group == group]
-        if not members:
-            continue
-        combined = metaeval.PairwiseTally()
-        for lp in members:
-            combined = combined + tallies[lp]
-        rows.append(tally_row(f"[{group}]", combined))
+    for group, members in metaeval.group_members(shared_pairs).items():
+        if members:
+            combined = sum((tallies[lp] for lp in members),
+                           metaeval.PairwiseTally())
+            rows.append(tally_row(f"[{group}]", combined))
     _write_rows(args.output,
                 ["pair", "human_s_correct", "human_s_incorrect",
                  "human_s_metric_ns", "human_ns_correct",
@@ -322,11 +326,11 @@ def _cmd_cross_bleu(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_subsample(args) -> int:
-    human = load_human_scores(args.human)
-    metric = read_segment_scores_tsv(args.metric_seg)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [_parse_number(int, s, "size") for s in args.sizes.split(",") if s]
     if not sizes:
         raise ConfigError("no sizes given")
+    human = load_human_scores(args.human)
+    metric = read_segment_scores_tsv(args.metric_seg)
 
     rows = []
     per_size_all = {size: [] for size in sizes}
@@ -342,7 +346,7 @@ def _cmd_subsample(args) -> int:
         kept, _ = metaeval.mad_outliers(human_lp)
         for size in sizes:
             rows.append([lp, size, _repr_r(curve[size])])
-            per_size_all[size].append((curve[size], float(len(kept))))
+            per_size_all[size].append((curve[size], len(kept)))
             if curve[size] is None:
                 degenerate[size].append(lp)
     for size in sizes:
@@ -354,11 +358,6 @@ def _cmd_subsample(args) -> int:
                      + ",".join(degenerate[size]) + ")")
         print(line)
     _write_rows(args.output, ["lang_pair", "size", "mean_r"], rows)
-    if args.curves:
-        with open(args.curves, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lang_pair,size,mean_r\n")
-            for lp, size, r in rows:
-                fh.write(f"{lp},{size},{r}\n")
     return 0
 
 
@@ -371,14 +370,19 @@ def _parse_grid(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad grid spec {text!r}, expected lo:hi:n")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = (_parse_number(float, v, "grid point") for v in parts[:2])
+        n = _parse_number(int, parts[2], "grid size")
+        if n < 2:
+            raise ConfigError(f"grid size {n} below 2")
         return list(np.linspace(lo, hi, n))
-    return [float(v) for v in text.split(",") if v]
+    return [_parse_number(float, v, "grid point")
+            for v in text.split(",") if v]
 
 
 def _cmd_tune_thresholds(args) -> int:
     from .data import assemble_dataset
 
+    grid = _parse_grid(args.grid)
     human = load_human_scores(args.human)
     datasets = []
     for lp in sorted(os.listdir(args.scores_dir)):
@@ -400,7 +404,7 @@ def _cmd_tune_thresholds(args) -> int:
             datasets.append(assemble_dataset(outputs, human))
     if not datasets:
         raise ConfigError(f"no token-score files under {args.scores_dir}")
-    low, high = scoring.tune_thresholds(datasets, _parse_grid(args.grid))
+    low, high = scoring.tune_thresholds(datasets, grid)
     print(f"low\t{low!r}")
     print(f"high\t{high!r}")
     return 0
@@ -572,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="100,200,400,800")
     p.add_argument("--draws", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--curves", default=None, help="plot-ready CSV path")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_subsample)
 

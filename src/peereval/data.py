@@ -68,10 +68,6 @@ class LanguagePair:
         return "xx-yy"
 
 
-def lang_pair_group(lang_pair: str) -> str:
-    return LanguagePair.parse(lang_pair).group
-
-
 @dataclass(frozen=True)
 class SegmentPair:
     seg_id: int

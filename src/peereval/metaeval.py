@@ -9,15 +9,17 @@ test-set-size subsampling curves.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .data import lang_pair_group
+from .data import LanguagePair
 from .errors import DomainError, InsufficientDataError
 
 MAD_SCALE = 1.483  # normal-consistency constant for the MAD
@@ -124,15 +126,28 @@ def fisher_weighted_average(results: Sequence[Tuple[float, float]]) -> float:
     return math.tanh(num / den)
 
 
-def average_correlations(results: Sequence[Tuple[Optional[float], float]]
+def average_correlations(results: Sequence[Tuple[Optional[float], int]]
                          ) -> Optional[float]:
-    """Fisher average of the (r, weight) pairs whose r is not None.
+    """Fisher average, weighted by system count, of (r, n_systems) pairs.
 
-    A None r marks a degenerate pair (constant scores) and is left out;
-    returns None when no pair is left.
+    This is the one rule for which language pairs enter an average: a pair
+    is left out when its r is None (degenerate: constant scores) or when it
+    has fewer than MIN_RELIABLE_SYSTEMS systems. Returns None when no pair
+    is left.
     """
-    usable = [(r, w) for r, w in results if r is not None]
+    usable = [(r, n) for r, n in results
+              if r is not None and n >= MIN_RELIABLE_SYSTEMS]
     return fisher_weighted_average(usable) if usable else None
+
+
+def group_members(lang_pairs: Sequence[str]) -> Dict[str, list]:
+    """{group: its language pairs} for every group in GROUPS, in input
+    order; "all" holds every pair and a group may be empty."""
+    members = {group: [] for group in GROUPS}
+    for lp in lang_pairs:
+        members["all"].append(lp)
+        members[LanguagePair.parse(lp).group].append(lp)
+    return members
 
 
 def williams_test(r1h: float, r2h: float, r12: float, n: int,
@@ -293,25 +308,20 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     """Per-pair outlier-filtered correlations plus group averages.
 
     ``human_scores_by_pair`` maps lang_pair -> {system: human score};
-    ``metric_scores`` maps (lang_pair, system) -> metric score. Averages are
-    Fisher-combined with n-system weights over the reliable pairs (>= 4 kept
-    systems); degenerate pairs (``r`` None) are left out too.
+    ``metric_scores`` maps (lang_pair, system) -> metric score. Each group's
+    average is ``average_correlations`` over its pairs.
     """
-    per_pair = [
-        correlate_pair(human, _pair_scores(metric_scores, lp), lp)
+    per_pair = {
+        lp: correlate_pair(human, _pair_scores(metric_scores, lp), lp)
         for lp, human in sorted(human_scores_by_pair.items())
-    ]
-
-    def average(results):
-        return average_correlations([(res.r, float(res.n_systems))
-                                     for res in results if res.reliable])
-
-    group_averages = {"all": average(per_pair)}
-    for group in GROUPS[1:]:
-        group_averages[group] = average(
-            [res for res in per_pair if lang_pair_group(res.lang_pair) == group]
-        )
-    return MetricReport(tuple(per_pair), group_averages["all"], group_averages)
+    }
+    group_averages = {
+        group: average_correlations([(per_pair[lp].r, per_pair[lp].n_systems)
+                                     for lp in members])
+        for group, members in group_members(list(per_pair)).items()
+    }
+    return MetricReport(tuple(per_pair.values()), group_averages["all"],
+                        group_averages)
 
 
 @dataclass(frozen=True)
@@ -361,15 +371,6 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PairDecision:
-    system_a: str
-    system_b: str
-    human_significant: bool
-    metric_significant: bool
-    agree: bool  # sign of metric difference matches sign of human difference
-
-
-@dataclass(frozen=True)
 class PairwiseTally:
     """Six-way tally of pairwise ranking decisions (Human-S/NS x C/IC/NS)."""
 
@@ -396,15 +397,17 @@ class PairwiseTally:
         )
 
 
-def pairwise_decisions(metric_segment_scores: Mapping[str, Sequence[float]],
-                       human_segment_scores: Mapping[str, Sequence[float]],
-                       alpha: float = 0.05) -> list:
-    """Per-pair ranking decisions over all unordered system pairs.
+def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
+                     human_segment_scores: Mapping[str, Sequence[float]],
+                     alpha: float = 0.05) -> PairwiseTally:
+    """Six-way tally of ranking decisions over all unordered system pairs.
 
     Human significance comes from the two-sided rank-sum test on the two
-    systems' human segment scores; metric significance from the two-sided
-    paired t-test on per-segment metric differences. Scores must be aligned
-    on the same segments across systems.
+    systems' human segment scores, metric significance from the two-sided
+    paired t-test on per-segment metric differences, each at ``p < alpha``.
+    A metric-significant decision is correct when the signs of the metric
+    and human mean differences agree. Scores must be aligned on the same
+    segments across systems.
     """
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
@@ -417,49 +420,24 @@ def pairwise_decisions(metric_segment_scores: Mapping[str, Sequence[float]],
     lengths |= {len(human_segment_scores[s]) for s in systems}
     if len(lengths) != 1:
         raise InsufficientDataError("segment score vectors differ in length")
+    metric = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
+                       for s in systems])
+    human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)
+                      for s in systems])
 
-    decisions = []
-    for i, sys_a in enumerate(systems):
-        for sys_b in systems[i + 1:]:
-            h_a = np.asarray(human_segment_scores[sys_a], dtype=np.float64)
-            h_b = np.asarray(human_segment_scores[sys_b], dtype=np.float64)
-            m_a = np.asarray(metric_segment_scores[sys_a], dtype=np.float64)
-            m_b = np.asarray(metric_segment_scores[sys_b], dtype=np.float64)
-            _, human_p = wilcoxon_ranksum(h_a, h_b)
-            _, metric_p = paired_ttest(m_a, m_b)
-            human_sign = np.sign(h_a.mean() - h_b.mean())
-            metric_sign = np.sign(m_a.mean() - m_b.mean())
-            decisions.append(PairDecision(
-                sys_a, sys_b,
-                human_significant=bool(human_p < alpha),
-                metric_significant=bool(metric_p < alpha),
-                agree=bool(human_sign == metric_sign),
-            ))
-    return decisions
-
-
-def pairwise_compare(metric_segment_scores, human_segment_scores,
-                     alpha: float = 0.05) -> PairwiseTally:
-    """Tally pairwise ranking decisions into the six-way table."""
-    tally = PairwiseTally()
-    for dec in pairwise_decisions(metric_segment_scores,
-                                  human_segment_scores, alpha):
-        if dec.human_significant:
-            if not dec.metric_significant:
-                add = PairwiseTally(sig_metric_ns=1)
-            elif dec.agree:
-                add = PairwiseTally(sig_correct=1)
-            else:
-                add = PairwiseTally(sig_incorrect=1)
+    cells = Counter()
+    for a, b in itertools.combinations(range(len(systems)), 2):
+        _, human_p = wilcoxon_ranksum(human[a], human[b])
+        _, metric_p = paired_ttest(metric[a], metric[b])
+        if not metric_p < alpha:
+            verdict = "metric_ns"
+        elif (np.sign(human[a].mean() - human[b].mean())
+              == np.sign(metric[a].mean() - metric[b].mean())):
+            verdict = "correct"
         else:
-            if not dec.metric_significant:
-                add = PairwiseTally(ns_metric_ns=1)
-            elif dec.agree:
-                add = PairwiseTally(ns_correct=1)
-            else:
-                add = PairwiseTally(ns_incorrect=1)
-        tally = tally + add
-    return tally
+            verdict = "incorrect"
+        cells[("sig_" if human_p < alpha else "ns_") + verdict] += 1
+    return PairwiseTally(**cells)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,8 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
             stats.add(segment[i], segment[j])
     matrix = [[100.0] * size for _ in range(size)]
     for (i, j), stats in cells.items():
+        if stats.ref_len == 0:
+            raise DomainError(f"system {names[j]!r} has no tokens")
         matrix[i][j] = _bleu_score(stats, cfg)
     averages = [
         sum(matrix[i][j] for j in range(size) if j != i) / (size - 1)

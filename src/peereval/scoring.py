@@ -151,11 +151,12 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     """Grid-search the threshold band maximizing dev-set correlation.
 
     Every (low, high) pair with low < high from the grid, which must be
-    strictly ascending, is scored by the weighted average correlation
-    (outlier-filtered Pearson per dataset, Fisher-combined with n-system
-    weights). Ties prefer smaller high, then larger low. Returns (low, high).
+    strictly ascending, is scored by ``metaeval.average_correlations`` over
+    the datasets' outlier-filtered Pearson correlations, so a dataset that
+    is degenerate on a candidate or has fewer than 4 kept systems does not
+    count. Ties prefer smaller high, then larger low. Returns (low, high).
     """
-    from .metaeval import fisher_weighted_average, kept_systems, pearson
+    from .metaeval import average_correlations, kept_systems, pearson
 
     if grid is None:
         grid = DEFAULT_THRESHOLD_GRID
@@ -187,16 +188,18 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
             for means, h_vec in prepared:
                 m_vec = [threshold_value(m, low, high).mean() for m in means]
                 try:
-                    rs.append((pearson(m_vec, h_vec), len(means)))
+                    r = pearson(m_vec, h_vec)
                 except DomainError:
-                    continue  # constant metric vector on this candidate
-            if not rs:
+                    r = None  # constant metric vector on this candidate
+                rs.append((r, len(means)))
+            score = average_correlations(rs)
+            if score is None:
                 continue
-            score = fisher_weighted_average(rs)
             # maximize score; tie-break: smaller high, then larger low
             key = (score, -high, low)
             if best is None or key > best[0]:
                 best = (key, (low, high))
     if best is None:
-        raise ConfigError("no valid (low, high) pair on the grid")
+        raise ConfigError("no valid (low, high) pair on the grid: every dev "
+                          "set is degenerate or has fewer than 4 systems")
     return best[1]

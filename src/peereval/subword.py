@@ -52,16 +52,16 @@ class UnigramSubwordModel:
                            max(len(p) for p in vocab))
 
 
-def nbest_segmentations(model: UnigramSubwordModel, text: str,
-                        n: int) -> list:
-    """Up to n distinct segmentations of ``text``, best score first."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if not text:
-        raise DomainError("cannot segment empty text")
-    vocab = model.vocab
-    max_len = model.max_piece_len
-    # ends[i] holds up to n (score, pieces) hypotheses covering text[:i]
+def _nbest(vocab: dict, max_len: int, text: str, n: int,
+           skip_full_span: Optional[str] = None) -> list:
+    """Up to n best (score, pieces) paths over ``text``, best first; exact
+    ties go to the lexicographically smaller piece sequence.
+
+    ``skip_full_span`` forbids covering the whole text with that one piece
+    (training prices a piece's removal with it).
+    """
+    # ends[i] holds up to n (cost, pieces) hypotheses covering text[:i],
+    # cost = -score, so plain tuple order ranks them
     ends = [[] for _ in range(len(text) + 1)]
     ends[0].append((0.0, ()))
     for i in range(1, len(text) + 1):
@@ -69,19 +69,28 @@ def nbest_segmentations(model: UnigramSubwordModel, text: str,
         for j in range(max(0, i - max_len), i):
             piece = text[j:i]
             logp = vocab.get(piece)
-            if logp is None:
+            if logp is None or (j == 0 and i == len(text)
+                                and piece == skip_full_span):
                 continue
-            for score, pieces in ends[j]:
-                cands.append((score + logp, pieces + (piece,)))
-        if cands:
-            cands.sort(key=lambda sp: (-sp[0], sp[1]))
-            ends[i] = cands[:n]
-        elif i <= len(text):
-            # keep going: a longer piece may still bridge this position
-            ends[i] = []
-    final = ends[len(text)]
+            for cost, pieces in ends[j]:
+                cands.append((cost - logp, pieces + (piece,)))
+        # an empty list is kept: a longer piece may still bridge position i
+        cands.sort()
+        ends[i] = cands[:n]
+    # 0.0 - cost, not -cost: a zero score stays +0.0
+    return [(0.0 - cost, pieces) for cost, pieces in ends[len(text)]]
+
+
+def nbest_segmentations(model: UnigramSubwordModel, text: str,
+                        n: int) -> list:
+    """Up to n distinct segmentations of ``text``, best score first."""
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if not text:
+        raise DomainError("cannot segment empty text")
+    final = _nbest(model.vocab, model.max_piece_len, text, n)
     if not final:
-        bad = next((ch for ch in text if ch not in vocab), None)
+        bad = next((ch for ch in text if ch not in model.vocab), None)
         detail = f"character {bad!r} not in vocabulary" if bad else "no path"
         raise CoverageError(f"cannot segment {text!r}: {detail}")
     return [Segmentation(pieces, score) for score, pieces in final]
@@ -120,41 +129,6 @@ def _substring_counts(corpus: Sequence[str], max_piece_len: int) -> Counter:
             for ln in range(1, min(max_piece_len, len(line) - i) + 1):
                 counts[line[i:i + ln]] += 1
     return counts
-
-
-def _viterbi_with_vocab(vocab: dict, max_len: int, text: str,
-                        skip_full_span: Optional[str] = None):
-    """Best segmentation (pieces, score) under a raw vocab dict.
-
-    ``skip_full_span`` forbids covering the whole text with that one piece
-    (used to price a piece's removal during pruning).
-    """
-    neg_inf = -math.inf
-    best = [neg_inf] * (len(text) + 1)
-    back = [None] * (len(text) + 1)
-    best[0] = 0.0
-    for i in range(1, len(text) + 1):
-        for j in range(max(0, i - max_len), i):
-            piece = text[j:i]
-            if piece == skip_full_span and j == 0 and i == len(text):
-                continue
-            logp = vocab.get(piece)
-            if logp is None or best[j] == neg_inf:
-                continue
-            score = best[j] + logp
-            if score > best[i]:
-                best[i] = score
-                back[i] = j
-    if best[len(text)] == neg_inf:
-        return None, neg_inf
-    pieces = []
-    i = len(text)
-    while i > 0:
-        j = back[i]
-        pieces.append(text[j:i])
-        i = j
-    pieces.reverse()
-    return pieces, best[len(text)]
 
 
 # Probability assigned to characters the Viterbi pass stopped using; keeps
@@ -200,7 +174,7 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
         # E-step: Viterbi-segment the corpus, collect piece counts
         piece_counts = Counter()
         for line in corpus:
-            segs, _ = _viterbi_with_vocab(vocab, max_len, line)
+            ((_, segs),) = _nbest(vocab, max_len, line, 1)
             piece_counts.update(segs)
         used_total = sum(piece_counts.values())
         new_vocab = {}
@@ -225,8 +199,7 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
             for p in vocab:
                 if len(p) == 1:
                     continue
-                _, alt = _viterbi_with_vocab(vocab, max_len, p,
-                                             skip_full_span=p)
+                ((alt, _),) = _nbest(vocab, max_len, p, 1, skip_full_span=p)
                 loss = piece_counts[p] * (vocab[p] - alt)
                 utilities.append((loss, piece_counts[p], p))
             utilities.sort()

@@ -199,6 +199,82 @@ def test_subsample_reports_degenerate_pair(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: fr-en: subset size 5")
 
 
+def test_subsample_average_leaves_out_pair_under_4_systems(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN[:3]))
+    varied = [[m + 0.125 * seg for seg in range(4)] for m in METRIC]
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", varied)
+                      + segment_rows("fr-en", varied[2::-1]))
+    out_tsv = tmp_path / "curve.tsv"
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "4", "--draws", "2",
+                     "-o", str(out_tsv)]) == 0
+    assert capsys.readouterr().out == "4\t0.900\n"
+    table = {(lp, size): r for lp, size, r in
+             (line.split("\t") for line in out_tsv.read_text().splitlines()[1:])}
+    # fr-en keeps 3 systems: its r is reported but stays out of [all]
+    assert float(table["fr-en", "4"]) == pytest.approx(-0.5, abs=1e-12)
+    assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_subsample_malformed_size_is_an_error(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", [[m, m] for m in METRIC]))
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "1,ab"]) == 1
+    assert capsys.readouterr().err == "error: bad size 'ab'\n"
+
+
+def test_tune_thresholds_malformed_grid_is_an_error(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    (tmp_path / "de-en").mkdir()
+    for i, system in enumerate(SYSTEMS):
+        write_samples(tmp_path / "de-en" / f"{system}.jsonl",
+                      [[-0.5 * (i + 1)], [-0.25]])
+    for grid, bad in (("-3,x,0", "grid point 'x'"),
+                      ("-3:0:n", "grid size 'n'")):
+        assert cli.main(["tune-thresholds", "--human", str(human),
+                         "--scores-dir", str(tmp_path), f"--grid={grid}"]) == 1
+        assert capsys.readouterr().err == f"error: bad {bad}\n"
+
+
+def level_scores(levels, step):
+    """12 segment scores per system: its level plus a spread in [0, 1.5]."""
+    return [[level + ((seg * step + k * 5) % 13) / 8 for seg in range(12)]
+            for k, level in enumerate(levels)]
+
+
+def test_pairwise_pair_and_group_rows(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(
+        seg_header
+        + segment_rows("de-en", level_scores((0, 0.25, 1, 1.25, 2.5), 7))
+        + segment_rows("en-de", level_scores((0, 1, 1.25, 2, 3), 3)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(
+        seg_header
+        + segment_rows("de-en", level_scores((0, 0.5, 0.25, 1.5, 2), 5))
+        + segment_rows("en-de", level_scores((0.5, 0, 1, 2.5, 2.75), 11)))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pair\thuman_s_correct\thuman_s_incorrect\thuman_s_metric_ns"
+        "\thuman_ns_correct\thuman_ns_incorrect\thuman_ns_metric_ns",
+        "de-en\t6\t0\t2\t2\t0\t0",
+        "en-de\t6\t1\t2\t1\t0\t0",
+        "[all]\t12\t1\t4\t3\t0\t0",
+        "[en-xx]\t6\t1\t2\t1\t0\t0",
+        "[xx-en]\t6\t0\t2\t2\t0\t0",
+    ]
+
+
 CROSS_OUTPUTS = {
     "alpha": ["the cat sat on the mat.", "pi is 3.14, e is 2.718!"],
     "beta": ["the cat sat on a mat .", "pi is 3.14 and e is 2.718"],
@@ -239,3 +315,12 @@ def test_cross_bleu_pair_both_directions(tmp_path, capsys):
     assert cli.main(["cross-bleu", "--both", "--outputs", *paths]) == 0
     assert capsys.readouterr().out == \
         f"gamma->alpha\t{forward:.3f}\nalpha->gamma\t{backward:.3f}\n"
+
+
+def test_cross_bleu_names_a_system_without_tokens(tmp_path, capsys):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n\n", encoding="utf-8")
+    assert cli.main(["cross-bleu", "--matrix", "--outputs",
+                     *write_outputs(tmp_path, ["alpha", "beta"]),
+                     str(blank)]) == 1
+    assert capsys.readouterr().err == "error: system 'blank' has no tokens\n"

@@ -13,11 +13,11 @@ from peereval.metaeval import (
     compare_metrics,
     correlate_pair,
     fisher_weighted_average,
+    group_members,
     mad_outliers,
     metric_report,
     paired_ttest,
     pairwise_compare,
-    pairwise_decisions,
     pearson,
     subsample_correlations,
     wilcoxon_ranksum,
@@ -166,9 +166,12 @@ class TestFisherAverage:
             fisher_weighted_average([])
 
     def test_average_correlations_leaves_out_degenerate(self):
-        assert average_correlations([(0.3, 4), (None, 9), (0.6, 2)]) == \
-            fisher_weighted_average([(0.3, 4), (0.6, 2)])
+        # r None (degenerate) and fewer than 4 systems both stay out
+        assert average_correlations([(0.3, 4), (None, 9), (0.6, 2),
+                                     (0.7, 5), (0.99, 3)]) == \
+            fisher_weighted_average([(0.3, 4), (0.7, 5)])
         assert average_correlations([(None, 5)]) is None
+        assert average_correlations([(0.9, 3)]) is None
         assert average_correlations([]) is None
 
 
@@ -299,14 +302,10 @@ class TestMetricReport:
             human[lp] = dict(zip(names, h))
             metric.update({(lp, nm): m[i] for i, nm in enumerate(names)})
         report = metric_report(human, metric)
-        group_of = {res.lang_pair: res for res in report.per_pair}
-        member_counts = sum(
-            sum(1 for res in report.per_pair
-                if __import__("peereval.data", fromlist=["lang_pair_group"])
-                .lang_pair_group(res.lang_pair) == g)
-            for g in GROUPS[1:]
-        )
-        assert member_counts == len(report.per_pair)
+        members = group_members([res.lang_pair for res in report.per_pair])
+        assert list(members) == list(GROUPS)
+        assert sorted(lp for g in GROUPS[1:] for lp in members[g]) == \
+            sorted(members["all"]) == sorted(human)
         # recomputing "all" from the union of the groups' inputs is bitwise
         usable = [(res.r, float(res.n_systems)) for res in report.per_pair
                   if res.reliable]
@@ -428,14 +427,11 @@ class TestPairwise:
         swapped = pairwise_compare({"A": b, "B": a}, {"A": b, "B": a})
         assert forward == swapped
 
-    def test_decisions_expose_pair_detail(self):
+    def test_significant_agreement_tallies_sig_correct(self):
         base = np.linspace(0, 1, 50)
-        decisions = pairwise_decisions({"A": base + 1.0, "B": base},
-                                       {"A": base + 1.0, "B": base})
-        assert len(decisions) == 1
-        assert decisions[0].human_significant
-        assert decisions[0].metric_significant
-        assert decisions[0].agree
+        assert pairwise_compare({"A": base + 1.0, "B": base},
+                                {"A": base + 1.0, "B": base}) == \
+            PairwiseTally(sig_correct=1)
 
     def test_mismatched_systems_rejected(self):
         with pytest.raises(InsufficientDataError):

@@ -245,9 +245,10 @@ def test_sum_vs_mean_ranking_identical_with_equal_lengths():
     assert pearson(sum_scores, mean_scores) == pytest.approx(1.0, abs=1e-12)
 
 
-def make_threshold_dataset(mix_by_system, lang="xa-xb"):
+def make_threshold_dataset(mix_by_system, lang="xa-xb", human_scores=None):
     """Systems emitting token scores whose per-segment means sit at fixed
-    levels; human score = frac(above -0.6) - frac(below -1)."""
+    levels; human score = frac(above -0.6) - frac(below -1) unless
+    ``human_scores`` gives it per system."""
     lp = LanguagePair.parse(lang)
     outputs = []
     human = {}
@@ -261,8 +262,18 @@ def make_threshold_dataset(mix_by_system, lang="xa-xb"):
         segments = tuple(SegmentPair(i, "", "") for i in range(len(means)))
         outputs.append(SystemOutput(name, lp, segments, token_scores))
         n = len(means)
-        human[(lang, name)] = (mix.get(-0.5, 0) - mix.get(-2.0, 0)) / n
+        human[(lang, name)] = (human_scores[name] if human_scores else
+                               (mix.get(-0.5, 0) - mix.get(-2.0, 0)) / n)
     return assemble_dataset(outputs, HumanJudgments(human))
+
+
+SEPARATING_MIXES = {
+    "A": {-2.0: 1, -0.8: 5, -0.5: 4},
+    "B": {-2.0: 6, -0.8: 1, -0.5: 3},
+    "C": {-2.0: 3, -0.8: 3, -0.5: 4},
+    "D": {-2.0: 2, -0.8: 6, -0.5: 2},
+    "E": {-2.0: 4, -0.8: 2, -0.5: 4},
+}
 
 
 class TestTuneThresholds:
@@ -285,16 +296,24 @@ class TestTuneThresholds:
     def test_recovers_separating_band(self):
         # three mean levels; only (-1, -0.6) scores systems as
         # frac(-0.5) - frac(-2.0), which is exactly the human score
-        mixes = {
-            "A": {-2.0: 1, -0.8: 5, -0.5: 4},
-            "B": {-2.0: 6, -0.8: 1, -0.5: 3},
-            "C": {-2.0: 3, -0.8: 3, -0.5: 4},
-            "D": {-2.0: 2, -0.8: 6, -0.5: 2},
-            "E": {-2.0: 4, -0.8: 2, -0.5: 4},
-        }
-        ds = make_threshold_dataset(mixes)
+        ds = make_threshold_dataset(SEPARATING_MIXES)
         low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
         assert (low, high) == (-1.0, -0.6)
+
+    def test_dev_set_under_4_systems_does_not_move_the_band(self):
+        big = make_threshold_dataset(SEPARATING_MIXES)
+        # 3 systems whose human score follows (-3, -1) exactly and runs
+        # against (-1, -0.6): r = +1 and -1 would swamp the average
+        small = make_threshold_dataset({
+            "A": {-2.0: 1, -0.8: 9},
+            "B": {-2.0: 2, -0.8: 6, -0.5: 2},
+            "C": {-2.0: 3, -0.8: 3, -0.5: 4},
+        }, lang="xc-xd", human_scores={"A": -0.1, "B": -0.2, "C": -0.3})
+        grid = [-3.0, -1.0, -0.6, 0.0]
+        with pytest.warns(UserWarning):
+            assert tune_thresholds([big, small], grid) == (-1.0, -0.6)
+        with pytest.raises(ConfigError, match="no valid"):
+            tune_thresholds([small], grid)
 
     def test_tiebreak_prefers_smaller_high_then_larger_low(self):
         # two levels only: every band separating them reaches r = 1, so the

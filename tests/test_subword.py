@@ -65,3 +65,13 @@ def test_piece_with_a_tab_cannot_be_saved(tmp_path):
                                          "a": math.log(0.25)})
     with pytest.raises(DomainError):
         subword.save_unigram_model(model, tmp_path / "model.tsv")
+
+
+def test_equal_scores_prefer_the_smaller_piece_sequence():
+    # log .25 + log .25 == log .0625 exactly: "a b" and "ab" tie
+    model = subword.UnigramSubwordModel({"a": math.log(0.25),
+                                         "b": math.log(0.25),
+                                         "ab": math.log(0.0625)})
+    assert subword.viterbi_segmentation(model, "ab").pieces == ("a", "b")
+    assert [s.pieces for s in subword.nbest_segmentations(model, "ab", 2)] \
+        == [("a", "b"), ("ab",)]
