@@ -2,19 +2,32 @@
 """Generate frozen oracle tables for the statistics test suite.
 
 Deliberately independent of the peereval package: every expected value here
-comes from scipy, mpmath (50-digit arithmetic), or brute-force enumeration,
-coded separately from the implementations under test. Run once and commit
-the JSON outputs; the tests assert against the frozen values to 1e-6.
+comes from scipy, mpmath (50-digit arithmetic), or brute-force enumeration or
+exact integer counts, coded separately from the implementations under test.
+Run once and commit the JSON outputs; the tests assert against the frozen
+values (the original tables to 1e-6, the mpmath-only ``t_sf``, ``norm_sf``
+and ``ranksum_exact`` tables to 1e-9 relative).
 
-Usage: python scripts/gen_oracle_tables.py
+peereval itself needs numpy only. This dev script still imports scipy: the
+``pearson`` and ``paired_t`` tables come from it, and the other tables are
+cross-checked against it. Nothing under ``src/`` or ``tests/`` imports scipy
+or this script.
+
+Keys already in ``stats_oracle.json`` are kept as they are, so adding a table
+leaves the frozen ones byte-identical; ``--fresh`` recomputes every table.
+The last digit of a scipy-derived value can move with the scipy version.
+
+Usage: python scripts/gen_oracle_tables.py [--fresh]
 """
 
+import argparse
 import itertools
 import json
 import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -94,6 +107,24 @@ def t_sf_mp(t, df):
     x = df / (df + t * t)
     half = mp.betainc(df / 2, mp.mpf(1) / 2, 0, x, regularized=True) / 2
     return half if t >= 0 else 1 - half
+
+
+T_SF_DFS = (1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 45, 60, 100, 200, 499, 500)
+T_SF_TS = (-40.0, -12.0, -3.0, -1.0, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0,
+           3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 40.0)
+
+
+def gen_t_sf():
+    """One-sided Student-t tail on a (df, t) grid; at large df and t the
+    tail is far below 1e-30 (about 3e-158 at df 500, t 40)."""
+    table = []
+    for df in T_SF_DFS:
+        for t in T_SF_TS:
+            sf = float(t_sf_mp(t, df))
+            sf_scipy = float(st.t.sf(t, df))
+            assert abs(sf - sf_scipy) <= 1e-9 * sf, (t, df, sf, sf_scipy)
+            table.append({"df": df, "t": t, "sf": sf})
+    return table
 
 
 def williams_mp(r1h, r2h, r12, n, tails):
@@ -232,6 +263,105 @@ def gen_wilcoxon():
     return cases
 
 
+def qbinomial_counts(n, k):
+    """Coefficients of the Gaussian binomial [n choose k]_q, exact ints.
+
+    Coefficient j counts the k-subsets of {1..n} whose sum is
+    k (k + 1) / 2 + j. Built from the product formula
+    prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i): multiply by each numerator
+    factor, then divide exactly by each denominator factor.
+    """
+    poly = [1]
+    for i in range(1, k + 1):
+        shift = n - k + i
+        grown = poly + [0] * shift
+        for j in range(len(poly)):
+            grown[j + shift] -= poly[j]
+        poly = grown
+    for i in range(1, k + 1):
+        # divide by (1 - q^i): c[j] += c[j - i], then drop the i-term tail
+        for j in range(i, len(poly)):
+            poly[j] += poly[j - i]
+        assert all(c == 0 for c in poly[len(poly) - i:]), "inexact division"
+        poly = poly[:len(poly) - i]
+    return poly
+
+
+def ranksum_exact_fraction(x_ranks, n):
+    """Two-sided exact rank-sum p of the untied sample with ranks
+    ``x_ranks`` among 1..n, as a Fraction over the Gaussian binomial."""
+    k = len(x_ranks)
+    counts = qbinomial_counts(n, k)
+    base = k * (k + 1) // 2
+    # compare doubled deviations from the mean k (n + 1) / 2 in integers
+    dev_obs = abs(2 * sum(x_ranks) - k * (n + 1))
+    hits = sum(c for j, c in enumerate(counts)
+               if abs(2 * (base + j) - k * (n + 1)) >= dev_obs)
+    return Fraction(hits, math.comb(n, k))
+
+
+RANKSUM_SIZES = (1, 2, 5, 12, 25)
+
+
+def gen_ranksum_exact():
+    """Exact p for untied samples given by their ranks; the extreme W
+    (lowest and highest ranks), a central block and two random draws for
+    every (n1, n2) in RANKSUM_SIZES x RANKSUM_SIZES."""
+    rng = random.Random(5146)
+    cases = []
+    for n1 in RANKSUM_SIZES:
+        for n2 in RANKSUM_SIZES:
+            n = n1 + n2
+            start = (n - n1) // 2
+            picks = [list(range(1, n1 + 1)), list(range(n2 + 1, n + 1)),
+                     list(range(start + 1, start + n1 + 1))]
+            picks += [sorted(rng.sample(range(1, n + 1), n1))
+                      for _ in range(2)]
+            seen = set()
+            for x_ranks in picks:
+                if tuple(x_ranks) in seen:
+                    continue
+                seen.add(tuple(x_ranks))
+                y_ranks = [r for r in range(1, n + 1) if r not in x_ranks]
+                p = ranksum_exact_fraction(x_ranks, n)
+                if math.comb(n, n1) <= 200_000:
+                    brute = ranksum_exact_p([float(r) for r in x_ranks],
+                                            [float(r) for r in y_ranks])
+                    assert abs(brute - float(p)) < 1e-15, (brute, p)
+                res = st.mannwhitneyu(x_ranks, y_ranks, alternative="two-sided",
+                                      method="exact")
+                assert abs(float(res.pvalue) - float(p)) < 1e-12, (res, p)
+                cases.append({"x_ranks": x_ranks, "n2": n2,
+                              "w": float(sum(x_ranks)), "p": float(p)})
+    return cases
+
+
+def gen_norm_sf():
+    """Normal tails through the untied rank-sum normal route, |z| up to 37.
+
+    Sample x is i + shift for i < n1 and y is j for j < n2; a half-integer
+    shift leaves no ties. ``z`` is the rank-sum z rounded to float64, ``p``
+    is erfc(|z| / sqrt 2), the two-sided normal tail at that float.
+    """
+    specs = [(30, 30, 0.5), (30, 30, 5.5), (30, 30, 15.5), (30, 30, 30.5),
+             (26, 40, -3.5), (40, 30, -40.5), (200, 150, 20.5),
+             (200, 150, 80.5), (200, 150, 200.5), (500, 1400, 1400.5),
+             (913, 913, 300.5), (913, 913, 600.5), (913, 913, 913.5)]
+    cases = []
+    for n1, n2, shift in specs:
+        x = [i + shift for i in range(n1)]
+        y = [float(j) for j in range(n2)]
+        n = n1 + n2
+        w = mp.mpf(ranksum_w(x, y))
+        z = float((w - mp.mpf(n1) * (n + 1) / 2)
+                  / mp.sqrt(mp.mpf(n1) * n2 * (n + 1) / 12))
+        p = float(mp.erfc(abs(mp.mpf(z)) / mp.sqrt(2)))
+        p_scipy = float(2 * st.norm.sf(abs(z)))
+        assert abs(p - p_scipy) <= 1e-12 * p, (p, p_scipy)
+        cases.append({"n1": n1, "n2": n2, "shift": shift, "z": z, "p": p})
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # Paired t-test
 # ---------------------------------------------------------------------------
@@ -332,16 +462,31 @@ def gen_ngram():
     return cases
 
 
+STATS_TABLES = {
+    "pearson": gen_pearson,
+    "fisher": gen_fisher,
+    "williams": gen_williams,
+    "wilcoxon": gen_wilcoxon,
+    "paired_t": gen_paired_t,
+    "t_sf": gen_t_sf,
+    "norm_sf": gen_norm_sf,
+    "ranksum_exact": gen_ranksum_exact,
+}
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--fresh", action="store_true",
+                        help="recompute tables already in stats_oracle.json")
+    args = parser.parse_args()
     os.makedirs(OUT_DIR, exist_ok=True)
-    tables = {
-        "pearson": gen_pearson(),
-        "fisher": gen_fisher(),
-        "williams": gen_williams(),
-        "wilcoxon": gen_wilcoxon(),
-        "paired_t": gen_paired_t(),
-    }
     stats_path = os.path.join(OUT_DIR, "stats_oracle.json")
+    frozen = {}
+    if not args.fresh and os.path.exists(stats_path):
+        with open(stats_path, encoding="utf-8") as fh:
+            frozen = json.load(fh)
+    tables = {key: frozen[key] if key in frozen else generate()
+              for key, generate in STATS_TABLES.items()}
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(tables, fh, indent=1, sort_keys=True)
         fh.write("\n")

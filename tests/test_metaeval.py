@@ -225,6 +225,24 @@ class TestWilcoxon:
             assert w == pytest.approx(case["w"], abs=1e-9)
             assert p == pytest.approx(case["p"], abs=1e-6)
 
+    def test_exact_oracle(self, stats_oracle):
+        # untied samples given by their ranks, both n <= 25: the exact null
+        for case in stats_oracle["ranksum_exact"]:
+            x = np.array(case["x_ranks"], dtype=np.float64)
+            n = len(x) + case["n2"]
+            y = np.setdiff1d(np.arange(1.0, n + 1), x)
+            w, p = wilcoxon_ranksum(x, y)
+            assert w == case["w"]
+            assert p == pytest.approx(case["p"], rel=1e-9, abs=0)
+
+    def test_normal_tail_oracle(self, stats_oracle):
+        # untied samples over 25: the normal route, two-sided tails to |z| 37
+        for case in stats_oracle["norm_sf"]:
+            x = np.arange(case["n1"]) + case["shift"]
+            y = np.arange(case["n2"], dtype=np.float64)
+            _, p = wilcoxon_ranksum(x, y)
+            assert p == pytest.approx(case["p"], rel=1e-9, abs=0)
+
     def test_identical_samples_not_significant(self):
         w, p = wilcoxon_ranksum([1.0, 1.0, 1.0], [1.0, 1.0])
         assert p == 1.0
@@ -244,6 +262,19 @@ class TestPairedT:
             t, p = paired_ttest(case["x"], case["y"])
             assert t == pytest.approx(case["t"], abs=1e-6)
             assert p == pytest.approx(case["p"], abs=1e-6)
+
+    def test_t_tail_oracle(self, stats_oracle):
+        # d = c + (1, -1, 0, ...) has sample sd sqrt(2 / df), so
+        # c = |t| sd / sqrt(n) gives the statistic |t| with n - 1 = df
+        for case in stats_oracle["t_sf"]:
+            df, t = case["df"], case["t"]
+            e = np.zeros(df + 1)
+            e[:2] = 1.0, -1.0
+            d = abs(t) * math.sqrt(2.0 / df) / math.sqrt(df + 1) + e
+            got_t, p = paired_ttest(d, np.zeros(df + 1))
+            assert got_t == pytest.approx(abs(t), rel=1e-13, abs=1e-15)
+            sf = p / 2.0 if t >= 0 else 1.0 - p / 2.0
+            assert sf == pytest.approx(case["sf"], rel=1e-9, abs=0)
 
     def test_identical_vectors(self):
         t, p = paired_ttest([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
