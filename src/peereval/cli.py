@@ -249,10 +249,14 @@ def _cmd_pairwise(args) -> int:
     for lp in shared_pairs:
         if sorted(metric[lp]) != sorted(human[lp]):
             raise AlignmentError(f"{lp}: metric and human systems differ")
+        if len(metric[lp]) < 2:
+            # one system: no system pair to compare, an all-zero row
+            tallies[lp] = metaeval.PairwiseTally()
+            continue
         tallies[lp] = metaeval.pairwise_compare(
             _aligned_segment_matrix(metric[lp]),
             _aligned_segment_matrix(human[lp]),
-            alpha=args.alpha,
+            alpha=args.alpha, lang_pair=lp,
         )
 
     def tally_row(name, tally):
@@ -335,6 +339,7 @@ def _cmd_subsample(args) -> int:
     rows = []
     per_size_all = {size: [] for size in sizes}
     degenerate = {size: [] for size in sizes}
+    unreliable = []
     for lp in sorted(metric):
         human_lp = human.scores_for(lp)
         if not human_lp:
@@ -344,6 +349,8 @@ def _cmd_subsample(args) -> int:
             human_lp, matrix, sizes, draws=args.draws, seed=args.seed,
             lang_pair=lp)
         kept, _ = metaeval.mad_outliers(human_lp)
+        if len(kept) < metaeval.MIN_RELIABLE_SYSTEMS:
+            unreliable.append(lp)
         for size in sizes:
             rows.append([lp, size, _repr_r(curve[size])])
             per_size_all[size].append((curve[size], len(kept)))
@@ -356,6 +363,8 @@ def _cmd_subsample(args) -> int:
         if degenerate[size]:
             line += ("\t(degenerate: constant scores: "
                      + ",".join(degenerate[size]) + ")")
+        if unreliable:
+            line += "\t(unreliable: <4 systems: " + ",".join(unreliable) + ")"
         print(line)
     _write_rows(args.output, ["lang_pair", "size", "mean_r"], rows)
     return 0

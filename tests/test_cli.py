@@ -1,6 +1,9 @@
 """The command line, run in-process through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,21 @@ def test_toy_scorer_to_meta_eval(tmp_path):
     assert pair["lang_pair"] == lp
     assert pair["n_systems"] == len(bench.system_outputs)
     assert pair["r"] > 0.99
+
+
+def test_cli_import_loads_numpy_only():
+    # numpy is the only dependency: a fresh interpreter that imports the CLI
+    # loads no other third-party package, so none adds to every cold start
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import peereval.cli\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "numpy peereval\n"
 
 
 def test_missing_hyp_is_an_error(tmp_path, capsys):
@@ -211,11 +229,37 @@ def test_subsample_average_leaves_out_pair_under_4_systems(tmp_path, capsys):
     assert cli.main(["subsample", "--human", str(human), "--metric-seg",
                      str(metric), "--sizes", "4", "--draws", "2",
                      "-o", str(out_tsv)]) == 0
-    assert capsys.readouterr().out == "4\t0.900\n"
+    assert capsys.readouterr().out == \
+        "4\t0.900\t(unreliable: <4 systems: fr-en)\n"
     table = {(lp, size): r for lp, size, r in
              (line.split("\t") for line in out_tsv.read_text().splitlines()[1:])}
     # fr-en keeps 3 systems: its r is reported but stays out of [all]
     assert float(table["fr-en", "4"]) == pytest.approx(-0.5, abs=1e-12)
+    assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_subsample_names_pairs_under_4_systems(tmp_path, capsys):
+    # zh-en has 5 systems, and the MAD filter drops D and E
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN[:3])
+                     + rows("zh-en", (0.0, 0.1, 0.2, 5.0, -5.0)))
+    varied = [[m + 0.125 * seg for seg in range(4)] for m in METRIC]
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", varied)
+                      + segment_rows("fr-en", varied[2::-1])
+                      + segment_rows("zh-en", varied))
+    out_tsv = tmp_path / "curve.tsv"
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "2,4", "--draws", "2",
+                     "-o", str(out_tsv)]) == 0
+    assert capsys.readouterr().out == (
+        "2\t0.900\t(unreliable: <4 systems: fr-en,zh-en)\n"
+        "4\t0.900\t(unreliable: <4 systems: fr-en,zh-en)\n")
+    table = {(lp, size): r for lp, size, r in
+             (line.split("\t") for line in out_tsv.read_text().splitlines()[1:])}
+    assert float(table["fr-en", "4"]) == pytest.approx(-0.5, abs=1e-12)
+    assert float(table["zh-en", "4"]) == pytest.approx(0.5, abs=1e-12)
     assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
 
 
@@ -272,6 +316,26 @@ def test_pairwise_pair_and_group_rows(tmp_path, capsys):
         "[all]\t12\t1\t4\t3\t0\t0",
         "[en-xx]\t6\t1\t2\t1\t0\t0",
         "[xx-en]\t6\t0\t2\t2\t0\t0",
+    ]
+
+
+def test_pairwise_one_system_pair_gets_a_zero_row(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0,), 7))
+                     + segment_rows("fr-en", level_scores((0, 2.5), 7)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0,), 5))
+                      + segment_rows("fr-en", level_scores((0, 2), 5)))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "de-en\t0\t0\t0\t0\t0\t0",
+        "fr-en\t1\t0\t0\t0\t0\t0",
+        "[all]\t1\t0\t0\t0\t0\t0",
+        "[xx-en]\t1\t0\t0\t0\t0\t0",
     ]
 
 

@@ -16,10 +16,14 @@ from peereval.metaeval import (
     group_members,
     mad_outliers,
     metric_report,
+    midranks,
+    norm_sf,
     paired_ttest,
     pairwise_compare,
     pearson,
+    ranksum_exact_p,
     subsample_correlations,
+    t_sf,
     wilcoxon_ranksum,
     williams_test,
 )
@@ -175,6 +179,49 @@ class TestFisherAverage:
         assert average_correlations([]) is None
 
 
+class TestDistributions:
+    def test_t_sf_oracle(self, stats_oracle):
+        for case in stats_oracle["t_sf"]:
+            assert t_sf(case["t"], case["df"]) == \
+                pytest.approx(case["sf"], rel=1e-9, abs=0)
+
+    def test_t_sf_limits(self):
+        assert t_sf(math.inf, 3) == 0.0
+        assert t_sf(-math.inf, 3) == 1.0
+        assert t_sf(1e200, 3) == 0.0
+        assert t_sf(0.0, 7) == 0.5
+        assert math.isnan(t_sf(math.nan, 3))
+        # df 1 is the Cauchy distribution: P(T > 1) = 1/4
+        assert t_sf(1.0, 1) == pytest.approx(0.25, rel=1e-14)
+
+    def test_norm_sf_oracle(self, stats_oracle):
+        for case in stats_oracle["norm_sf"]:
+            assert 2.0 * norm_sf(abs(case["z"])) == \
+                pytest.approx(case["p"], rel=1e-9, abs=0)
+
+    def test_midranks(self):
+        ranks, runs = midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0, 2.0]))
+        assert ranks.tolist() == [5.0, 1.0, 5.0, 2.5, 5.0, 2.5]
+        assert runs.tolist() == [1, 2, 3]
+        ranks, runs = midranks(np.array([0.5]))
+        assert ranks.tolist() == [1.0] and runs.tolist() == [1]
+
+    def test_ranksum_exact_p_oracle(self, stats_oracle):
+        for case in stats_oracle["ranksum_exact"]:
+            n1 = len(case["x_ranks"])
+            p = ranksum_exact_p(int(case["w"]), n1, case["n2"])
+            assert p == pytest.approx(case["p"], rel=1e-9, abs=0)
+
+    def test_ranksum_exact_p_extremes(self):
+        # the lowest and highest rank sums of 25 among 50: 2 / C(50, 25)
+        assert ranksum_exact_p(325, 25, 25) == 2 / math.comb(50, 25)
+        assert ranksum_exact_p(950, 25, 25) == 2 / math.comb(50, 25)
+        assert ranksum_exact_p(1, 1, 1) == 1.0
+        # W at the mean, and the sample sizes in either order
+        assert ranksum_exact_p(3, 1, 4) == 1.0
+        assert ranksum_exact_p(40, 5, 12) == ranksum_exact_p(113, 12, 5)
+
+
 class TestWilliams:
     def test_symmetric_null(self):
         t, p = williams_test(0.7, 0.7, 0.5, 10)
@@ -254,6 +301,11 @@ class TestWilcoxon:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             wilcoxon_ranksum([], [1.0])
+
+    def test_nan_propagates(self):
+        for x in ([1.0, math.nan, 3.0], [math.nan] + list(range(30))):
+            w, p = wilcoxon_ranksum(x, [2.0, 5.0])
+            assert math.isnan(w) and math.isnan(p)
 
 
 class TestPairedT:
@@ -467,6 +519,11 @@ class TestPairwise:
     def test_mismatched_systems_rejected(self):
         with pytest.raises(InsufficientDataError):
             pairwise_compare({"A": [1.0, 2.0]}, {"B": [1.0, 2.0]})
+
+    def test_one_system_rejected_naming_the_pair(self):
+        with pytest.raises(DomainError, match="^de-en: pairwise comparison "
+                           "needs >= 2 systems"):
+            pairwise_compare({"A": [1.0]}, {"A": [1.0]}, lang_pair="de-en")
 
 
 class TestSubsample:
