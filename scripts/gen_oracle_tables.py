@@ -5,8 +5,8 @@ Deliberately independent of the peereval package: every expected value here
 comes from scipy, mpmath (50-digit arithmetic), or brute-force enumeration or
 exact integer counts, coded separately from the implementations under test.
 Run once and commit the JSON outputs; the tests assert against the frozen
-values (the original tables to 1e-6, the mpmath-only ``t_sf``, ``norm_sf``
-and ``ranksum_exact`` tables to 1e-9 relative).
+values: the original tables to 1e-6, and the ``t_sf`` and ``norm_sf``
+(mpmath) and ``ranksum_exact`` (exact counts) tables to 1e-9 relative.
 
 peereval itself needs numpy only. This dev script still imports scipy: the
 ``pearson`` and ``paired_t`` tables come from it, and the other tables are

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,29 @@ class TestDistributions:
         for case in stats_oracle["norm_sf"]:
             assert 2.0 * norm_sf(abs(case["z"])) == \
                 pytest.approx(case["p"], rel=1e-9, abs=0)
+
+    def test_midranks_match_counting(self):
+        # rank of v = 1 + #(values < v) + (#(values == v) - 1) / 2
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            values = rng.integers(0, 5, size=rng.integers(1, 15)) / 4.0
+            ranks, runs = midranks(values)
+            less = (values[None, :] < values[:, None]).sum(axis=1)
+            equal = (values[None, :] == values[:, None]).sum(axis=1)
+            assert ranks.tolist() == (1 + less + (equal - 1) / 2).tolist()
+            assert runs.tolist() == np.unique(values, return_counts=True)[1].tolist()
+
+    def test_ranksum_exact_p_matches_enumeration(self):
+        # every split of the ranks 1..n, counted by brute force
+        for n1 in range(1, 6):
+            for n2 in range(1, 6):
+                n = n1 + n2
+                sums = [sum(c) for c in
+                        itertools.combinations(range(1, n + 1), n1)]
+                mean = n1 * (n + 1) / 2
+                for w in set(sums):
+                    hits = sum(abs(s - mean) >= abs(w - mean) for s in sums)
+                    assert ranksum_exact_p(w, n1, n2) == hits / len(sums)
 
     def test_midranks(self):
         ranks, runs = midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0, 2.0]))
