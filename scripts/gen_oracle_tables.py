@@ -14,13 +14,13 @@ cross-checked against it. Nothing under ``src/`` or ``tests/`` imports scipy
 or this script.
 
 Keys already in ``stats_oracle.json`` are kept as they are, so adding a table
-leaves the frozen ones byte-identical; ``--fresh`` recomputes every table.
-The last digit of a scipy-derived value can move with the scipy version.
+leaves the frozen ones byte-identical; delete the file to regenerate every
+table. The last digit of a scipy-derived value can move with the scipy
+version.
 
-Usage: python scripts/gen_oracle_tables.py [--fresh]
+Usage: python scripts/gen_oracle_tables.py
 """
 
-import argparse
 import itertools
 import json
 import math
@@ -475,14 +475,10 @@ STATS_TABLES = {
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", action="store_true",
-                        help="recompute tables already in stats_oracle.json")
-    args = parser.parse_args()
     os.makedirs(OUT_DIR, exist_ok=True)
     stats_path = os.path.join(OUT_DIR, "stats_oracle.json")
     frozen = {}
-    if not args.fresh and os.path.exists(stats_path):
+    if os.path.exists(stats_path):
         with open(stats_path, encoding="utf-8") as fh:
             frozen = json.load(fh)
     tables = {key: frozen[key] if key in frozen else generate()

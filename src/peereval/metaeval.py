@@ -15,7 +15,6 @@ is a subset-count DP over rank sums (``ranksum_exact_p``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -256,30 +255,23 @@ def midranks(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ranks, run_lengths
 
 
-@functools.lru_cache(maxsize=64)
 def _ranksum_null_cdf(k: int, n: int) -> np.ndarray:
     """cdf[s]: how many k-subsets of the ranks 1..n sum to at most s, for s
     up to the mean k (n + 1) / 2 (the null is symmetric about it).
 
     A subset-count DP: count[j, s] is the number of j-subsets of the ranks
     added so far that sum to s. Adding rank r adds count[j - 1, s - r] to
-    count[j, s], for all s at once in int64 (C(50, 25) is about 1.3e14, far
-    inside). Only rows that can still reach k by the last rank, and sums
-    that j of the ranks 1..r can reach, are updated. Cached: a pairwise run
-    asks for one (k, n) once per system pair.
+    count[j, s], for all j and s at once in int64 (C(50, 25) is about
+    1.3e14, far inside).
     """
     top = k * (n + 1) // 2
     count = np.zeros((k + 1, top + 1), dtype=np.int64)
     count[0, 0] = 1
     for rank in range(1, min(n, top) + 1):
-        lo, hi = max(1, k - (n - rank)), min(rank, k)
-        end = min(top, hi * rank - hi * (hi - 1) // 2) + 1
         # numpy copies the overlapping right-hand side first, so every
         # count on the right is from before this rank was added
-        count[lo:hi + 1, rank:end] += count[lo - 1:hi, :end - rank]
-    cdf = np.cumsum(count[k])
-    cdf.flags.writeable = False  # shared by every caller through the cache
-    return cdf
+        count[1:, rank:] += count[:-1, :top + 1 - rank]
+    return np.cumsum(count[k])
 
 
 def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
