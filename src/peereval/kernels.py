@@ -5,6 +5,13 @@ over flattened log-probability arrays (CSR layout: one values array plus an
 offsets array of length n_segments + 1) and the expectation step of the
 lexical-table EM trainer. Each has one numpy implementation.
 
+``segment_stats`` has no per-segment loop: sum, mean, min and std are
+``reduceat`` passes, and the median is taken per distinct segment length
+over a (segments, length) block, one ``np.median`` call per length.
+``model1_em_step`` is still a loop over sentence pairs: a blocked
+``bincount`` version is bit-identical but saves about 0.1 s per benchmark
+pass for about 25 lines of index arithmetic and more peak memory.
+
 Layout conventions:
   values  : float64[n_tokens], concatenated per-segment log-probs
   offsets : int64[n_segments + 1], segment i spans values[offsets[i]:offsets[i+1]]
@@ -44,9 +51,13 @@ def segment_stats(values, offsets):
     mins = np.minimum.reduceat(values, starts)
     centered = values - np.repeat(means, counts)
     stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
+    # one (k, L) block per distinct length L; row medians equal the 1-D ones
     medians = np.empty(len(counts))
-    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        medians[i] = np.median(values[lo:hi])
+    order = np.argsort(counts, kind="stable")
+    bounds = np.flatnonzero(np.diff(counts[order])) + 1
+    for group in np.split(order, bounds):
+        block = values[starts[group][:, None] + np.arange(counts[group[0]])]
+        medians[group] = np.median(block, axis=1)
     return sums, means, medians, mins, stds
 
 

@@ -104,23 +104,26 @@ def score_tokens(table: LexicalTable, source_tokens: Sequence[str],
     """Token log-probs of a target hypothesis given the source.
 
     logp_t = log( (1/(L+1)) * sum over s in source+NULL of t(y_t | s) ),
-    floored at log(UNSEEN_PROB_FLOOR).
+    floored at log(UNSEEN_PROB_FLOOR). One gather of the (known target,
+    source) block of the table per segment; target tokens the table has
+    never seen get zero mass.
     """
     if not target_tokens:
         raise DomainError(f"segment {seg_id}: empty target")
     sources = [NULL_TOKEN, *source_tokens]
     s_ids = [table.source_index[s] for s in sources
              if s in table.source_index]
+    t_ids = np.array([table.target_index.get(tok, -1)
+                      for tok in target_tokens], dtype=np.int64)
+    known = t_ids >= 0
+    mass = np.zeros(len(t_ids))
+    # each row of the C-contiguous block gets the pairwise sum of a 1-D
+    # per-token slice, so the log-probs do not depend on the gather
+    mass[known] = table.probs[np.ix_(t_ids[known], s_ids)].sum(axis=1)
     denom = len(source_tokens) + 1
-    logps = []
-    for tok in target_tokens:
-        ti = table.target_index.get(tok)
-        if ti is None or not s_ids:
-            mass = 0.0
-        else:
-            mass = float(table.probs[ti, s_ids].sum()) / denom
-        logps.append(math.log(max(mass, UNSEEN_PROB_FLOOR)))
-    return TokenScoredSegment(seg_id, tuple(target_tokens), tuple(logps))
+    logps = tuple(math.log(max(m / denom, UNSEEN_PROB_FLOOR))
+                  for m in mass.tolist())
+    return TokenScoredSegment(seg_id, tuple(target_tokens), logps)
 
 
 def score_corpus(table: LexicalTable, pairs: Sequence) -> list:

@@ -8,6 +8,7 @@ tunes the threshold band on development data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -33,7 +34,7 @@ class SegmentScore:
     value: float
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise DomainError(f"segment {self.seg_id}: non-finite score")
 
 
@@ -48,7 +49,7 @@ class SystemScore:
     def __post_init__(self):
         if self.n_segments < 1:
             raise DomainError("system score over zero segments")
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise DomainError(f"{self.system_name}: non-finite system score")
 
 

@@ -61,6 +61,35 @@ def test_segment_stats_against_numpy_reference():
         assert stds[i] == pytest.approx(seg.std(), rel=1e-12, abs=1e-15)
 
 
+def test_segment_median_bit_identical_to_per_segment_median():
+    rng = np.random.default_rng(13)
+    # unsorted lengths, many segments per length, odd and even lengths,
+    # length-1 segments, and ties from values on a coarse grid
+    lengths = rng.permutation(np.repeat([1, 2, 3, 4, 7, 8, 15, 16], 25))
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(lengths)
+    values = -np.round(rng.exponential(1.5, size=offsets[-1]), 1)
+    medians = kernels.segment_stats(values, offsets)[2]
+    expected = [np.median(values[lo:hi])
+                for lo, hi in zip(offsets[:-1], offsets[1:])]
+    assert np.array_equal(medians, expected)
+
+
+def test_segment_median_one_call_per_distinct_length(monkeypatch):
+    calls = []
+    median = np.median
+
+    def counting_median(*args, **kwargs):
+        calls.append(1)
+        return median(*args, **kwargs)
+
+    monkeypatch.setattr(np, "median", counting_median)
+    rng = np.random.default_rng(17)
+    values, offsets = random_csr(rng, n_segments=300, max_len=10)
+    kernels.segment_stats(values, offsets)
+    assert len(calls) == len(np.unique(np.diff(offsets)))
+
+
 def test_segment_stats_rejects_empty_segment():
     values = np.array([-1.0])
     offsets = np.array([0, 1, 1], dtype=np.int64)

@@ -2,11 +2,13 @@
 scorer ranking the synthetic noise benchmark end to end."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from peereval import metaeval, model1, scoring, synthetic
+from peereval.data import TokenScoredSegment
 from peereval.errors import DomainError
 
 
@@ -68,3 +70,49 @@ def test_noise_benchmark_ranked_by_noise(noise_benchmark):
     (pair,) = report.per_pair
     assert pair.outliers == () and pair.n_systems == len(human)
     assert report.weighted_average > 0.999
+
+
+def score_corpus_loop(table, pairs):
+    """Scalar reference: one table lookup and one sum per target token."""
+    out = []
+    for seg_id, (source_tokens, target_tokens) in enumerate(pairs):
+        sources = [model1.NULL_TOKEN, *source_tokens]
+        s_ids = [table.source_index[s] for s in sources
+                 if s in table.source_index]
+        denom = len(source_tokens) + 1
+        logps = []
+        for tok in target_tokens:
+            ti = table.target_index.get(tok)
+            if ti is None or not s_ids:
+                mass = 0.0
+            else:
+                mass = float(table.probs[ti, s_ids].sum()) / denom
+            logps.append(math.log(max(mass, model1.UNSEEN_PROB_FLOOR)))
+        out.append(TokenScoredSegment(seg_id, tuple(target_tokens),
+                                      tuple(logps)))
+    return out
+
+
+def test_score_corpus_equals_per_token_reference():
+    rng = np.random.default_rng(19)
+    src_vocab = [f"s{i}" for i in range(40)]
+    tgt_vocab = [f"t{i}" for i in range(30)]
+    train = [(rng.choice(src_vocab, size=rng.integers(1, 12)).tolist(),
+              rng.choice(tgt_vocab, size=rng.integers(1, 12)).tolist())
+             for _ in range(60)]
+    table = model1.train_model1(train, iterations=3)
+    pairs = []
+    # source lengths at the edges of numpy's pairwise-summation blocks
+    for length in (1, 8, 9, 129, 150):
+        pairs.append((rng.choice(src_vocab, size=length).tolist(),
+                      rng.choice(tgt_vocab, size=12).tolist()))
+    # unseen target tokens hit the floor; repeated target tokens
+    pairs.append((["s1", "s2"], ["unseen", "t1", "t1", "unseen", "t2"]))
+    pairs.append((["s3"], ["unseen"]))
+    # source tokens missing from the table
+    pairs.append((["missing", "s4", "missing"], ["t3", "t4", "t3"]))
+    pairs.append((["missing"], ["t5", "unseen"]))
+    scored = model1.score_corpus(table, pairs)
+    assert scored == score_corpus_loop(table, pairs)
+    floor = math.log(model1.UNSEEN_PROB_FLOOR)
+    assert scored[5].logprobs[0] == scored[6].logprobs[0] == floor

@@ -227,6 +227,17 @@ class TestSystemScore:
         assert forward == backward
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   np.float64("nan")])
+def test_non_finite_scores_rejected(value):
+    from peereval.scoring import SegmentScore, SystemScore
+
+    with pytest.raises(DomainError):
+        SegmentScore(0, value)
+    with pytest.raises(DomainError):
+        SystemScore("s", "de-en", value, "mean", 3)
+
+
 def test_sum_vs_mean_ranking_identical_with_equal_lengths():
     # fixed token count per segment makes sum and mean affinely related,
     # so rankings and the correlation between the two score vectors agree
