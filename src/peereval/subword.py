@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +29,25 @@ class Segmentation:
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
 
+def _logp_problem(logp: float) -> Optional[str]:
+    """Why ``logp`` is not a piece log-prob, or None if it is one."""
+    if not math.isfinite(logp):
+        return f"log-prob {logp} is not finite"
+    if logp > 0.0:
+        return f"log-prob {logp} > 0"
+    return None
+
+
 @dataclass(frozen=True)
 class UnigramSubwordModel:
-    """Subword vocabulary with unigram log-probabilities (nats)."""
+    """Subword vocabulary with unigram log-probabilities (nats).
 
-    vocab: dict
+    The model is immutable: ``vocab`` is a read-only mapping. So each model
+    memoizes its n-best lists and sampling weights per word, and every
+    repeated word or draw reuses them.
+    """
+
+    vocab: Mapping
 
     def __post_init__(self):
         vocab = dict(self.vocab)
@@ -42,14 +57,22 @@ class UnigramSubwordModel:
         for piece, logp in vocab.items():
             if not piece:
                 raise DomainError("empty piece in vocabulary")
-            if logp > 0.0 or not math.isfinite(logp):
-                raise DomainError(f"piece {piece!r} has log-prob {logp} > 0")
+            problem = _logp_problem(logp)
+            if problem:
+                raise DomainError(f"piece {piece!r}: {problem}")
             total += math.exp(logp)
         if total > 1.0 + 1e-6:
             raise DomainError(f"vocabulary probabilities sum to {total} > 1")
-        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "vocab", MappingProxyType(vocab))
         object.__setattr__(self, "max_piece_len",
                            max(len(p) for p in vocab))
+        # (text, n) -> n-best list; (text, n, alpha) -> (n-best, probs).
+        # Not a field, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_memo", {})
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; a copy rebuilds with an empty memo
+        return (UnigramSubwordModel, (dict(self.vocab),))
 
 
 def _nbest(vocab: dict, max_len: int, text: str, n: int,
@@ -84,6 +107,9 @@ def _nbest(vocab: dict, max_len: int, text: str, n: int,
 def nbest_segmentations(model: UnigramSubwordModel, text: str,
                         n: int) -> list:
     """Up to n distinct segmentations of ``text``, best score first."""
+    found = model._memo.get((text, n))
+    if found is not None:
+        return list(found)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if not text:
@@ -93,7 +119,9 @@ def nbest_segmentations(model: UnigramSubwordModel, text: str,
         bad = next((ch for ch in text if ch not in model.vocab), None)
         detail = f"character {bad!r} not in vocabulary" if bad else "no path"
         raise CoverageError(f"cannot segment {text!r}: {detail}")
-    return [Segmentation(pieces, score) for score, pieces in final]
+    found = [Segmentation(pieces, score) for score, pieces in final]
+    model._memo[(text, n)] = found
+    return list(found)
 
 
 def viterbi_segmentation(model: UnigramSubwordModel, text: str) -> Segmentation:
@@ -106,15 +134,21 @@ def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
     """Sample from the n-best list with weights exp(alpha * score).
 
     alpha = 0 is uniform over the list; large alpha collapses to the top
-    segmentation. Draws from the caller-owned ``rng``.
+    segmentation. Draws from the caller-owned ``rng``, one ``rng.choice``
+    per call.
     """
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    candidates = nbest_segmentations(model, text, n)
-    weights = alpha * np.array([c.score for c in candidates])
-    weights -= weights.max()
-    probs = np.exp(weights)
-    probs /= probs.sum()
+    found = model._memo.get((text, n, alpha))
+    if found is None:
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ConfigError(f"alpha must be a finite number >= 0, "
+                              f"got {alpha}")
+        candidates = nbest_segmentations(model, text, n)
+        weights = alpha * np.array([c.score for c in candidates])
+        weights -= weights.max()
+        probs = np.exp(weights)
+        probs /= probs.sum()
+        found = model._memo[(text, n, alpha)] = (candidates, probs)
+    candidates, probs = found
     return candidates[int(rng.choice(len(candidates), p=probs))]
 
 
@@ -122,12 +156,14 @@ def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
 # Training
 # ---------------------------------------------------------------------------
 
-def _substring_counts(corpus: Sequence[str], max_piece_len: int) -> Counter:
+def _substring_counts(words: Counter, max_piece_len: int) -> Counter:
+    """Occurrences of every substring up to ``max_piece_len`` characters,
+    each distinct word counted once and weighted by its multiplicity."""
     counts = Counter()
-    for line in corpus:
-        for i in range(len(line)):
-            for ln in range(1, min(max_piece_len, len(line) - i) + 1):
-                counts[line[i:i + ln]] += 1
+    for word, mult in words.items():
+        for i in range(len(word)):
+            for ln in range(1, min(max_piece_len, len(word) - i) + 1):
+                counts[word[i:i + ln]] += mult
     return counts
 
 
@@ -145,18 +181,20 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
     least ``min_count`` times plus every character, then alternates Viterbi
     re-segmentation and count re-estimation, pruning the lowest-utility
     pieces each round until ``vocab_size`` is reached. Characters are never
-    pruned.
+    pruned. Each distinct word is segmented once per round and counted
+    with its multiplicity; all counts are integers, so the result does not
+    depend on the corpus order.
     """
-    corpus = [line for line in corpus if line]
-    if not corpus:
+    words = Counter(line for line in corpus if line)
+    if not words:
         raise DomainError("empty training corpus")
-    alphabet = sorted({ch for line in corpus for ch in line})
+    alphabet = sorted({ch for word in words for ch in word})
     if vocab_size < len(alphabet):
         raise ConfigError(
             f"vocab_size {vocab_size} below alphabet size {len(alphabet)}"
         )
 
-    counts = _substring_counts(corpus, max_piece_len)
+    counts = _substring_counts(words, max_piece_len)
     pieces = {p for p, c in counts.items() if len(p) == 1 or c >= min_count}
     pieces.update(alphabet)
     # keep the seed bounded; characters always survive
@@ -173,9 +211,10 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
         max_len = max(len(p) for p in vocab)
         # E-step: Viterbi-segment the corpus, collect piece counts
         piece_counts = Counter()
-        for line in corpus:
-            ((_, segs),) = _nbest(vocab, max_len, line, 1)
-            piece_counts.update(segs)
+        for word, mult in words.items():
+            ((_, segs),) = _nbest(vocab, max_len, word, 1)
+            for piece in segs:
+                piece_counts[piece] += mult
         used_total = sum(piece_counts.values())
         new_vocab = {}
         for p in vocab:
@@ -231,9 +270,21 @@ def load_unigram_model(path) -> UnigramSubwordModel:
             fields = raw.split("\t")
             if len(fields) != 2:
                 raise ParseError("expected piece<TAB>logprob", path, lineno)
+            piece, text = fields
+            if not piece:
+                raise ParseError("empty piece", path, lineno)
+            if piece in vocab:
+                raise ParseError(f"duplicate piece {piece!r}", path, lineno)
             try:
-                vocab[fields[0]] = float(fields[1])
+                logp = float(text)
             except ValueError as exc:
-                raise ParseError(f"bad log-prob {fields[1]!r}", path,
+                raise ParseError(f"bad log-prob {text!r}", path,
                                  lineno) from exc
-    return UnigramSubwordModel(vocab)
+            problem = _logp_problem(logp)
+            if problem:
+                raise ParseError(f"piece {piece!r}: {problem}", path, lineno)
+            vocab[piece] = logp
+    try:
+        return UnigramSubwordModel(vocab)
+    except DomainError as exc:   # empty file, or probabilities sum past 1
+        raise ParseError(str(exc), path) from exc

@@ -1,5 +1,6 @@
 """The command line, run in-process through ``cli.main``."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -388,3 +389,55 @@ def test_cross_bleu_names_a_system_without_tokens(tmp_path, capsys):
                      *write_outputs(tmp_path, ["alpha", "beta"]),
                      str(blank)]) == 1
     assert capsys.readouterr().err == "error: system 'blank' has no tokens\n"
+
+
+SUBWORD_CORPUS = ("lower lowest newer newest\nwider widest low new\n"
+                  "slow slower renew renewed\nowe wow lower newest widest\n")
+
+
+def subword_model(tmp_path, capsys):
+    corpus, model = tmp_path / "corpus.txt", tmp_path / "model.tsv"
+    corpus.write_text(SUBWORD_CORPUS)
+    assert cli.main(["subword", "train", "--corpus", str(corpus),
+                     "--vocab-size", "30", "--rounds", "4",
+                     "-o", str(model)]) == 0
+    assert capsys.readouterr().out == "vocabulary size\t22\n"
+    return str(model)
+
+
+def test_subword_train_nbest_sample(tmp_path, capsys):
+    model = subword_model(tmp_path, capsys)
+    assert cli.main(["subword", "nbest", "--model", model, "--text", "lowest",
+                     "--n", "4"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [pieces for _, pieces in rows] == \
+        ["low est", "l ow est", "low e s t", "l o w est"]
+    scores = [float(score) for score, _ in rows]
+    assert scores == sorted(scores, reverse=True)
+    text = tmp_path / "input.txt"
+    text.write_text("lowest newer wow\nslower renewed widest\n")
+    prefix = str(tmp_path / "sample")
+    assert cli.main(["subword", "sample", "--model", model, "--input", str(text),
+                     "--k", "2", "--seed", "3", "--alpha", "0", "--n", "4",
+                     "-o", prefix]) == 0
+    paths = [f"{prefix}.1.txt", f"{prefix}.2.txt"]
+    assert capsys.readouterr().out.splitlines() == paths
+    # uniform draws over the 4-best lists: these hashes pin the random stream
+    digests = [hashlib.sha256(open(path, "rb").read()).hexdigest()
+               for path in paths]
+    assert digests == [
+        "3d6740a4735986a23d9d903dc23c60039da859e98e3085b0d0a471dc78937d65",
+        "f8ea637020556d5e04d97b3dc601ef80a803ce748aec3dd47443132902e462f6",
+    ]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_subword_sample_non_finite_alpha_is_an_error(tmp_path, capsys, alpha):
+    model = subword_model(tmp_path, capsys)
+    text = tmp_path / "input.txt"
+    text.write_text("lowest\n")
+    assert cli.main(["subword", "sample", "--model", model, "--input", str(text),
+                     "--k", "1", "--alpha", alpha,
+                     "-o", str(tmp_path / "sample")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"got {alpha}" in err

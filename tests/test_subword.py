@@ -1,12 +1,14 @@
 """Unigram subword segmentation: search, sampling, training and model files."""
 
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
 
 from peereval import subword
-from peereval.errors import DomainError
+from peereval.errors import ConfigError, CoverageError, DomainError, ParseError
 
 WORDS = ["lower", "lowest", "newer", "newest", "wider", "widest", "low",
          "new", "slow", "slower", "renew", "renewed", "owe", "wow"]
@@ -75,3 +77,95 @@ def test_equal_scores_prefer_the_smaller_piece_sequence():
     assert subword.viterbi_segmentation(model, "ab").pieces == ("a", "b")
     assert [s.pieces for s in subword.nbest_segmentations(model, "ab", 2)] \
         == [("a", "b"), ("ab",)]
+
+
+def test_memoized_draws_equal_draws_from_a_fresh_model(model):
+    # the memo keeps one rng.choice per draw, so the random stream is the
+    # one a model that never saw the word before would consume
+    for alpha in (0.0, 0.5):
+        memo_rng, fresh_rng = np.random.default_rng(5), np.random.default_rng(5)
+        memoized = [subword.sample_segmentation(model, word, n=6, alpha=alpha,
+                                                rng=memo_rng).pieces
+                    for word in WORDS * 4]
+        fresh = [subword.sample_segmentation(
+                     subword.UnigramSubwordModel(model.vocab), word, n=6,
+                     alpha=alpha, rng=fresh_rng).pieces
+                 for word in WORDS * 4]
+        assert memoized == fresh
+
+
+def test_mutating_a_returned_nbest_list_leaves_the_memo_intact(model):
+    first = subword.nbest_segmentations(model, "slower", 4)
+    expected = list(first)
+    first.clear()
+    assert subword.nbest_segmentations(model, "slower", 4) == expected
+    assert subword.viterbi_segmentation(model, "slower") == expected[0]
+
+
+def test_errors_are_raised_on_every_call(model):
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        with pytest.raises(CoverageError):
+            subword.nbest_segmentations(model, "lowz", 3)
+        with pytest.raises(CoverageError):
+            subword.sample_segmentation(model, "lowz", rng=rng)
+        with pytest.raises(ConfigError):
+            subword.nbest_segmentations(model, "low", 0)
+
+
+def test_training_does_not_depend_on_corpus_order(model):
+    shuffled = WORDS * 3
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != WORDS * 3
+    trained = subword.train_unigram(shuffled, vocab_size=30, rounds=4)
+    assert trained.vocab == model.vocab
+
+
+def test_vocabulary_is_read_only(model):
+    with pytest.raises(TypeError):
+        model.vocab["lowe"] = -1.0
+    assert "lowe" not in model.vocab
+
+
+def test_model_pickles_without_its_memo(model):
+    subword.viterbi_segmentation(model, "lower")
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and copy._memo == {}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
+def test_bad_alpha_is_a_config_error_naming_it(model, alpha):
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=f"got {alpha}"):
+            subword.sample_segmentation(model, "lower", alpha=alpha, rng=rng)
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["a\t-1.0", "b\t-2.0", "a\t-3.0"], 3, "duplicate piece 'a'"),
+    (["a\t-1.0", "b\tnan"], 2, "log-prob nan is not finite"),
+    (["a\tinf"], 1, "log-prob inf is not finite"),
+    (["a\t-1.0", "", "b\t-inf"], 3, "log-prob -inf is not finite"),
+    (["a\t-1.0", "b\t0.5"], 2, "log-prob 0.5 > 0"),
+    (["a\t-1.0", "\t-2.0"], 2, "empty piece"),
+])
+def test_bad_model_file_line_is_a_parse_error_naming_it(tmp_path, lines,
+                                                        lineno, message):
+    path = tmp_path / "model.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as info:
+        subword.load_unigram_model(path)
+    assert (info.value.path, info.value.line) == (path, lineno)
+    assert str(info.value).startswith(f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty subword vocabulary"),
+    ("a\t-0.1\nb\t-0.1\n", "sum to"),
+])
+def test_bad_model_file_is_a_parse_error_naming_it(tmp_path, text, message):
+    path = tmp_path / "model.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as info:
+        subword.load_unigram_model(path)
+    assert info.value.path == path
