@@ -38,6 +38,7 @@ from .data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    write_lines,
     write_token_scores,
 )
 from .errors import AlignmentError, ConfigError, DomainError, PeerEvalError
@@ -47,21 +48,14 @@ def _read_text(path) -> list:
     return [text for _, text in read_lines_with_ids(path)]
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
 def _write_rows(path, header, rows):
-    out = _open_out(path)
-    try:
-        out.write("\t".join(header) + "\n")
-        for row in rows:
-            out.write("\t".join(str(c) for c in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    """A TSV to ``path``, or to stdout when ``path`` is None."""
+    lines = ["\t".join(header)] + ["\t".join(str(c) for c in row)
+                                   for row in rows]
+    if path is None:
+        print("\n".join(lines))
+    else:
+        write_lines(path, lines)
 
 
 def _parse_number(kind, token: str, what: str):
@@ -210,9 +204,8 @@ def _cmd_meta_eval(args) -> int:
                 ],
                 "group_averages": report.group_averages,
             }
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_lines(args.output, json.dumps(payload, indent=2,
+                                                sort_keys=True).splitlines())
         else:
             rows = [[res.lang_pair, _repr_r(res.r), res.n_systems,
                      ",".join(res.outliers) or "-"]
@@ -445,17 +438,20 @@ def _cmd_subword_nbest(args) -> int:
 def _cmd_subword_sample(args) -> int:
     model = subword.load_unigram_model(args.model)
     lines = _read_text(args.input)
+    # all samples are built first: an error leaves no sample file behind
+    samples = []
     for k in range(1, args.k + 1):
         rng = np.random.default_rng([args.seed, k])
+        samples.append([
+            " ".join(piece for token in line.split()
+                     for piece in subword.sample_segmentation(
+                         model, token, n=args.n, alpha=args.alpha,
+                         rng=rng).pieces)
+            for line in lines
+        ])
+    for k, sample in enumerate(samples, start=1):
         path = f"{args.output}.{k}.txt"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                pieces = []
-                for token in line.split():
-                    seg = subword.sample_segmentation(
-                        model, token, n=args.n, alpha=args.alpha, rng=rng)
-                    pieces.extend(seg.pieces)
-                fh.write(" ".join(pieces) + "\n")
+        write_lines(path, sample)
         print(path)
     return 0
 

@@ -1,13 +1,19 @@
 """Data model and file ingestion.
 
 Wire formats:
+  * lines: every file is UTF-8 text. A line ends at LF; a CR just before
+    the LF is dropped, and a lone CR stays inside its line. A byte that is
+    not UTF-8 is a ``ParseError`` naming ``path:line``. Files are written
+    with LF line ends. Every reader and writer goes through ``read_lines``
+    and ``write_lines``; table readers skip blank lines, plain-text segment
+    files keep them as segments.
   * token scores: JSON lines, one object per segment,
-    ``{"seg": <int>, "tokens": [<str>...], "logp": [<float>...]}``.
+    ``{"seg": <int>, "tokens": [<str>...], "logp": [<number>...]}``.
     K regularization samples are K separate files.
   * score tables (human judgments and metric scores): TSV whose first
     non-blank line is a header naming ``lang_pair``, ``system`` and
     ``score`` (system level), plus ``seg`` (segment level). Columns are
-    matched by name, in any order; other columns are ignored. UTF-8, LF.
+    matched by name, in any order; other columns are ignored.
     ``read_score_table`` is the one reader.
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
@@ -155,11 +161,6 @@ class HumanJudgments:
             s: v for (lp, s), v in self.system_scores.items() if lp == lang_pair
         }
 
-    def restrict(self, lang_pair: str) -> "HumanJudgments":
-        return HumanJudgments({
-            k: v for k, v in self.system_scores.items() if k[0] == lang_pair
-        })
-
 
 @dataclass(frozen=True)
 class EvalDataset:
@@ -174,12 +175,6 @@ class EvalDataset:
         object.__setattr__(self, "systems", systems)
         if len(systems) < 2:
             raise StructureError("an evaluation dataset needs at least 2 systems")
-        base = systems[0].seg_ids
-        for sys_out in systems[1:]:
-            if sys_out.seg_ids != base:
-                raise AlignmentError(
-                    f"system {sys_out.system_name} disagrees on segment ids"
-                )
 
     @property
     def seg_ids(self) -> list:
@@ -194,52 +189,74 @@ class EvalDataset:
 # Loading
 # ---------------------------------------------------------------------------
 
+def read_lines(path):
+    """Yield ``(line number, line)``; the line rules are under "Wire formats"."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8",
+                                 path, lineno) from None
+            if line.endswith("\n"):
+                line = line[:-2] if line.endswith("\r\n") else line[:-1]
+            yield lineno, line
+
+
+def write_lines(path, lines: Iterable) -> None:
+    """Write ``lines`` as UTF-8, each ended by LF.
+
+    Every line is built before the file is opened, so an error while
+    building them leaves no new file and does not truncate an old one.
+    """
+    text = "".join(f"{line}\n" for line in lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def load_token_scores(path) -> list:
     """Read a token-score JSONL file, sorted by seg_id."""
     segments = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON ({exc.msg})", path, lineno) from exc
-            try:
-                seg_id = int(obj["seg"])
-                tokens = obj["tokens"]
-                logps = obj["logp"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(
-                    "record must have integer 'seg', list 'tokens', list 'logp'",
-                    path,
-                    lineno,
-                ) from exc
-            if seg_id in seen:
-                raise StructureError(f"{path}:{lineno}: duplicate seg_id {seg_id}")
-            seen.add(seg_id)
-            try:
-                segments.append(TokenScoredSegment(seg_id, tokens, logps))
-            except (StructureError, DomainError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in read_lines(path):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON ({exc.msg})", path, lineno) from exc
+        if not isinstance(obj, dict):
+            obj = {}
+        seg_id, tokens, logps = obj.get("seg"), obj.get("tokens"), obj.get("logp")
+        if not (type(seg_id) is int  # a bool is not an integer here
+                and type(tokens) is list and set(map(type, tokens)) <= {str}
+                and type(logps) is list
+                and set(map(type, logps)) <= {int, float}):
+            raise ParseError(
+                "record must have integer 'seg', list of strings 'tokens', "
+                "list of numbers 'logp'", path, lineno)
+        if seg_id in seen:
+            raise StructureError(f"{path}:{lineno}: duplicate seg_id {seg_id}")
+        seen.add(seg_id)
+        try:
+            segments.append(TokenScoredSegment(seg_id, tokens, logps))
+        except (StructureError, DomainError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        except OverflowError as exc:   # an integer beyond the float range
+            raise ParseError("log-prob out of float range", path,
+                             lineno) from exc
     segments.sort(key=lambda s: s.seg_id)
     return segments
 
 
 def write_token_scores(path, segments: Iterable) -> None:
     """Write token-score JSONL; floats keep shortest round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for seg in sorted(segments, key=lambda s: s.seg_id):
-            fh.write(
-                json.dumps(
-                    {"seg": seg.seg_id, "tokens": list(seg.tokens),
-                     "logp": list(seg.logprobs)},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_lines(path, (
+        json.dumps({"seg": seg.seg_id, "tokens": list(seg.tokens),
+                    "logp": list(seg.logprobs)}, ensure_ascii=False)
+        for seg in sorted(segments, key=lambda s: s.seg_id)
+    ))
 
 
 SYSTEM_KEYS = ("lang_pair", "system")
@@ -261,49 +278,47 @@ def read_score_table(path, keys) -> dict:
     table = {}
     known_pairs = set()
     columns = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if columns is None:
-                names = [f.strip() for f in fields]
-                for name in (*keys, "score"):
-                    if names.count(name) != 1:
-                        raise ParseError(f"header must name {name!r} once",
-                                         path, lineno)
-                columns = [names.index(name) for name in (*keys, "score")]
-                width = len(fields)
-                continue
-            if len(fields) != width:
-                raise ParseError(f"expected {width} columns, got {len(fields)}",
-                                 path, lineno)
-            *key, score_text = (fields[i] for i in columns)
+    for lineno, raw in read_lines(path):
+        if not raw:
+            continue
+        fields = raw.split("\t")
+        if columns is None:
+            names = [f.strip() for f in fields]
+            for name in (*keys, "score"):
+                if names.count(name) != 1:
+                    raise ParseError(f"header must name {name!r} once",
+                                     path, lineno)
+            columns = [names.index(name) for name in (*keys, "score")]
+            width = len(fields)
+            continue
+        if len(fields) != width:
+            raise ParseError(f"expected {width} columns, got {len(fields)}",
+                             path, lineno)
+        *key, score_text = (fields[i] for i in columns)
+        try:
+            score = float(score_text)
+            if not math.isfinite(score):
+                raise ValueError(score_text)
+        except ValueError as exc:
+            raise ParseError(f"non-finite or non-numeric score "
+                             f"{score_text!r}", path, lineno) from exc
+        if keys == SEGMENT_KEYS:
             try:
-                score = float(score_text)
-                if not math.isfinite(score):
-                    raise ValueError(score_text)
+                key[2] = int(key[2])
             except ValueError as exc:
-                raise ParseError(f"non-finite or non-numeric score "
-                                 f"{score_text!r}", path, lineno) from exc
-            if keys == SEGMENT_KEYS:
-                try:
-                    key[2] = int(key[2])
-                except ValueError as exc:
-                    raise ParseError(f"non-integer seg {key[2]!r}",
-                                     path, lineno) from exc
-            if key[0] not in known_pairs:
-                try:
-                    LanguagePair.parse(key[0])
-                except DomainError as exc:
-                    raise DomainError(f"{path}:{lineno}: {exc}") from exc
-                known_pairs.add(key[0])
-            key = tuple(key)
-            if key in table:
-                raise StructureError(f"{path}:{lineno}: duplicate row for "
-                                     + "/".join(str(k) for k in key))
-            table[key] = score
+                raise ParseError(f"non-integer seg {key[2]!r}",
+                                 path, lineno) from exc
+        if key[0] not in known_pairs:
+            try:
+                LanguagePair.parse(key[0])
+            except DomainError as exc:
+                raise DomainError(f"{path}:{lineno}: {exc}") from exc
+            known_pairs.add(key[0])
+        key = tuple(key)
+        if key in table:
+            raise StructureError(f"{path}:{lineno}: duplicate row for "
+                                 + "/".join(str(k) for k in key))
+        table[key] = score
     if columns is None:
         raise ParseError("no header line", path)
     return table
@@ -320,18 +335,17 @@ def read_lines_with_ids(path, ids_path=None) -> list:
     With ids_path, ids come from the sidecar file (one integer per line,
     same length); otherwise they are 0-based line numbers.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [line for _, line in read_lines(path)]
     if ids_path is None:
         return list(enumerate(lines))
-    with open(ids_path, encoding="utf-8") as fh:
-        id_lines = [ln.strip() for ln in fh if ln.strip()]
+    id_lines = [(lineno, line.strip()) for lineno, line in read_lines(ids_path)
+                if line.strip()]
     if len(id_lines) != len(lines):
         raise AlignmentError(
             f"{ids_path} has {len(id_lines)} ids for {len(lines)} lines in {path}"
         )
     ids = []
-    for lineno, text in enumerate(id_lines, start=1):
+    for lineno, text in id_lines:
         try:
             ids.append(int(text))
         except ValueError as exc:
@@ -374,4 +388,4 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
         raise StructureError(
             "no human system score for: " + ", ".join(missing)
         )
-    return EvalDataset(lang_pair, tuple(outputs), human.restrict(lp))
+    return EvalDataset(lang_pair, tuple(outputs), human)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .data import TokenScoredSegment
+from .data import TokenScoredSegment, read_lines, write_lines
 from .errors import DomainError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -141,32 +141,29 @@ def save_lexical_table(table: LexicalTable, path,
     """Write nonzero entries; probabilities below min_prob are dropped."""
     inv_src = {i: s for s, i in table.source_index.items()}
     inv_tgt = {i: t for t, i in table.target_index.items()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        rows, cols = np.nonzero(table.probs >= min_prob)
-        entries = sorted(
-            (inv_tgt[r], inv_src[c], table.probs[r, c])
-            for r, c in zip(rows.tolist(), cols.tolist())
-        )
-        for tgt, src, prob in entries:
-            fh.write(f"{tgt}\t{src}\t{float(prob)!r}\n")
+    rows, cols = np.nonzero(table.probs >= min_prob)
+    entries = sorted(
+        (inv_tgt[r], inv_src[c], table.probs[r, c])
+        for r, c in zip(rows.tolist(), cols.tolist())
+    )
+    write_lines(path, (f"{tgt}\t{src}\t{float(prob)!r}"
+                       for tgt, src, prob in entries))
 
 
 def load_lexical_table(path) -> LexicalTable:
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                raise ParseError("expected target<TAB>source<TAB>prob", path,
-                                 lineno)
-            try:
-                entries.append((fields[0], fields[1], float(fields[2])))
-            except ValueError as exc:
-                raise ParseError(f"bad probability {fields[2]!r}", path,
-                                 lineno) from exc
+    for lineno, raw in read_lines(path):
+        if not raw:
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise ParseError("expected target<TAB>source<TAB>prob", path,
+                             lineno)
+        try:
+            entries.append((fields[0], fields[1], float(fields[2])))
+        except ValueError as exc:
+            raise ParseError(f"bad probability {fields[2]!r}", path,
+                             lineno) from exc
     if not entries:
         raise ParseError("empty lexical table", path)
     source_index, target_index = {NULL_TOKEN: 0}, {}

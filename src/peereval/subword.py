@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .data import read_lines, write_lines
 from .errors import ConfigError, CoverageError, DomainError, ParseError
 
 
@@ -253,37 +254,35 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
 # ---------------------------------------------------------------------------
 
 def save_unigram_model(model: UnigramSubwordModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for piece in sorted(model.vocab):
-            if "\t" in piece or "\n" in piece:
-                raise DomainError(f"piece {piece!r} not representable in TSV")
-            fh.write(f"{piece}\t{model.vocab[piece]!r}\n")
+    for piece in model.vocab:
+        if "\t" in piece or "\n" in piece:
+            raise DomainError(f"piece {piece!r} not representable in TSV")
+    write_lines(path, (f"{piece}\t{model.vocab[piece]!r}"
+                       for piece in sorted(model.vocab)))
 
 
 def load_unigram_model(path) -> UnigramSubwordModel:
     vocab = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            fields = raw.split("\t")
-            if len(fields) != 2:
-                raise ParseError("expected piece<TAB>logprob", path, lineno)
-            piece, text = fields
-            if not piece:
-                raise ParseError("empty piece", path, lineno)
-            if piece in vocab:
-                raise ParseError(f"duplicate piece {piece!r}", path, lineno)
-            try:
-                logp = float(text)
-            except ValueError as exc:
-                raise ParseError(f"bad log-prob {text!r}", path,
-                                 lineno) from exc
-            problem = _logp_problem(logp)
-            if problem:
-                raise ParseError(f"piece {piece!r}: {problem}", path, lineno)
-            vocab[piece] = logp
+    for lineno, raw in read_lines(path):
+        if not raw:
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 2:
+            raise ParseError("expected piece<TAB>logprob", path, lineno)
+        piece, text = fields
+        if not piece:
+            raise ParseError("empty piece", path, lineno)
+        if piece in vocab:
+            raise ParseError(f"duplicate piece {piece!r}", path, lineno)
+        try:
+            logp = float(text)
+        except ValueError as exc:
+            raise ParseError(f"bad log-prob {text!r}", path,
+                             lineno) from exc
+        problem = _logp_problem(logp)
+        if problem:
+            raise ParseError(f"piece {piece!r}: {problem}", path, lineno)
+        vocab[piece] = logp
     try:
         return UnigramSubwordModel(vocab)
     except DomainError as exc:   # empty file, or probabilities sum past 1

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LanguagePair
+from .data import LanguagePair, write_lines
 
 
 def _vocabulary(n_words: int, prefix: str) -> list:
@@ -79,28 +79,15 @@ def write_benchmark_files(bench: NoiseBenchmark, directory) -> dict:
     import os
 
     os.makedirs(directory, exist_ok=True)
-    paths = {}
-    src_path = os.path.join(directory, "source.txt")
-    with open(src_path, "w", encoding="utf-8", newline="\n") as fh:
-        for toks in bench.sources:
-            fh.write(" ".join(toks) + "\n")
-    paths["source"] = src_path
-    ref_path = os.path.join(directory, "reference.txt")
-    with open(ref_path, "w", encoding="utf-8", newline="\n") as fh:
-        for toks in bench.references:
-            fh.write(" ".join(toks) + "\n")
-    paths["reference"] = ref_path
-    for name in sorted(bench.system_outputs):
-        out_path = os.path.join(directory, f"{name}.txt")
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for toks in bench.system_outputs[name]:
-                fh.write(" ".join(toks) + "\n")
-        paths[name] = out_path
     lp = str(bench.lang_pair)
-    human_path = os.path.join(directory, "human-sys.tsv")
-    with open(human_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lang_pair\tsystem\tscore\n")
-        for name in sorted(bench.noise_rates):
-            fh.write(f"{lp}\t{name}\t{-bench.noise_rates[name]!r}\n")
-    paths["human"] = human_path
+    texts = {"source": bench.sources, "reference": bench.references,
+             **dict(sorted(bench.system_outputs.items()))}
+    paths = {}
+    for key, segments in texts.items():
+        paths[key] = os.path.join(directory, f"{key}.txt")
+        write_lines(paths[key], (" ".join(toks) for toks in segments))
+    paths["human"] = os.path.join(directory, "human-sys.tsv")
+    write_lines(paths["human"], ["lang_pair\tsystem\tscore"] + [
+        f"{lp}\t{name}\t{-bench.noise_rates[name]!r}"
+        for name in sorted(bench.noise_rates)])
     return paths

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -43,19 +44,88 @@ def test_toy_scorer_to_meta_eval(tmp_path):
     assert pair["r"] > 0.99
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
 def test_cli_import_loads_numpy_only():
     # numpy is the only dependency: a fresh interpreter that imports the CLI
     # loads no other third-party package, so none adds to every cold start
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import peereval.cli\n"
             "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src))
+                            text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "numpy peereval\n"
+
+
+HUMAN_TSV = "lang_pair\tsystem\tscore\nde-en\tA\t0.1\nde-en\tB\t0.2\n"
+SEG_TSV = "lang_pair\tsystem\tseg\tscore\nde-en\tA\t0\t0.1\n"
+JSONL = '{"seg": 0, "tokens": ["a"], "logp": [-1.0]}'
+
+# subcommand arguments, the file that gets an undecodable byte on line 2
+# (after a valid first line) and the other, valid input files
+UNDECODABLE = [
+    pytest.param(["score", "--samples", "bad.jsonl", "--method", "mean"],
+                 "bad.jsonl", JSONL, {}, id="score"),
+    pytest.param(["meta-eval", "--human", "human.tsv", "--scores", "bad.tsv"],
+                 "bad.tsv", "lang_pair\tsystem\tscore", {"human.tsv": HUMAN_TSV},
+                 id="meta-eval"),
+    pytest.param(["outliers", "--human", "bad.tsv"],
+                 "bad.tsv", "lang_pair\tsystem\tscore", {}, id="outliers"),
+    pytest.param(["pairwise", "--human-seg", "bad.tsv", "--metric-seg", "m.tsv"],
+                 "bad.tsv", "lang_pair\tsystem\tseg\tscore", {"m.tsv": SEG_TSV},
+                 id="pairwise"),
+    pytest.param(["bleu", "--hyp", "hyp.txt", "--ref", "bad.txt"],
+                 "bad.txt", "a b", {"hyp.txt": "a b\nc\n"}, id="bleu"),
+    pytest.param(["chrf", "--hyp", "bad.txt", "--ref", "ref.txt"],
+                 "bad.txt", "a b", {"ref.txt": "a b\nc\n"}, id="chrf"),
+    pytest.param(["cross-bleu", "--outputs", "a.txt", "bad.txt"],
+                 "bad.txt", "a b", {"a.txt": "a b\nc\n"}, id="cross-bleu"),
+    pytest.param(["subsample", "--human", "human.tsv", "--metric-seg", "bad.tsv"],
+                 "bad.tsv", "lang_pair\tsystem\tseg\tscore",
+                 {"human.tsv": HUMAN_TSV}, id="subsample"),
+    pytest.param(["tune-thresholds", "--human", "human.tsv", "--scores-dir", "s"],
+                 os.path.join("s", "de-en", "A.jsonl"), JSONL,
+                 {"human.tsv": HUMAN_TSV}, id="tune-thresholds"),
+    pytest.param(["subword", "train", "--corpus", "bad.txt", "--vocab-size", "9",
+                  "-o", "model.tsv"],
+                 "bad.txt", "a b", {}, id="subword-train"),
+    pytest.param(["subword", "nbest", "--model", "bad.tsv", "--text", "ab"],
+                 "bad.tsv", "a\t-1.0", {}, id="subword-nbest"),
+    pytest.param(["subword", "sample", "--model", "model.tsv", "--input",
+                  "bad.txt", "--k", "1", "-o", "sample"],
+                 "bad.txt", "a b", {"model.tsv": "a\t-1.0\nb\t-1.0\n"},
+                 id="subword-sample"),
+    pytest.param(["toy-scorer", "train", "--source", "bad.txt", "--target",
+                  "t.txt", "-o", "table.tsv"],
+                 "bad.txt", "a b", {"t.txt": "x y\nz\n"}, id="toy-scorer-train"),
+    pytest.param(["toy-scorer", "score", "--model", "table.tsv", "--source",
+                  "s.txt", "--target", "t.txt", "--ids", "bad.txt",
+                  "-o", "out.jsonl"],
+                 "bad.txt", "0", {"table.tsv": "x\t<NULL>\t1.0\n",
+                                  "s.txt": "a\nb\n", "t.txt": "x\nx\n"},
+                 id="toy-scorer-score"),
+]
+
+
+@pytest.mark.parametrize("args,bad,first_line,inputs", UNDECODABLE)
+def test_undecodable_byte_is_one_error_line(tmp_path, args, bad, first_line,
+                                            inputs):
+    # a fresh interpreter, as a user runs it: exit 1 and one line naming
+    # path:line, no traceback
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / bad).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / bad).write_bytes(first_line.encode() + b"\n\xff\n")
+    result = subprocess.run([sys.executable, "-m", "peereval.cli", *args],
+                            capture_output=True, text=True, cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert re.fullmatch(f"error: {re.escape(bad)}:2: [^\n]+\n", result.stderr)
 
 
 def test_missing_hyp_is_an_error(tmp_path, capsys):
@@ -65,6 +135,14 @@ def test_missing_hyp_is_an_error(tmp_path, capsys):
     assert cli.main(["bleu", "--hyp", str(missing), "--ref", str(ref)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+def test_lone_cr_stays_inside_its_segment(tmp_path, capsys):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_bytes(b"a b\rc d\r\ne f\r\n")
+    ref.write_bytes(b"a b c d\ne f\n")
+    assert cli.main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert capsys.readouterr().out == "100.000\n"
 
 
 def test_missing_human_is_an_error(tmp_path, capsys):
@@ -429,6 +507,16 @@ def test_subword_train_nbest_sample(tmp_path, capsys):
         "3d6740a4735986a23d9d903dc23c60039da859e98e3085b0d0a471dc78937d65",
         "f8ea637020556d5e04d97b3dc601ef80a803ce748aec3dd47443132902e462f6",
     ]
+
+
+def test_subword_sample_error_leaves_no_file(tmp_path, capsys):
+    model = subword_model(tmp_path, capsys)
+    text = tmp_path / "input.txt"
+    text.write_text("lowest newer\nlowest zebra\n")   # z is not in the model
+    assert cli.main(["subword", "sample", "--model", model, "--input", str(text),
+                     "--k", "2", "-o", str(tmp_path / "sample")]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.glob("sample.*")) == []
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

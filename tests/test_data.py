@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from peereval import model1, subword
 from peereval.data import (
     SEGMENT_KEYS,
     SYSTEM_KEYS,
@@ -16,6 +17,7 @@ from peereval.data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    write_lines,
     write_token_scores,
 )
 from peereval.errors import (
@@ -130,6 +132,35 @@ class TestTokenScoreFile:
         for orig, back in zip(segs, reloaded):
             for a, b in zip(orig.logprobs, back.logprobs):
                 assert a == b and str(a) == str(b)
+
+
+    @pytest.mark.parametrize("record", [
+        '{"seg": 0, "tokens": ["a"], "logp": ["x"]}',
+        '{"seg": 0, "tokens": ["a"], "logp": [null]}',
+        '{"seg": 0, "tokens": ["a"], "logp": -1}',
+        '{"seg": 0, "tokens": "ab", "logp": [-1, -1]}',
+        '{"seg": 0, "tokens": [1], "logp": [-1]}',
+        '{"seg": 0, "tokens": ["a"], "logp": [false]}',
+        '{"seg": true, "tokens": ["a"], "logp": [-1]}',
+        '{"seg": "0", "tokens": ["a"], "logp": [-1]}',
+        '{"seg": 0.5, "tokens": ["a"], "logp": [-1]}',
+        '{"seg": 0, "tokens": ["a"], "logp": [-1' + "0" * 400 + ']}',
+        '[0, ["a"], [-1]]',
+    ], ids=["logp-string", "logp-null", "logp-scalar", "tokens-string",
+            "token-number", "logp-bool", "seg-bool", "seg-string",
+            "seg-float", "logp-overflow", "not-an-object"])
+    def test_bad_record_type_names_line(self, tmp_path, record):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"seg": 1, "tokens": ["b"], "logp": [-1.0]}\n'
+                        + record + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: ")):
+            load_token_scores(path)
+
+    def test_integer_logp_is_a_number(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"seg": 0, "tokens": ["a", "b"], "logp": [-1, 0]}\n')
+        (seg,) = load_token_scores(path)
+        assert seg.logprobs == (-1.0, 0.0)
 
 
 class TestHumanScores:
@@ -290,3 +321,90 @@ class TestPlainText:
         assert read_lines_with_ids(path) == [(0, "one"), (1, ""), (2, "three")]
         path.write_text("a\nb\n\n")
         assert read_lines_with_ids(path) == [(0, "a"), (1, "b"), (2, "")]
+
+
+def read_sidecar(path):
+    text = path.parent / "segments.txt"
+    text.write_text("a\nb\nc\n")
+    return read_lines_with_ids(text, path)
+
+
+def read_table(path):
+    table = model1.load_lexical_table(path)
+    return table.source_index, table.target_index, table.probs.tolist()
+
+
+# each reader with a valid three-line file
+READERS = [
+    pytest.param(lambda path: read_score_table(path, SYSTEM_KEYS),
+                 "lang_pair\tsystem\tscore\nde-en\tA\t0.1\nde-en\tB\t0.2\n",
+                 id="score-tsv"),
+    pytest.param(load_token_scores,
+                 '{"seg": 0, "tokens": ["a"], "logp": [-1.0]}\n'
+                 '{"seg": 2, "tokens": ["b", "c"], "logp": [-0.5, -2]}\n'
+                 '{"seg": 1, "tokens": ["über"], "logp": [-0.25]}\n',
+                 id="token-jsonl"),
+    pytest.param(read_lines_with_ids, "one\n\nthree wörds \n", id="plain-text"),
+    pytest.param(read_sidecar, "5\n3\n7\n", id="sidecar-ids"),
+    pytest.param(read_table, "x\t<NULL>\t1.0\ny\ta\t0.25\nz\ta\t0.75\n",
+                 id="lexical-table"),
+    pytest.param(subword.load_unigram_model, "a\t-1.0\nb\t-2.0\nü\t-3.0\n",
+                 id="subword-model"),
+]
+
+
+class TestLines:
+    @pytest.mark.parametrize("read,text", READERS)
+    def test_undecodable_byte_names_line(self, tmp_path, read, text):
+        lines = text.encode("utf-8").split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path = tmp_path / "input"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("read,text", READERS)
+    def test_crlf_reads_as_lf(self, tmp_path, read, text):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert read(crlf) == read(lf)
+
+    def test_lone_cr_stays_in_segment(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"a\rb\r\nc\r\r\nd\r")
+        assert read_lines_with_ids(path) == [(0, "a\rb"), (1, "c\r"),
+                                             (2, "d\r")]
+
+    def test_write_lines(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["ü", "", "a\tb"])
+        assert path.read_bytes() == "ü\n\na\tb\n".encode("utf-8")
+        write_lines(path, [])
+        assert path.read_bytes() == b""
+
+    def test_write_lines_builds_before_opening(self, tmp_path):
+        def lines():
+            yield "first"
+            raise DomainError("bad line")
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(DomainError):
+            write_lines(path, lines())
+        assert not path.exists()
+        path.write_bytes(b"old\n")
+        with pytest.raises(DomainError):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old\n"
+
+    def test_unrepresentable_piece_writes_nothing(self, tmp_path):
+        model = subword.UnigramSubwordModel({"a": -1.0, "a\tb": -2.0})
+        path = tmp_path / "model.tsv"
+        with pytest.raises(DomainError):
+            subword.save_unigram_model(model, path)
+        assert not path.exists()
+        path.write_bytes(b"old\t-1.0\n")
+        with pytest.raises(DomainError):
+            subword.save_unigram_model(model, path)
+        assert path.read_bytes() == b"old\t-1.0\n"
