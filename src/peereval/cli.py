@@ -481,10 +481,10 @@ def _cmd_toy_score(args) -> int:
     targets = read_lines_with_ids(args.target, args.ids)
     if [i for i, _ in sources] != [i for i, _ in targets]:
         raise AlignmentError("source and target segment ids differ")
-    segments = [
-        model1.score_tokens(table, src.split(), tgt.split(), seg_id=seg_id)
-        for (seg_id, src), (_, tgt) in zip(sources, targets)
-    ]
+    segments = model1.score_segments(
+        table, [(src.split(), tgt.split())
+                for (_, src), (_, tgt) in zip(sources, targets)],
+        [seg_id for seg_id, _ in sources])
     write_token_scores(args.output, segments)
     print(args.output)
     return 0

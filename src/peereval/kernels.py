@@ -2,15 +2,27 @@
 
 Two loop families dominate runtime at corpus scale: per-segment statistics
 over flattened log-probability arrays (CSR layout: one values array plus an
-offsets array of length n_segments + 1) and the expectation step of the
-lexical-table EM trainer. Each has one numpy implementation.
+offsets array of length n_segments + 1) and the lexical-table lookups of
+Model 1, in EM training and in scoring. Each has one numpy implementation,
+and none has a Python loop per segment or per sentence pair.
 
-``segment_stats`` has no per-segment loop: sum, mean, min and std are
-``reduceat`` passes, and the median is taken per distinct segment length
-over a (segments, length) block, one ``np.median`` call per length.
-``model1_em_step`` is still a loop over sentence pairs: a blocked
-``bincount`` version is bit-identical but saves about 0.1 s per benchmark
-pass for about 25 lines of index arithmetic and more peak memory.
+Several results must equal a per-segment 1-D ``.sum()`` bit for bit: the
+Model-1 row masses (``table[y, source ids].sum()``), the per-pair EM
+log-likelihood terms, and through them every trained table and log-prob.
+numpy sums a contiguous run of n values with eight partial sums and
+pairwise halving; a row of a C-contiguous ``(k, n)`` block is such a run
+and sums the same way. So these sums are taken over gathered ``(k, n)``
+blocks, one per distinct length n (``groups_by_length``): one per source
+length S for the masses, one per target length T for the log-likelihood
+terms. ``np.add.reduceat`` is not used for them: it adds in sequence, which
+often differs from the pairwise sum in the last bit once n >= 8. ``segment_stats`` uses
+``reduceat`` for its sums, which are compared at a tolerance, and takes the
+median per distinct length over a ``(k, L)`` block.
+
+The EM counts are added with ``np.add.at``, which adds in index order: the
+links (target token, source token) of the corpus are laid out pair-major
+and row-major and processed in runs of about ``BLOCK_LINKS``, so each cell
+gets the same float additions in the same order as a loop over the pairs.
 
 Layout conventions:
   values  : float64[n_tokens], concatenated per-segment log-probs
@@ -53,12 +65,18 @@ def segment_stats(values, offsets):
     stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
     # one (k, L) block per distinct length L; row medians equal the 1-D ones
     medians = np.empty(len(counts))
-    order = np.argsort(counts, kind="stable")
-    bounds = np.flatnonzero(np.diff(counts[order])) + 1
-    for group in np.split(order, bounds):
+    for group in groups_by_length(counts):
         block = values[starts[group][:, None] + np.arange(counts[group[0]])]
         medians[group] = np.median(block, axis=1)
     return sums, means, medians, mins, stds
+
+
+# (target token, source token) links per EM block: enough to amortize the
+# numpy calls per block, few enough that the link arrays (128 KB each) stay
+# in cache and add little to peak RSS. On the peer-corpus benchmark, 2**15
+# raised peak RSS by 2.4 MB and 2**14 by 0.5 MB at the same speed; 2**13
+# saved another 0.2 MB but made each EM step about 20 % slower.
+BLOCK_LINKS = 1 << 14
 
 
 def model1_em_step(tgt_flat, src_flat, tgt_off, src_off, table):
@@ -74,16 +92,62 @@ def model1_em_step(tgt_flat, src_flat, tgt_off, src_off, table):
     tgt_off = np.ascontiguousarray(tgt_off, dtype=np.int64)
     src_off = np.ascontiguousarray(src_off, dtype=np.int64)
     table = np.ascontiguousarray(table, dtype=np.float64)
+    tgt_len, src_len = np.diff(tgt_off), np.diff(src_off)
+    # per target token: the source span of its pair
+    span_start = np.repeat(src_off[:-1], tgt_len)
+    span_len = np.repeat(src_len, tgt_len)
     counts = np.zeros_like(table)
+    denom = np.empty(len(tgt_flat))
+    # runs of target tokens of about BLOCK_LINKS links each, in corpus order
+    link_start = np.cumsum(span_len) - span_len
+    cuts = (np.flatnonzero(np.diff(link_start // BLOCK_LINKS)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(span_len)]):
+        # the links of tokens lo..hi-1 in pair-major, row-major order; each
+        # link array is built in place, so at most three are alive
+        lens = span_len[lo:hi]
+        starts = np.cumsum(lens) - lens
+        cells = np.repeat(span_start[lo:hi] - starts, lens)
+        cells += np.arange(len(cells))
+        cells = src_flat[cells]
+        cells += np.repeat(tgt_flat[lo:hi] * table.shape[1], lens)
+        probs = table.reshape(-1)[cells]
+        for group in groups_by_length(lens):
+            block = probs[starts[group][:, None] + np.arange(lens[group[0]])]
+            denom[lo + group] = block.sum(axis=1)
+        probs /= np.repeat(denom[lo:hi], lens)
+        # np.add.at adds in link order, repeated cells included
+        np.add.at(counts.reshape(-1), cells, probs)
+        del cells, probs
+    # per-pair sum of log denominators, one (pairs, T) block per length T
+    log_denom = np.log(denom)
+    pair_sums = np.empty(len(tgt_len))
+    for group in groups_by_length(tgt_len):
+        block = log_denom[tgt_off[group][:, None] + np.arange(tgt_len[group[0]])]
+        pair_sums[group] = block.sum(axis=1)
+    # added in pair order, as a loop over the pairs would
     loglik = 0.0
-    for p in range(len(tgt_off) - 1):
-        t_ids = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
-        s_ids = src_flat[src_off[p]:src_off[p + 1]]
-        sub = table[np.ix_(t_ids, s_ids)]
-        denom = sub.sum(axis=1)
-        loglik += float(np.log(denom).sum()) - len(t_ids) * np.log(len(s_ids))
-        # np.add.at accumulates correctly for repeated token ids
-        np.add.at(counts, (t_ids[:, None], s_ids[None, :]), sub / denom[:, None])
+    for term in (pair_sums - tgt_len * np.log(src_len)).tolist():
+        loglik += term
     totals = counts.sum(axis=0)
     new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
     return new_table, loglik
+
+
+def model1_mass(table, t_ids, src_flat, span_start, span_len):
+    """Per target token i, the sum of ``table[t_ids[i], s]`` over the source
+    ids ``src_flat[span_start[i]:span_start[i] + span_len[i]]``."""
+    mass = np.empty(len(t_ids))
+    for group in groups_by_length(span_len):
+        span = np.arange(span_len[group[0]])
+        cells = (t_ids[group][:, None] * table.shape[1]
+                 + src_flat[span_start[group][:, None] + span])
+        mass[group] = table.reshape(-1)[cells].sum(axis=1)
+    return mass
+
+
+def groups_by_length(lengths):
+    """Indices into ``lengths`` grouped by equal value, each group ascending."""
+    if not len(lengths):
+        return []
+    order = np.argsort(lengths, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)

@@ -42,6 +42,8 @@ class LexicalTable:
             raise DomainError(f"source vocabulary lacks {NULL_TOKEN}")
         if self.probs.shape != (len(self.target_index), len(self.source_index)):
             raise DomainError("probability table shape mismatch")
+        if not np.all(np.isfinite(self.probs)):
+            raise DomainError("non-finite translation probabilities")
         if np.any(self.probs < 0) or np.any(self.probs > 1):
             raise DomainError("translation probabilities outside [0, 1]")
         sums = self.probs.sum(axis=0)
@@ -98,38 +100,69 @@ def train_model1(parallel: Sequence, iterations: int = 10,
     return result
 
 
+def score_csr(table: LexicalTable, pairs: Sequence, seg_ids: Sequence):
+    """Token log-probs of (source tokens, target tokens) pairs, in CSR layout.
+
+    Returns ``(values, offsets)``: the log-probs of pair i are
+    ``values[offsets[i]:offsets[i + 1]]``. ``seg_ids`` name the pairs in
+    errors: an empty target is a DomainError.
+
+    logp_t = log( (1/(L+1)) * sum over s in source+NULL of t(y_t | s) ),
+    floored at log(UNSEEN_PROB_FLOOR), where L counts every source token
+    and the sum runs over those in the table. Target tokens the table has
+    never seen get zero mass. The table rows of all known target tokens are
+    gathered by ``kernels.model1_mass``, one block per source length, so
+    each mass is the same pairwise sum as a per-token 1-D slice's.
+    """
+    src_index, tgt_get = table.source_index, table.target_index.get
+    null = [src_index[NULL_TOKEN]]
+    src_sents, tgt_sents, denoms = [], [], []
+    for seg_id, (source_tokens, target_tokens) in zip(seg_ids, pairs,
+                                                      strict=True):
+        if not target_tokens:
+            raise DomainError(f"segment {seg_id}: empty target")
+        src_sents.append(null + [src_index[s] for s in source_tokens
+                                 if s in src_index])
+        tgt_sents.append([tgt_get(tok, -1) for tok in target_tokens])
+        denoms.append(len(source_tokens) + 1)
+    src_flat, src_off = kernels.to_csr(src_sents, np.int64)
+    t_ids, offsets = kernels.to_csr(tgt_sents, np.int64)
+    tgt_len = np.diff(offsets)
+    known = t_ids >= 0
+    mass = np.zeros(len(t_ids))
+    mass[known] = kernels.model1_mass(
+        table.probs, t_ids[known], src_flat,
+        np.repeat(src_off[:-1], tgt_len)[known],
+        np.repeat(np.diff(src_off), tgt_len)[known])
+    probs = np.maximum(mass / np.repeat(denoms, tgt_len), UNSEEN_PROB_FLOOR)
+    # math.log, not np.log: the two differ in the last bit on some values
+    values = np.fromiter(map(math.log, probs.tolist()), dtype=np.float64,
+                         count=len(probs))
+    return values, offsets
+
+
+def score_segments(table: LexicalTable, pairs: Sequence,
+                   seg_ids: Sequence) -> list:
+    """``score_csr`` as one TokenScoredSegment per pair, named by seg_ids."""
+    values, offsets = score_csr(table, pairs, seg_ids)
+    logps, bounds = values.tolist(), offsets.tolist()
+    return [TokenScoredSegment(seg_id, tuple(tgt), logps[lo:hi])
+            for seg_id, (_, tgt), lo, hi
+            in zip(seg_ids, pairs, bounds[:-1], bounds[1:])]
+
+
 def score_tokens(table: LexicalTable, source_tokens: Sequence[str],
                  target_tokens: Sequence[str],
                  seg_id: int = 0) -> TokenScoredSegment:
-    """Token log-probs of a target hypothesis given the source.
-
-    logp_t = log( (1/(L+1)) * sum over s in source+NULL of t(y_t | s) ),
-    floored at log(UNSEEN_PROB_FLOOR). One gather of the (known target,
-    source) block of the table per segment; target tokens the table has
-    never seen get zero mass.
-    """
-    if not target_tokens:
-        raise DomainError(f"segment {seg_id}: empty target")
-    sources = [NULL_TOKEN, *source_tokens]
-    s_ids = [table.source_index[s] for s in sources
-             if s in table.source_index]
-    t_ids = np.array([table.target_index.get(tok, -1)
-                      for tok in target_tokens], dtype=np.int64)
-    known = t_ids >= 0
-    mass = np.zeros(len(t_ids))
-    # each row of the C-contiguous block gets the pairwise sum of a 1-D
-    # per-token slice, so the log-probs do not depend on the gather
-    mass[known] = table.probs[np.ix_(t_ids[known], s_ids)].sum(axis=1)
-    denom = len(source_tokens) + 1
-    logps = tuple(math.log(max(m / denom, UNSEEN_PROB_FLOOR))
-                  for m in mass.tolist())
-    return TokenScoredSegment(seg_id, tuple(target_tokens), logps)
+    """Token log-probs of one target hypothesis given its source: a one-pair
+    ``score_csr`` (see there for the formula and the floor)."""
+    return score_segments(table, [(source_tokens, target_tokens)],
+                          [seg_id])[0]
 
 
 def score_corpus(table: LexicalTable, pairs: Sequence) -> list:
     """Score (source tokens, target tokens) pairs; seg_ids are positions."""
-    return [score_tokens(table, src, tgt, seg_id=i)
-            for i, (src, tgt) in enumerate(pairs)]
+    return score_segments(table, pairs, range(len(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +193,15 @@ def load_lexical_table(path) -> LexicalTable:
             raise ParseError("expected target<TAB>source<TAB>prob", path,
                              lineno)
         try:
-            entries.append((fields[0], fields[1], float(fields[2])))
+            prob = float(fields[2])
         except ValueError as exc:
             raise ParseError(f"bad probability {fields[2]!r}", path,
                              lineno) from exc
+        # also false for nan
+        if not 0.0 <= prob <= 1.0:
+            raise ParseError(f"probability {fields[2]!r} outside [0, 1]",
+                             path, lineno)
+        entries.append((fields[0], fields[1], prob))
     if not entries:
         raise ParseError("empty lexical table", path)
     source_index, target_index = {NULL_TOKEN: 0}, {}
@@ -175,6 +213,8 @@ def load_lexical_table(path) -> LexicalTable:
         probs[target_index[tgt], source_index[src]] = prob
     # renormalize: dropped sub-threshold mass must not break column sums
     sums = probs.sum(axis=0)
-    sums[sums == 0.0] = 1.0
+    for src, col in source_index.items():
+        if sums[col] == 0.0:
+            raise ParseError(f"no probability mass for source {src!r}", path)
     probs /= sums
     return LexicalTable(source_index, target_index, probs)

@@ -128,6 +128,26 @@ def test_undecodable_byte_is_one_error_line(tmp_path, args, bad, first_line,
     assert re.fullmatch(f"error: {re.escape(bad)}:2: [^\n]+\n", result.stderr)
 
 
+def test_toy_score_errors_name_the_file(tmp_path, capsys):
+    table, src, tgt, ids = (tmp_path / name for name in
+                            ("table.tsv", "s.txt", "t.txt", "ids.txt"))
+    table.write_text("x\t<NULL>\t1.0\nx\ta\t1.0\n")
+    src.write_text("a\na\na\n")
+    tgt.write_text("x\n\nx\n")
+    ids.write_text("40\n41\n42\n")
+    out = str(tmp_path / "out.jsonl")
+    args = ["toy-scorer", "score", "--model", str(table), "--source", str(src),
+            "--target", str(tgt), "--ids", str(ids), "-o", out]
+    # an empty target is named by its id from the sidecar, not its line
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: segment 41: empty target\n"
+    tgt.write_text("x\nx\nx\n")
+    table.write_text("x\t<NULL>\t1.0\nx\ta\tnan\n")
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}:2: ")
+    assert not os.path.exists(out)
+
+
 def test_missing_hyp_is_an_error(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     ref.write_text("a b\n")

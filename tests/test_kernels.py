@@ -154,3 +154,79 @@ def test_model1_em_columns_normalized():
     table, _ = kernels.model1_em_step(*args)
     sums = table.sum(axis=0)
     np.testing.assert_allclose(sums, 1.0, rtol=1e-9)
+
+
+def model1_em_step_per_pair(tgt_flat, src_flat, tgt_off, src_off, table):
+    """The EM step as one numpy round per sentence pair: the definition the
+    blocked kernel must reproduce bit for bit."""
+    counts = np.zeros_like(table)
+    loglik = 0.0
+    for p in range(len(tgt_off) - 1):
+        t_ids = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
+        s_ids = src_flat[src_off[p]:src_off[p + 1]]
+        sub = table[np.ix_(t_ids, s_ids)]
+        denom = sub.sum(axis=1)
+        loglik += float(np.log(denom).sum()) - len(t_ids) * np.log(len(s_ids))
+        np.add.at(counts, (t_ids[:, None], s_ids[None, :]), sub / denom[:, None])
+    totals = counts.sum(axis=0)
+    new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
+    return new_table, loglik
+
+
+EDGE_LENGTHS = (1, 7, 8, 9, 128, 129, 150)
+
+
+def edge_corpus(rng, n_tgt=40, n_src=30, unused_src=3):
+    """Pairs with every edge length on either side, ids repeated within a
+    sentence, and the last ``unused_src`` source ids in no sentence."""
+    lengths = [(t, s) for t in EDGE_LENGTHS for s in EDGE_LENGTHS]
+    lengths += [(int(t), int(s)) for t, s in rng.integers(1, 12, size=(60, 2))]
+    order = rng.permutation(len(lengths))
+    tgt_sents = [rng.integers(0, n_tgt, size=lengths[i][0]) for i in order]
+    # NULL (id 0) first, as in train_model1
+    src_sents = [np.concatenate([[0], rng.integers(1, n_src - unused_src,
+                                                   size=lengths[i][1] - 1)])
+                 for i in order]
+    tgt_flat, tgt_off = kernels.to_csr(tgt_sents, np.int64)
+    src_flat, src_off = kernels.to_csr(src_sents, np.int64)
+    # columns that do not sum alike, so a replaced column would show
+    table = rng.random((n_tgt, n_src))
+    table /= table.sum(axis=0)
+    return tgt_flat, src_flat, tgt_off, src_off, table
+
+
+def assert_em_bit_identical(tgt_flat, src_flat, tgt_off, src_off, table,
+                            iterations=10):
+    expected = table
+    for _ in range(iterations):
+        table, ll = kernels.model1_em_step(tgt_flat, src_flat, tgt_off,
+                                           src_off, table)
+        expected, ll_ref = model1_em_step_per_pair(tgt_flat, src_flat, tgt_off,
+                                                   src_off, expected)
+        assert np.array_equal(table, expected)
+        assert ll == ll_ref
+    return table
+
+
+def test_model1_em_bit_identical_to_per_pair_step():
+    rng = np.random.default_rng(23)
+    args = edge_corpus(rng)
+    tgt_flat, _, tgt_off, _, table = args
+    assert any(len(set(tgt_flat[lo:hi].tolist())) < hi - lo
+               for lo, hi in zip(tgt_off[:-1], tgt_off[1:]))
+    final = assert_em_bit_identical(*args)
+    # source ids in no sentence have zero counts and keep their column
+    assert np.array_equal(final[:, -3:], table[:, -3:])
+
+
+def test_model1_em_bit_identical_across_blocks(monkeypatch):
+    rng = np.random.default_rng(29)
+    args = edge_corpus(rng)
+    tgt_off, src_off = args[2], args[3]
+    n_links = int((np.diff(tgt_off) * np.diff(src_off)).sum())
+    monkeypatch.setattr(kernels, "BLOCK_LINKS", 1000)
+    assert n_links > 50 * kernels.BLOCK_LINKS
+    assert_em_bit_identical(*args, iterations=3)
+    # a block boundary inside every pair's run of links
+    monkeypatch.setattr(kernels, "BLOCK_LINKS", 5)
+    assert_em_bit_identical(*args, iterations=2)

@@ -3,13 +3,14 @@ scorer ranking the synthetic noise benchmark end to end."""
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from peereval import metaeval, model1, scoring, synthetic
 from peereval.data import TokenScoredSegment
-from peereval.errors import DomainError
+from peereval.errors import DomainError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,93 @@ def test_score_corpus_equals_per_token_reference():
     assert scored == score_corpus_loop(table, pairs)
     floor = math.log(model1.UNSEEN_PROB_FLOOR)
     assert scored[5].logprobs[0] == scored[6].logprobs[0] == floor
+
+
+def random_table(rng, n_src=40, n_tgt=30):
+    src_vocab = [f"s{i}" for i in range(n_src)]
+    tgt_vocab = [f"t{i}" for i in range(n_tgt)]
+    train = [(rng.choice(src_vocab, size=rng.integers(1, 12)).tolist(),
+              rng.choice(tgt_vocab, size=rng.integers(1, 12)).tolist())
+             for _ in range(60)]
+    return model1.train_model1(train, iterations=3), src_vocab, tgt_vocab
+
+
+def test_score_corpus_bit_identical_over_many_source_lengths():
+    rng = np.random.default_rng(31)
+    table, src_vocab, tgt_vocab = random_table(rng)
+    pairs = []
+    # 40 distinct source lengths, in shuffled order, with source tokens
+    # missing from the table and target tokens it has never seen
+    for length in rng.permutation(np.arange(1, 41)).tolist():
+        source = rng.choice(src_vocab + ["missing"], size=length).tolist()
+        target = rng.choice(tgt_vocab + ["unseen"],
+                            size=rng.integers(1, 20)).tolist()
+        pairs.append((source, target))
+    scored = model1.score_corpus(table, pairs)
+    assert scored == score_corpus_loop(table, pairs)
+    floor = math.log(model1.UNSEEN_PROB_FLOOR)
+    assert any(v == floor for seg in scored for v in seg.logprobs)
+
+
+def test_scoring_looks_up_the_null_column():
+    rng = np.random.default_rng(37)
+    table, src_vocab, tgt_vocab = random_table(rng)
+    # the same table with <NULL> moved from the first column to the last
+    names = sorted(table.source_index, key=table.source_index.get)
+    names = names[1:] + names[:1]
+    moved = model1.LexicalTable(
+        {name: i for i, name in enumerate(names)}, table.target_index,
+        table.probs[:, [table.source_index[n] for n in names]])
+    assert moved.source_index[model1.NULL_TOKEN] == len(names) - 1
+    pairs = [(rng.choice(src_vocab, size=5).tolist(),
+              rng.choice(tgt_vocab, size=6).tolist()) for _ in range(20)]
+    assert model1.score_corpus(moved, pairs) == score_corpus_loop(moved, pairs)
+
+
+def test_score_csr_layout_and_score_tokens():
+    rng = np.random.default_rng(41)
+    table, src_vocab, tgt_vocab = random_table(rng)
+    pairs = [(rng.choice(src_vocab, size=3).tolist(),
+              rng.choice(tgt_vocab, size=n).tolist()) for n in (2, 5, 1)]
+    values, offsets = model1.score_csr(table, pairs, [7, 3, 9])
+    assert offsets.tolist() == [0, 2, 7, 8]
+    for (src, tgt), lo, hi, seg_id in zip(pairs, offsets[:-1], offsets[1:],
+                                          [7, 3, 9]):
+        seg = model1.score_tokens(table, src, tgt, seg_id=seg_id)
+        assert seg.seg_id == seg_id
+        assert seg.logprobs == tuple(values[lo:hi].tolist())
+
+
+def test_empty_target_names_its_seg_id():
+    rng = np.random.default_rng(43)
+    table, _, _ = random_table(rng)
+    pairs = [(["s1"], ["t1"]), (["s2"], [])]
+    with pytest.raises(DomainError, match="^segment 12: empty target$"):
+        model1.score_csr(table, pairs, [11, 12])
+    with pytest.raises(DomainError, match="^segment 1: empty target$"):
+        model1.score_corpus(table, pairs)
+    with pytest.raises(DomainError, match="^segment 5: empty target$"):
+        model1.score_tokens(table, ["s1"], [], seg_id=5)
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5"])
+def test_load_rejects_probability_outside_unit_interval(tmp_path, prob):
+    path = tmp_path / "table.tsv"
+    path.write_text(f"x\t<NULL>\t1.0\ny\ta\t{prob}\nz\ta\t0.5\n")
+    with pytest.raises(ParseError) as err:
+        model1.load_lexical_table(path)
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
+def test_load_rejects_table_without_null_rows(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("y\ta\t0.5\nz\ta\t0.5\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*<NULL>"):
+        model1.load_lexical_table(path)
+
+
+def test_lexical_table_rejects_non_finite_probabilities():
+    probs = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="non-finite"):
+        model1.LexicalTable({model1.NULL_TOKEN: 0, "a": 1}, {"x": 0, "y": 1},
+                            probs)
