@@ -4,11 +4,26 @@
 The chain runs ``peereval.cli.main`` in-process on the files of
 ``synthetic.make_noise_benchmark(n_segments=200, seed=0)``:
 
-  - ``toy-scorer train`` on the sources and references;
+  - ``toy-scorer train`` on the sources and references, with 10 and with 3
+    EM iterations;
   - ``toy-scorer score`` of two systems, one of them with tokens the table
     has never seen, and of the other again with an ``--ids`` sidecar;
-  - ``score`` with each of the six ``--method``s, and segment-mode
-    regularization over the two scored systems as two samples.
+  - ``score`` with each of the six ``--method``s; token-mode regularization
+    over one system scored by both tables (two samples with the same
+    tokens); segment-mode regularization over the two scored systems as two
+    samples, and over one sample;
+  - ``toy-scorer score`` and ``score --lang-pair xa-xb`` (mean and median)
+    of all six systems, the rows joined into two system score TSVs;
+  - ``meta-eval`` (tsv and json, the median TSV as ``--baseline``) and
+    ``outliers`` against human system scores;
+  - ``pairwise`` and ``subsample`` over a metric segment TSV (per-segment
+    mean log-probs) and a human segment TSV;
+  - ``tune-thresholds`` over the ``<lang pair>/<system>.jsonl`` files.
+
+The human score of a segment is the share of its hypothesis tokens equal
+to the reference token at the same position; a system's human score is the
+mean over its segments. The script writes both, and both segment TSVs and
+the joined system TSVs, with plain Python arithmetic.
 
 Every stdout and every output file is stored, as text, in
 ``tests/data/e2e_golden.json``; ``tests/test_e2e.py`` re-runs the chain and
@@ -41,6 +56,8 @@ SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 # a band inside the spread of the segment means, so that the threshold
 # score mixes -1, 0 and +1 segments
 BAND = ["--low", "-5.0", "--high", "-2.0"]
+LANG_PAIR = "xa-xb"
+SCORES_DIR = "scores"
 
 
 def _with_unseen(lines, every, token):
@@ -55,6 +72,10 @@ def _with_unseen(lines, every, token):
     return out
 
 
+def _system_path(system):
+    return os.path.join(SCORES_DIR, LANG_PAIR, f"{system}.jsonl")
+
+
 def _write_inputs(bench):
     n = len(bench.sources)
     write_lines("src.txt", (" ".join(s) for s in bench.sources))
@@ -67,21 +88,63 @@ def _write_inputs(bench):
                                           7, "t-unseen"))
     # unique ids, not in line order
     write_lines("ids.txt", (str(1000 + (7 * i) % 211) for i in range(n)))
+    seg_rows, sys_rows = [], []
+    for system, outputs in sorted(bench.system_outputs.items()):
+        write_lines(f"{system}.txt", (" ".join(h) for h in outputs))
+        shares = [sum(h == r for h, r in zip(hyp, ref)) / len(hyp)
+                  for hyp, ref in zip(outputs, bench.references)]
+        seg_rows += [f"{LANG_PAIR}\t{system}\t{seg}\t{share!r}"
+                     for seg, share in enumerate(shares)]
+        sys_rows.append(f"{LANG_PAIR}\t{system}\t{sum(shares) / n!r}")
+    write_lines("human-seg.tsv", ["lang_pair\tsystem\tseg\tscore", *seg_rows])
+    write_lines("human-sys.tsv", ["lang_pair\tsystem\tscore", *sys_rows])
+    os.makedirs(os.path.join(SCORES_DIR, LANG_PAIR))
 
 
-def _steps():
-    """(name, argv, output files) for every CLI call of the chain."""
+def _join_system_scores(systems):
+    """The script step between scoring and meta-evaluation: one system TSV
+    per method from the per-system ``score`` files, and the metric segment
+    TSV of per-segment mean log-probs."""
+    for method in ("mean", "median"):
+        rows = []
+        for system in systems:
+            with open(f"{method}-{system}.tsv", encoding="utf-8") as fh:
+                header, row = fh.read().splitlines()
+            rows.append(row)
+        write_lines(f"{method}-sys.tsv", [header, *rows])
+    seg_rows = []
+    for system in systems:
+        with open(_system_path(system), encoding="utf-8") as fh:
+            for line in fh:
+                record = json.loads(line)
+                mean = sum(record["logp"]) / len(record["logp"])
+                seg_rows.append(f"{LANG_PAIR}\t{system}\t{record['seg']}\t{mean!r}")
+    write_lines("metric-seg.tsv", ["lang_pair\tsystem\tseg\tscore", *seg_rows])
+
+
+def _steps(systems):
+    """(name, action, output files) for every step of the chain.
+
+    ``action`` is CLI argv, or a callable for a step the script does itself;
+    a callable's files are inputs to later steps, not outputs.
+    """
     steps = [
         ("toy-train", ["toy-scorer", "train", "--source", "src.txt",
                        "--target", "ref.txt", "-o", "model.tsv"],
          ["model.tsv"]),
+        ("toy-train-3", ["toy-scorer", "train", "--source", "src.txt",
+                         "--target", "ref.txt", "--iterations", "3",
+                         "-o", "model3.tsv"],
+         ["model3.tsv"]),
     ]
-    for name, src, hyp, extra in (
-            ("toy-score-a", "src.txt", "hyp_a.txt", []),
-            ("toy-score-b", "src_b.txt", "hyp_b.txt", []),
-            ("toy-score-a-ids", "src.txt", "hyp_a.txt", ["--ids", "ids.txt"])):
+    for name, model, src, hyp, extra in (
+            ("toy-score-a", "model.tsv", "src.txt", "hyp_a.txt", []),
+            ("toy-score-b", "model.tsv", "src_b.txt", "hyp_b.txt", []),
+            ("toy-score-a-ids", "model.tsv", "src.txt", "hyp_a.txt",
+             ["--ids", "ids.txt"]),
+            ("toy-score-a3", "model3.tsv", "src.txt", "hyp_a.txt", [])):
         out = f"{name}.jsonl"
-        steps.append((name, ["toy-scorer", "score", "--model", "model.tsv",
+        steps.append((name, ["toy-scorer", "score", "--model", model,
                              "--source", src, "--target", hyp,
                              *extra, "-o", out], [out]))
     for method in METHODS:
@@ -96,6 +159,57 @@ def _steps():
                       ["score", "--samples", "toy-score-a.jsonl",
                        "toy-score-b.jsonl", "--sample-mode", "segment",
                        "--method", method, *band], []))
+    for method in METHODS:
+        band = BAND if method == "threshold" else []
+        steps.append((f"score-token-{method}",
+                      ["score", "--samples", "toy-score-a.jsonl",
+                       "toy-score-a3.jsonl", "--method", method, *band], []))
+    for method in SEGMENT_MODE_METHODS:
+        band = BAND if method == "threshold" else []
+        steps.append((f"score-segment1-{method}",
+                      ["score", "--samples", "toy-score-b.jsonl",
+                       "--sample-mode", "segment", "--method", method, *band],
+                      []))
+    for system in systems:
+        out = _system_path(system)
+        steps.append((f"toy-score-{system}",
+                      ["toy-scorer", "score", "--model", "model.tsv",
+                       "--source", "src.txt", "--target", f"{system}.txt",
+                       "-o", out], [out]))
+        for method in ("mean", "median"):
+            out = f"{method}-{system}.tsv"
+            steps.append((f"score-{method}-{system}",
+                          ["score", "--samples", _system_path(system),
+                           "--method", method, "--system", system,
+                           "--lang-pair", LANG_PAIR, "-o", out], [out]))
+    steps += [
+        ("join", lambda: _join_system_scores(systems), []),
+        ("meta-eval-tsv", ["meta-eval", "--human", "human-sys.tsv",
+                           "--scores", "mean-sys.tsv",
+                           "--baseline", "median-sys.tsv",
+                           "-o", "meta-eval.tsv"], ["meta-eval.tsv"]),
+        ("meta-eval-json", ["meta-eval", "--human", "human-sys.tsv",
+                            "--scores", "mean-sys.tsv",
+                            "--baseline", "median-sys.tsv",
+                            "--format", "json", "-o", "meta-eval.json"],
+         ["meta-eval.json"]),
+        ("outliers", ["outliers", "--human", "human-sys.tsv"], []),
+        ("pairwise", ["pairwise", "--human-seg", "human-seg.tsv",
+                      "--metric-seg", "metric-seg.tsv", "-o", "pairwise.tsv"],
+         ["pairwise.tsv"]),
+        # an alpha small enough that some system pairs are not significant
+        ("pairwise-alpha", ["pairwise", "--human-seg", "human-seg.tsv",
+                            "--metric-seg", "metric-seg.tsv",
+                            "--alpha", "1e-10"], []),
+        ("subsample", ["subsample", "--human", "human-sys.tsv",
+                       "--metric-seg", "metric-seg.tsv",
+                       "--sizes", "25,50,100,200", "--draws", "5",
+                       "--seed", "3", "-o", "subsample.tsv"],
+         ["subsample.tsv"]),
+        ("tune-thresholds", ["tune-thresholds", "--human", "human-sys.tsv",
+                             "--scores-dir", SCORES_DIR,
+                             "--grid=-6:-1:11"], []),
+    ]
     return steps
 
 
@@ -103,18 +217,26 @@ def run_chain(workdir):
     """Run the chain in ``workdir``; return ``{output name: text}``."""
     bench = synthetic.make_noise_benchmark(n_segments=200, seed=0)
     outputs = {}
-    with contextlib.chdir(workdir):
+    # os.chdir, not contextlib.chdir: the package supports Python 3.10
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
         _write_inputs(bench)
-        for name, argv, files in _steps():
+        for name, action, files in _steps(sorted(bench.system_outputs)):
+            if callable(action):
+                action()
+                continue
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv)
+                code = cli.main(action)
             if code != 0:
                 raise RuntimeError(f"{name}: exit {code}")
             outputs[f"{name}:stdout"] = stdout.getvalue()
             for path in files:
                 with open(path, encoding="utf-8") as fh:
                     outputs[f"{name}:{path}"] = fh.read()
+    finally:
+        os.chdir(cwd)
     return outputs
 
 
