@@ -42,13 +42,12 @@ from .metaeval import (
     wilcoxon_ranksum,
     williams_test,
 )
-from .model1 import LexicalTable, score_tokens, train_model1
+from .model1 import LexicalTable, score_corpus, train_model1
 from .ngram import BleuConfig, ChrfConfig, bleu, chrf, cross_bleu
 from .scoring import (
     Aggregation,
     SegmentScore,
     SystemScore,
-    aggregate_segment,
     aggregate_segments,
     regularize,
     system_score,

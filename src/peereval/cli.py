@@ -66,76 +66,69 @@ def _parse_number(kind, token: str, what: str):
         raise ConfigError(f"bad {what} {token!r}") from None
 
 
-def read_segment_scores_tsv(path) -> dict:
-    """Read segment-level scores into {lp: {system: {seg_id: score}}}."""
+def _read_segment_scores(path) -> dict:
+    """A segment score TSV as ``{lp: {system: scores in seg order}}``.
+
+    Every system of a language pair must be scored on the same segments;
+    an AlignmentError names the first system that is not.
+    """
     nested = {}
-    flat = read_score_table(path, SEGMENT_KEYS)
-    for (lp, system, seg), score in flat.items():
+    for (lp, system, seg), score in read_score_table(path,
+                                                     SEGMENT_KEYS).items():
         nested.setdefault(lp, {}).setdefault(system, {})[seg] = score
-    return nested
-
-
-def _aligned_segment_matrix(per_system: dict) -> dict:
-    """{system: {seg: score}} -> {system: np.ndarray} on the shared seg set."""
-    seg_sets = {s: set(v) for s, v in per_system.items()}
-    shared = set.intersection(*seg_sets.values()) if seg_sets else set()
-    if not shared:
-        raise AlignmentError("no shared segments across systems")
-    for system, segs in seg_sets.items():
-        if segs != shared:
-            raise AlignmentError(
-                f"system {system} scored on a different segment set"
-            )
-    order = sorted(shared)
-    return {s: np.array([per_system[s][i] for i in order])
-            for s in per_system}
+    aligned = {}
+    for lp, per_system in nested.items():
+        first, *others = per_system
+        order = sorted(per_system[first])
+        for system in others:
+            if sorted(per_system[system]) != order:
+                raise AlignmentError(
+                    f"{path}: {lp}: system {system} scored on a different "
+                    f"segment set than {first}")
+        aligned[lp] = {system: np.array([scores[i] for i in order])
+                       for system, scores in per_system.items()}
+    return aligned
 
 
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
-def _cmd_score(args) -> int:
-    sample_lists = [load_token_scores(p) for p in args.samples]
-    id_sets = [{s.seg_id for s in lst} for lst in sample_lists]
-    if any(ids != id_sets[0] for ids in id_sets):
-        raise AlignmentError("sample files cover different seg_ids")
-    if not id_sets[0]:
-        raise DomainError("sample files contain no segments")
-    by_id = [dict((s.seg_id, s) for s in lst) for lst in sample_lists]
-    seg_ids = sorted(id_sets[0])
+SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 
+
+def _cmd_score(args) -> int:
     method = args.method
-    if args.sample_mode == "token" or len(sample_lists) == 1:
-        if len(sample_lists) == 1:
-            merged = [by_id[0][i] for i in seg_ids]
-        else:
-            merged = [scoring.regularize([b[i] for b in by_id], "token")
-                      for i in seg_ids]
+    if args.sample_mode == "segment" and method not in SEGMENT_MODE_METHODS:
+        raise ConfigError("--sample-mode segment supports "
+                          f"{', '.join(SEGMENT_MODE_METHODS)}; got {method}")
+    # each file is sorted by seg_id and has no repeated id
+    samples = [load_token_scores(p) for p in args.samples]
+    seg_ids = [s.seg_id for s in samples[0]]
+    for path, sample in zip(args.samples[1:], samples[1:]):
+        if [s.seg_id for s in sample] != seg_ids:
+            raise AlignmentError(
+                f"{path} covers different seg_ids than {args.samples[0]}")
+    if not seg_ids:
+        raise DomainError("sample files contain no segments")
+
+    if args.sample_mode == "segment" and len(samples) > 1:
+        values = [scoring.regularize(group, "segment",
+                                     length_normalize=method != "sum").value
+                  for group in zip(*samples)]
+    else:
+        merged = samples[0] if len(samples) == 1 else [
+            scoring.regularize(group, "token") for group in zip(*samples)]
         if method == "threshold":
             values = scoring.mean_token_logprobs(merged)
         else:
             values = [s.value for s in scoring.aggregate_segments(
                 merged, scoring.Aggregation(method))]
-    else:  # segment-level regularization
-        if method not in ("sum", "mean", "threshold"):
-            raise ConfigError(
-                f"--sample-mode segment supports sum, mean, threshold; "
-                f"got {method}"
-            )
-        values = [scoring.regularize([b[i] for b in by_id], "segment",
-                                     length_normalize=method != "sum").value
-                  for i in seg_ids]
     if method == "threshold":
         values = scoring.threshold_value(values, args.low, args.high)
-    segment_scores = [scoring.SegmentScore(i, float(v))
-                      for i, v in zip(seg_ids, values)]
-
-    method_label = method
-    if method == "threshold":
-        method_label = f"threshold({args.low},{args.high})"
-    sys_score = scoring.system_score(segment_scores, args.system,
-                                     args.lang_pair, method_label)
+    sys_score = scoring.system_score(
+        [scoring.SegmentScore(i, float(v)) for i, v in zip(seg_ids, values)],
+        args.system, args.lang_pair, method)
     _write_rows(args.output,
                 ["system", "lang_pair", "score", "n_segments"],
                 [[sys_score.system_name, sys_score.lang_pair,
@@ -232,8 +225,8 @@ def _cmd_outliers(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_pairwise(args) -> int:
-    metric = read_segment_scores_tsv(args.metric_seg)
-    human = read_segment_scores_tsv(args.human_seg)
+    metric = _read_segment_scores(args.metric_seg)
+    human = _read_segment_scores(args.human_seg)
     shared_pairs = sorted(set(metric) & set(human))
     if not shared_pairs:
         raise AlignmentError("metric and human files share no language pairs")
@@ -247,10 +240,7 @@ def _cmd_pairwise(args) -> int:
             tallies[lp] = metaeval.PairwiseTally()
             continue
         tallies[lp] = metaeval.pairwise_compare(
-            _aligned_segment_matrix(metric[lp]),
-            _aligned_segment_matrix(human[lp]),
-            alpha=args.alpha, lang_pair=lp,
-        )
+            metric[lp], human[lp], alpha=args.alpha, lang_pair=lp)
 
     def tally_row(name, tally):
         return [name, tally.sig_correct, tally.sig_incorrect,
@@ -327,7 +317,7 @@ def _cmd_subsample(args) -> int:
     if not sizes:
         raise ConfigError("no sizes given")
     human = load_human_scores(args.human)
-    metric = read_segment_scores_tsv(args.metric_seg)
+    metric = _read_segment_scores(args.metric_seg)
 
     rows = []
     per_size_all = {size: [] for size in sizes}
@@ -337,9 +327,8 @@ def _cmd_subsample(args) -> int:
         human_lp = human.scores_for(lp)
         if not human_lp:
             raise AlignmentError(f"no human scores for {lp}")
-        matrix = _aligned_segment_matrix(metric[lp])
         curve = metaeval.subsample_correlations(
-            human_lp, matrix, sizes, draws=args.draws, seed=args.seed,
+            human_lp, metric[lp], sizes, draws=args.draws, seed=args.seed,
             lang_pair=lp)
         kept, _ = metaeval.mad_outliers(human_lp)
         if len(kept) < metaeval.MIN_RELIABLE_SYSTEMS:
@@ -436,6 +425,8 @@ def _cmd_subword_nbest(args) -> int:
 
 
 def _cmd_subword_sample(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     model = subword.load_unigram_model(args.model)
     lines = _read_text(args.input)
     # all samples are built first: an error leaves no sample file behind
@@ -481,7 +472,7 @@ def _cmd_toy_score(args) -> int:
     targets = read_lines_with_ids(args.target, args.ids)
     if [i for i, _ in sources] != [i for i, _ in targets]:
         raise AlignmentError("source and target segment ids differ")
-    segments = model1.score_segments(
+    segments = model1.score_corpus(
         table, [(src.split(), tgt.split())
                 for (_, src), (_, tgt) in zip(sources, targets)],
         [seg_id for seg_id, _ in sources])
@@ -512,7 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", type=float, default=-0.6,
                    help="upper confidence threshold (default -0.6)")
     p.add_argument("--sample-mode", choices=["token", "segment"],
-                   default="token")
+                   default="token",
+                   help="token: average per-token log-probs over samples "
+                        "with the same tokens (any method); segment: average "
+                        "segment log-probs (methods: "
+                        + ", ".join(SEGMENT_MODE_METHODS) + ")")
     p.add_argument("--system", default="system")
     p.add_argument("--lang-pair", default="xx-yy")
     p.add_argument("-o", "--output", default=None)

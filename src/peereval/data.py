@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     AlignmentError,
@@ -111,10 +109,6 @@ class TokenScoredSegment:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def logprob_array(self) -> np.ndarray:
-        return np.asarray(self.logprobs, dtype=np.float64)
 
 
 @dataclass(frozen=True)

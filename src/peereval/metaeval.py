@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import LanguagePair
-from .errors import DomainError, InsufficientDataError
+from .errors import ConfigError, DomainError, InsufficientDataError
 
 MAD_SCALE = 1.483  # normal-consistency constant for the MAD
 MAD_CUTOFF = 2.5
@@ -555,6 +555,8 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     segments across systems. Errors name ``lang_pair``.
     """
     prefix = f"{lang_pair}: " if lang_pair else ""
+    if not 0 < alpha < 1:   # also false for nan
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
         raise InsufficientDataError(

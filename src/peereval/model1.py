@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -141,28 +141,17 @@ def score_csr(table: LexicalTable, pairs: Sequence, seg_ids: Sequence):
     return values, offsets
 
 
-def score_segments(table: LexicalTable, pairs: Sequence,
-                   seg_ids: Sequence) -> list:
-    """``score_csr`` as one TokenScoredSegment per pair, named by seg_ids."""
+def score_corpus(table: LexicalTable, pairs: Sequence,
+                 seg_ids: Optional[Sequence] = None) -> list:
+    """``score_csr`` as one TokenScoredSegment per pair, named by
+    ``seg_ids`` (default: positions)."""
+    if seg_ids is None:
+        seg_ids = range(len(pairs))
     values, offsets = score_csr(table, pairs, seg_ids)
     logps, bounds = values.tolist(), offsets.tolist()
     return [TokenScoredSegment(seg_id, tuple(tgt), logps[lo:hi])
             for seg_id, (_, tgt), lo, hi
             in zip(seg_ids, pairs, bounds[:-1], bounds[1:])]
-
-
-def score_tokens(table: LexicalTable, source_tokens: Sequence[str],
-                 target_tokens: Sequence[str],
-                 seg_id: int = 0) -> TokenScoredSegment:
-    """Token log-probs of one target hypothesis given its source: a one-pair
-    ``score_csr`` (see there for the formula and the floor)."""
-    return score_segments(table, [(source_tokens, target_tokens)],
-                          [seg_id])[0]
-
-
-def score_corpus(table: LexicalTable, pairs: Sequence) -> list:
-    """Score (source tokens, target tokens) pairs; seg_ids are positions."""
-    return score_segments(table, pairs, range(len(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,8 @@ class ChrfConfig:
     def __post_init__(self):
         if self.char_order < 1:
             raise ConfigError(f"char_order must be >= 1, got {self.char_order}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:   # also false for nan
+            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
 
 
 _WHITESPACE = re.compile(r"\s+")

@@ -77,12 +77,6 @@ def aggregate_segments(segments: Sequence[TokenScoredSegment],
             for seg, v in zip(segments, chosen)]
 
 
-def aggregate_segment(seg: TokenScoredSegment,
-                      method: Aggregation) -> SegmentScore:
-    """Aggregate one segment's token log-probs into a scalar score."""
-    return aggregate_segments([seg], method)[0]
-
-
 def mean_token_logprobs(segments: Sequence[TokenScoredSegment]) -> np.ndarray:
     """Per-segment mean token log-prob, ordered like ``segments``."""
     if not segments:
@@ -124,7 +118,7 @@ def regularize(samples: Sequence[TokenScoredSegment], mode: str,
                 f"segment {seg_id}: tokenizations differ across samples; "
                 "use segment mode"
             )
-        stacked = np.stack([s.logprob_array for s in samples])
+        stacked = np.array([s.logprobs for s in samples])
         return TokenScoredSegment(seg_id, tokens, stacked.mean(axis=0).tolist())
     if mode == "segment":
         sums = np.array([sum(s.logprobs) for s in samples])

@@ -549,3 +549,132 @@ def test_subword_sample_non_finite_alpha_is_an_error(tmp_path, capsys, alpha):
                      "-o", str(tmp_path / "sample")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"got {alpha}" in err
+
+
+def pairwise_files(tmp_path, metric_rows):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 1, 2), 7)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header + metric_rows)
+    return ["pairwise", "--human-seg", str(human), "--metric-seg", str(metric)]
+
+
+def chrf_args(tmp_path, capsys):
+    text = tmp_path / "text.txt"
+    text.write_text("a b c\n")
+    return ["chrf", "--hyp", str(text), "--ref", str(text)]
+
+
+def pairwise_args(tmp_path, capsys):
+    return pairwise_files(
+        tmp_path, segment_rows("de-en", level_scores((0, 0.5, 2), 5)))
+
+
+def subword_train_args(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(SUBWORD_CORPUS)
+    return ["subword", "train", "--corpus", str(corpus), "--vocab-size", "30",
+            "-o", str(tmp_path / "model.tsv")]
+
+
+def subword_sample_args(tmp_path, capsys):
+    model = subword_model(tmp_path, capsys)
+    text = tmp_path / "input.txt"
+    text.write_text("lowest\n")
+    return ["subword", "sample", "--model", model, "--input", str(text),
+            "-o", str(tmp_path / "sample")]
+
+
+@pytest.mark.parametrize("command, option, value, got", [
+    (chrf_args, "--beta", "nan", "nan"),
+    (chrf_args, "--beta", "inf", "inf"),
+    (pairwise_args, "--alpha", "nan", "nan"),
+    (pairwise_args, "--alpha", "0", "0.0"),
+    (pairwise_args, "--alpha", "-1", "-1.0"),
+    (pairwise_args, "--alpha", "2", "2.0"),
+    (subword_train_args, "--max-piece-len", "0", "0"),
+    (subword_sample_args, "--k", "0", "0"),
+], ids=lambda p: p.__name__[:-5] if callable(p) else p)
+def test_bad_numeric_argument_is_one_error_line(tmp_path, capsys, command,
+                                                option, value, got):
+    args = command(tmp_path, capsys)
+    assert cli.main([*args, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: [^\n]* got {re.escape(got)}\n", captured.err)
+
+
+def test_score_segment_mode_checks_the_method_for_any_sample_count(
+        tmp_path, capsys):
+    a = write_samples(tmp_path / "a.jsonl", [[-0.25, -0.5], [-2.0], [-0.75]])
+    b = write_samples(tmp_path / "b.jsonl", [[-0.5], [-1.0, -1.0], [-1.5]])
+    for samples in ([a], [a, b]):
+        assert cli.main(["score", "--samples", *samples, "--method", "median",
+                         "--sample-mode", "segment"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --sample-mode segment supports sum, mean, threshold; "
+            "got median\n")
+    # one sample: segment mode scores as token mode does
+    for method in ("sum", "mean", "threshold"):
+        assert cli.main(["score", "--samples", a, "--method", method]) == 0
+        token_mode = capsys.readouterr().out
+        assert cli.main(["score", "--samples", a, "--method", method,
+                         "--sample-mode", "segment"]) == 0
+        assert capsys.readouterr().out == token_mode
+
+
+def test_score_names_the_first_sample_file_over_other_seg_ids(
+        tmp_path, capsys):
+    a = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0], [-1.5]])
+    b = write_samples(tmp_path / "b.jsonl", [[-0.25], [-0.5], [-0.75]])
+    c = str(tmp_path / "c.jsonl")
+    write_token_scores(c, [TokenScoredSegment(i, ["t0"], [-1.0])
+                           for i in (0, 1, 3)])
+    d = str(tmp_path / "d.jsonl")
+    write_token_scores(d, [TokenScoredSegment(i, ["t0"], [-1.0])
+                           for i in (0, 1)])
+    for mode in ("token", "segment"):
+        for samples, bad in (([a, b, c], c), ([a, c, d], c), ([a, d], d)):
+            assert cli.main(["score", "--samples", *samples, "--method",
+                             "mean", "--sample-mode", mode]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad} covers different seg_ids than {a}\n")
+
+
+def misaligned_rows(lang_pair):
+    """Systems A and C on segments 0-11, B on segments 0-10."""
+    scores = level_scores((0, 0.5, 2), 5)
+    rows = segment_rows(lang_pair, scores)
+    return "".join(row for row in rows.splitlines(keepends=True)
+                   if not row.startswith(f"{lang_pair}\tB\t11\t"))
+
+
+def test_pairwise_system_on_other_segments_is_an_error(tmp_path, capsys):
+    args = pairwise_files(tmp_path, misaligned_rows("de-en"))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {args[-1]}: de-en: system B scored on a different segment "
+        "set than A\n")
+    # a misaligned pair that only the metric file has is an error too
+    args = pairwise_files(
+        tmp_path, segment_rows("de-en", level_scores((0, 0.5, 2), 5))
+        + misaligned_rows("fr-en"))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {args[-1]}: fr-en: system B scored on a different segment "
+        "set than A\n")
+
+
+def test_subsample_system_on_other_segments_is_an_error(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + misaligned_rows("de-en"))
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "4"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {metric}: de-en: system B scored on a different segment "
+        "set than A\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peereval.errors import DomainError, InsufficientDataError
+from peereval.errors import ConfigError, DomainError, InsufficientDataError
 from peereval.metaeval import (
     GROUPS,
     PairwiseTally,
@@ -538,6 +538,13 @@ class TestPairwise:
         with pytest.raises(DomainError, match="^de-en: pairwise comparison "
                            "needs >= 2 systems"):
             pairwise_compare({"A": [1.0]}, {"A": [1.0]}, lang_pair="de-en")
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 1.0, 2.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        base = np.linspace(0, 1, 50)
+        with pytest.raises(ConfigError, match=f"got {alpha}$"):
+            pairwise_compare({"A": base + 1.0, "B": base},
+                             {"A": base + 1.0, "B": base}, alpha=alpha)
 
 
 class TestSubsample:

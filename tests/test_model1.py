@@ -32,11 +32,12 @@ def test_lexical_table_round_trip(small_bench, tmp_path):
     path = tmp_path / "table.tsv"
     model1.save_lexical_table(table, path)
     loaded = model1.load_lexical_table(path)
-    noisy = small_bench.system_outputs["sys-noise50"]
-    for src, tgt in zip(small_bench.sources, noisy):
-        before = model1.score_tokens(table, src, tgt).logprobs
-        after = model1.score_tokens(loaded, src, tgt).logprobs
-        np.testing.assert_allclose(after, before, rtol=0, atol=1e-4)
+    pairs = list(zip(small_bench.sources,
+                     small_bench.system_outputs["sys-noise50"]))
+    for before, after in zip(model1.score_corpus(table, pairs),
+                             model1.score_corpus(loaded, pairs), strict=True):
+        np.testing.assert_allclose(after.logprobs, before.logprobs, rtol=0,
+                                   atol=1e-4)
 
 
 def test_empty_pairs_skipped(caplog):
@@ -160,7 +161,7 @@ def test_scoring_looks_up_the_null_column():
     assert model1.score_corpus(moved, pairs) == score_corpus_loop(moved, pairs)
 
 
-def test_score_csr_layout_and_score_tokens():
+def test_score_csr_layout_and_one_pair_scoring():
     rng = np.random.default_rng(41)
     table, src_vocab, tgt_vocab = random_table(rng)
     pairs = [(rng.choice(src_vocab, size=3).tolist(),
@@ -169,8 +170,10 @@ def test_score_csr_layout_and_score_tokens():
     assert offsets.tolist() == [0, 2, 7, 8]
     for (src, tgt), lo, hi, seg_id in zip(pairs, offsets[:-1], offsets[1:],
                                           [7, 3, 9]):
-        seg = model1.score_tokens(table, src, tgt, seg_id=seg_id)
+        # a pair scored alone gets the log-probs it gets in the batch
+        (seg,) = model1.score_corpus(table, [(src, tgt)], [seg_id])
         assert seg.seg_id == seg_id
+        assert seg.tokens == tuple(tgt)
         assert seg.logprobs == tuple(values[lo:hi].tolist())
 
 
@@ -183,7 +186,7 @@ def test_empty_target_names_its_seg_id():
     with pytest.raises(DomainError, match="^segment 1: empty target$"):
         model1.score_corpus(table, pairs)
     with pytest.raises(DomainError, match="^segment 5: empty target$"):
-        model1.score_tokens(table, ["s1"], [], seg_id=5)
+        model1.score_corpus(table, [(["s1"], [])], [5])
 
 
 @pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-0.5", "1.5"])

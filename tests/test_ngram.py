@@ -7,7 +7,7 @@ import unicodedata
 import pytest
 
 from peereval import ngram
-from peereval.errors import AlignmentError, DomainError
+from peereval.errors import AlignmentError, ConfigError, DomainError
 
 
 def test_bleu_oracle_table(ngram_oracle):
@@ -86,3 +86,9 @@ def test_cross_bleu_matrix_rejects_unequal_lengths():
 def test_cross_bleu_matrix_rejects_degenerate_input(outputs):
     with pytest.raises(DomainError):
         ngram.cross_bleu_matrix(outputs)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_chrf_config_rejects_beta_that_is_not_finite_and_positive(beta):
+    with pytest.raises(ConfigError, match=f"got {beta}$"):
+        ngram.ChrfConfig(beta=beta)

@@ -18,7 +18,6 @@ from peereval.metaeval import pearson
 from peereval.scoring import (
     DEFAULT_THRESHOLD_GRID,
     Aggregation,
-    aggregate_segment,
     aggregate_segments,
     mean_token_logprobs,
     regularize,
@@ -36,6 +35,10 @@ logprob_lists = st.lists(
 def seg(logps, seg_id=0):
     return TokenScoredSegment(seg_id, [f"t{i}" for i in range(len(logps))],
                               logps)
+
+
+def aggregate_segment(segment, method):
+    return aggregate_segments([segment], method)[0]
 
 
 class TestAggregate:

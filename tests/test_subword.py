@@ -169,3 +169,10 @@ def test_bad_model_file_is_a_parse_error_naming_it(tmp_path, text, message):
     with pytest.raises(ParseError, match=message) as info:
         subword.load_unigram_model(path)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize("max_piece_len", [0, -1])
+def test_train_rejects_max_piece_len_below_1(max_piece_len):
+    with pytest.raises(ConfigError, match=f"got {max_piece_len}$"):
+        subword.train_unigram(WORDS, vocab_size=30,
+                              max_piece_len=max_piece_len)
