@@ -18,7 +18,12 @@ The chain runs ``peereval.cli.main`` in-process on the files of
     ``outliers`` against human system scores;
   - ``pairwise`` and ``subsample`` over a metric segment TSV (per-segment
     mean log-probs) and a human segment TSV;
-  - ``tune-thresholds`` over the ``<lang pair>/<system>.jsonl`` files.
+  - ``tune-thresholds`` over the ``<lang pair>/<system>.jsonl`` files;
+  - on a small Unicode/CJK text set (a reference and two hypotheses):
+    ``bleu`` with each of the three tokenizers, with ``--smoothing
+    exp-floor`` and with ``--max-order 2``; ``chrf``; ``cross-bleu`` of the
+    two hypotheses as a pair, with ``--both``, and of all three files with
+    ``--matrix``.
 
 The human score of a segment is the share of its hypothesis tokens equal
 to the reference token at the same position; a system's human score is the
@@ -58,6 +63,52 @@ SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 BAND = ["--low", "-5.0", "--high", "-2.0"]
 LANG_PAIR = "xa-xb"
 SCORES_DIR = "scores"
+
+# Lines for the n-gram baselines: digit-adjacent separators, Unicode
+# punctuation and symbols (astral ones too), CJK, full-width forms,
+# combining marks and non-ASCII digits, as in gen_tokenize_oracle.py.
+UNICODE_REF = [
+    "«Bonjour», dit-il. C'est l'été: 25°C, à 10h30.",
+    "中文，测试。我们今天去公园。",
+    "pi is 3.14, e is 2.718; 1,000,000 and 1.000.000!",
+    "¿Qué? ¡Sí! “quoted” ‘single’ „low“",
+    "【注意】「かぎ」『二重』ひらがなカタカナ",
+    "price: 5€/kg ±0.5 © 2021 ®™ °C ≤ ∞ ≠ √2",
+    "🚀 launch 🚀🚀 a🚀b 😀.😀 𝄞 music",
+    "한국어 텍스트 ＡＢＣ１２３ 全角！？",
+    "em—dash – en-dash ‐ hyphen a·b•c …",
+    "Mr. Smith's e-mail: john@example.com (2021-03-04)!",
+    "𠀀𠀁 ext-b 㐀 ext-a 豈 compat",
+    "e\u0301te\u0301 n\u0303 ٣.٤ १,२३४.५ ²³.¼ Ⅻ.",
+]
+UNICODE_HYP_A = [
+    "«Bonjour» , dit-il. C'est l'été : 25 °C, à 10h30 .",
+    "中文测试。我们明天去公园。",
+    "pi is 3.14 , e is 2.718 ; 1,000,000 and 1.000.000",
+    "¿Qué? ¡Sí! \"quoted\" ‘single’ „low“",
+    "【注意】「かぎ」『二重』カタカナ",
+    "price: 5 €/kg ±0.5 © 2021 ®™ °C ≤ ∞ ≠ √2",
+    "🚀 launch 🚀 a🚀b 😀 . 😀 𝄞 music",
+    "한국어 텍스트 ABC123 全角！?",
+    "em—dash – en-dash - hyphen a·b•c ...",
+    "Mr. Smith's email: john@example.com (2021-03-04) !",
+    "𠀀𠀁 ext-b 㐀 ext-a 豈 compat",
+    "e\u0301te\u0301 n\u0303 ٣.٤ १,२३४.५ ²³.¼",
+]
+UNICODE_HYP_B = [
+    "Bonjour, il dit. C'est l'ete: 25 C à 10:30.",
+    "中，文。我们今天去学校",
+    "pi is 3,14 and e is 2.718!",
+    "Que? Si! «quoted» 'single' low",
+    "「注意」かぎ 二重 ひらがな",
+    "price 5 EUR per kg, © 2021 °C < ∞",
+    "launch 🚀🚀🚀 😀😀 music 𝄞",
+    "한국어 ＡＢＣ 全角",
+    "em-dash en-dash hyphen a.b.c",
+    "Mr Smith e-mail john@example.com 2021-03-04",
+    "𠀀 ext-b 㐀 豈",
+    "ete n ٣ १२३४ ²³",
+]
 
 
 def _with_unseen(lines, every, token):
@@ -99,6 +150,9 @@ def _write_inputs(bench):
     write_lines("human-seg.tsv", ["lang_pair\tsystem\tseg\tscore", *seg_rows])
     write_lines("human-sys.tsv", ["lang_pair\tsystem\tscore", *sys_rows])
     os.makedirs(os.path.join(SCORES_DIR, LANG_PAIR))
+    for name, lines in (("uni_ref", UNICODE_REF), ("uni_a", UNICODE_HYP_A),
+                        ("uni_b", UNICODE_HYP_B)):
+        write_lines(f"{name}.txt", lines)
 
 
 def _join_system_scores(systems):
@@ -209,6 +263,28 @@ def _steps(systems):
         ("tune-thresholds", ["tune-thresholds", "--human", "human-sys.tsv",
                              "--scores-dir", SCORES_DIR,
                              "--grid=-6:-1:11"], []),
+    ]
+    uni = ["--hyp", "uni_a.txt", "--ref", "uni_ref.txt"]
+    for tokenizer in ("intl", "whitespace", "char-for-zh"):
+        steps.append((f"bleu-{tokenizer}",
+                      ["bleu", *uni, "--tokenizer", tokenizer,
+                       "-o", f"bleu-{tokenizer}.tsv"],
+                      [f"bleu-{tokenizer}.tsv"]))
+    pair = ["--outputs", "uni_a.txt", "uni_b.txt"]
+    steps += [
+        # split at whitespace only, hypothesis b shares no 3- or 4-gram
+        # with the reference, so the score without smoothing is 0
+        ("bleu-exp-floor", ["bleu", "--hyp", "uni_b.txt", "--ref",
+                            "uni_ref.txt", "--tokenizer", "whitespace",
+                            "--smoothing", "exp-floor"], []),
+        ("bleu-max-order-2", ["bleu", *uni, "--max-order", "2"], []),
+        ("chrf", ["chrf", *uni, "-o", "chrf.tsv"], ["chrf.tsv"]),
+        ("cross-bleu-pair", ["cross-bleu", *pair], []),
+        ("cross-bleu-both", ["cross-bleu", *pair, "--both",
+                             "--tokenizer", "char-for-zh"], []),
+        ("cross-bleu-matrix", ["cross-bleu", "--outputs", "uni_ref.txt",
+                               "uni_a.txt", "uni_b.txt", "--matrix",
+                               "-o", "cross-bleu.tsv"], ["cross-bleu.tsv"]),
     ]
     return steps
 
