@@ -5,9 +5,13 @@ Runs every tokenizer in ``peereval.ngram.TOKENIZERS`` over a fixed,
 Unicode-heavy line set and writes the tokens to
 ``tests/data/tokenize_oracle.json``. The table pins the tokenizers' current
 behaviour, so that a faster implementation can be checked token for token:
-regenerate it only when a change of tokenization is intended, or when the
-Python in use ships a different Unicode database (the character classes
-come from ``unicodedata``, whose version the table records).
+regenerate it only when a change of tokenization is intended.
+
+The punctuation and symbol classes come from the frozen table
+``src/peereval/_unicode_classes.py``, not from the running interpreter's
+``unicodedata``, and this file records the table's Unicode version. The two
+files are regenerated together: when ``scripts/gen_unicode_classes.py``
+moves the table to another Unicode version, run this script after it.
 
 The line set holds hand-picked cases (digit-adjacent separators, Unicode
 punctuation, symbols, CJK, combining marks, non-ASCII digits, whitespace)
@@ -22,6 +26,7 @@ import random
 import sys
 import unicodedata
 
+from peereval._unicode_classes import UNIDATA_VERSION
 from peereval.ngram import TOKENIZERS
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
@@ -95,7 +100,7 @@ def main():
              for line in HAND_LINES + random_lines()]
     with open(OUT_PATH, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{"unidata_version": '
-                 + json.dumps(unicodedata.unidata_version) + ',\n"cases": [\n')
+                 + json.dumps(UNIDATA_VERSION) + ',\n"cases": [\n')
         fh.write(",\n".join(json.dumps(case, ensure_ascii=False)
                             for case in cases))
         fh.write("\n]}\n")

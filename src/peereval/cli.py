@@ -66,8 +66,9 @@ def _parse_number(kind, token: str, what: str):
         raise ConfigError(f"bad {what} {token!r}") from None
 
 
-def _read_segment_scores(path) -> dict:
-    """A segment score TSV as ``{lp: {system: scores in seg order}}``.
+def _read_segment_scores(path):
+    """A segment score TSV as ``({lp: {system: scores in seg order}},
+    {lp: sorted seg ids})``.
 
     Every system of a language pair must be scored on the same segments;
     an AlignmentError names the first system that is not.
@@ -76,7 +77,7 @@ def _read_segment_scores(path) -> dict:
     for (lp, system, seg), score in read_score_table(path,
                                                      SEGMENT_KEYS).items():
         nested.setdefault(lp, {}).setdefault(system, {})[seg] = score
-    aligned = {}
+    aligned, seg_ids = {}, {}
     for lp, per_system in nested.items():
         first, *others = per_system
         order = sorted(per_system[first])
@@ -87,7 +88,8 @@ def _read_segment_scores(path) -> dict:
                     f"segment set than {first}")
         aligned[lp] = {system: np.array([scores[i] for i in order])
                        for system, scores in per_system.items()}
-    return aligned
+        seg_ids[lp] = order
+    return aligned, seg_ids
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +227,10 @@ def _cmd_outliers(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_pairwise(args) -> int:
-    metric = _read_segment_scores(args.metric_seg)
-    human = _read_segment_scores(args.human_seg)
+    # checked here too: a pair with one system never reaches pairwise_compare
+    metaeval.check_alpha(args.alpha)
+    metric, metric_ids = _read_segment_scores(args.metric_seg)
+    human, human_ids = _read_segment_scores(args.human_seg)
     shared_pairs = sorted(set(metric) & set(human))
     if not shared_pairs:
         raise AlignmentError("metric and human files share no language pairs")
@@ -235,6 +239,10 @@ def _cmd_pairwise(args) -> int:
     for lp in shared_pairs:
         if sorted(metric[lp]) != sorted(human[lp]):
             raise AlignmentError(f"{lp}: metric and human systems differ")
+        if metric_ids[lp] != human_ids[lp]:
+            raise AlignmentError(
+                f"{lp}: {args.metric_seg} and {args.human_seg} score "
+                "different segments")
         if len(metric[lp]) < 2:
             # one system: no system pair to compare, an all-zero row
             tallies[lp] = metaeval.PairwiseTally()
@@ -317,7 +325,7 @@ def _cmd_subsample(args) -> int:
     if not sizes:
         raise ConfigError("no sizes given")
     human = load_human_scores(args.human)
-    metric = _read_segment_scores(args.metric_seg)
+    metric, _ = _read_segment_scores(args.metric_seg)
 
     rows = []
     per_size_all = {size: [] for size in sizes}

@@ -541,6 +541,12 @@ class PairwiseTally:
         )
 
 
+def check_alpha(alpha: float) -> None:
+    """A ConfigError unless ``alpha`` is a significance level in (0, 1)."""
+    if not 0 < alpha < 1:   # also false for nan
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
                      human_segment_scores: Mapping[str, Sequence[float]],
                      alpha: float = 0.05,
@@ -554,9 +560,8 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     and human mean differences agree. Scores must be aligned on the same
     segments across systems. Errors name ``lang_pair``.
     """
+    check_alpha(alpha)
     prefix = f"{lang_pair}: " if lang_pair else ""
-    if not 0 < alpha < 1:   # also false for nan
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
         raise InsufficientDataError(

@@ -6,6 +6,12 @@ orders that produced any hypothesis n-grams, times the brevity penalty.
 chrF is the character n-gram F-beta with whitespace removed before n-gram
 extraction. Cross-BLEU scores one system's output against another's to
 measure proximity between systems.
+
+The ``intl`` tokenizer (also behind ``char-for-zh``) splits at Unicode
+punctuation and symbols. Those classes are a frozen table,
+``_unicode_classes``, generated by ``scripts/gen_unicode_classes.py``, so
+tokenization follows the table's Unicode version, not the running
+interpreter's, and no process scans the code points.
 """
 
 from __future__ import annotations
@@ -13,12 +19,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from . import _unicode_classes
 from .errors import AlignmentError, ConfigError, DomainError
 
 
@@ -26,37 +31,17 @@ from .errors import AlignmentError, ConfigError, DomainError
 # Tokenization
 # ---------------------------------------------------------------------------
 
-def _category_classes() -> Tuple[str, str]:
-    """Regex class bodies matching Unicode punctuation (P*) and symbols (S*).
-
-    One pass over the code points collects each class as runs of
-    consecutive code points, and each run becomes one ``a-b`` range, so
-    ``sre`` tests a few hundred ranges rather than thousands of single
-    characters.
-    """
-    runs = {"P": [], "S": []}
-    for code in range(sys.maxunicode):
-        class_runs = runs.get(unicodedata.category(chr(code))[0])
-        if class_runs is None:
-            continue
-        if class_runs and class_runs[-1][1] == code - 1:
-            class_runs[-1][1] = code
-        else:
-            class_runs.append([code, code])
-
-    def body(major: str) -> str:
-        return "".join(
-            re.escape(chr(first)) if first == last
-            else f"{re.escape(chr(first))}-{re.escape(chr(last))}"
-            for first, last in runs[major]
-        )
-
-    return body("P"), body("S")
-
-
 @functools.lru_cache(maxsize=None)
 def _intl_regexes():
-    punct, symbols = _category_classes()
+    """The three regexes of ``tokenize_intl``, compiled on first use.
+
+    Their punctuation and symbol classes are the frozen bodies in
+    ``_unicode_classes`` (Unicode ``UNIDATA_VERSION``), written by
+    ``scripts/gen_unicode_classes.py``; nothing here reads the running
+    interpreter's Unicode database. Compiling takes a few milliseconds, so
+    it waits for the first tokenization rather than the import.
+    """
+    punct, symbols = _unicode_classes.PUNCT, _unicode_classes.SYMBOLS
     return (
         re.compile(rf"([^\d])([{punct}])"),
         re.compile(rf"([{punct}])([^\d])"),

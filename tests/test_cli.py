@@ -667,6 +667,37 @@ def test_pairwise_system_on_other_segments_is_an_error(tmp_path, capsys):
         "set than A\n")
 
 
+def test_pairwise_files_on_other_segments_is_an_error(tmp_path, capsys):
+    # human segments 0-11, metric segments 100-111: nothing is paired
+    shifted = "".join(
+        f"de-en\t{system}\t{seg + 100}\t{value!r}\n"
+        for system, values in zip(SYSTEMS, level_scores((0, 0.5, 2), 5))
+        for seg, value in enumerate(values))
+    args = pairwise_files(tmp_path, shifted)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: de-en: {args[-1]} and {args[-3]} score different segments\n")
+
+
+def test_pairwise_checks_alpha_when_no_pair_has_two_systems(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header + segment_rows("de-en", [[0.5, 1, 1.5, 2]]))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header + segment_rows("de-en", [[-2, -1, -3, -4]]))
+    args = ["pairwise", "--human-seg", str(human), "--metric-seg", str(metric)]
+    assert cli.main([*args, "--alpha", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must be in (0, 1), got nan\n"
+    assert cli.main([*args, "--alpha", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "de-en\t0\t0\t0\t0\t0\t0",
+        "[all]\t0\t0\t0\t0\t0\t0",
+        "[xx-en]\t0\t0\t0\t0\t0\t0",
+    ]
+
+
 def test_subsample_system_on_other_segments_is_an_error(tmp_path, capsys):
     human = tmp_path / "human.tsv"
     human.write_text(HEADER + rows("de-en", HUMAN))
