@@ -19,6 +19,10 @@ The chain runs ``peereval.cli.main`` in-process on the files of
   - ``pairwise`` and ``subsample`` over a metric segment TSV (per-segment
     mean log-probs) and a human segment TSV;
   - ``tune-thresholds`` over the ``<lang pair>/<system>.jsonl`` files;
+  - ``subword train`` on the references with a vocabulary smaller than
+    their 60 distinct words, ``subword nbest`` of one word, and ``subword
+    sample`` of one system into two files, at a non-default ``--alpha``
+    (the two samples differ);
   - on a small Unicode/CJK text set (a reference and two hypotheses):
     ``bleu`` with each of the three tokenizers, with ``--smoothing
     exp-floor`` and with ``--max-order 2``; ``chrf``; ``cross-bleu`` of the
@@ -62,6 +66,9 @@ SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 # score mixes -1, 0 and +1 segments
 BAND = ["--low", "-5.0", "--high", "-2.0"]
 LANG_PAIR = "xa-xb"
+# fewer pieces than the references' 60 distinct words, so that words split
+# into several pieces and sampling has segmentations to choose between
+SUBWORD_VOCAB = 30
 SCORES_DIR = "scores"
 
 # Lines for the n-gram baselines: digit-adjacent separators, Unicode
@@ -263,6 +270,15 @@ def _steps(systems):
         ("tune-thresholds", ["tune-thresholds", "--human", "human-sys.tsv",
                              "--scores-dir", SCORES_DIR,
                              "--grid=-6:-1:11"], []),
+        ("subword-train", ["subword", "train", "--corpus", "ref.txt",
+                           "--vocab-size", str(SUBWORD_VOCAB), "--rounds", "4",
+                           "-o", "subword.tsv"], ["subword.tsv"]),
+        ("subword-nbest", ["subword", "nbest", "--model", "subword.tsv",
+                           "--text", "t051", "--n", "4"], []),
+        ("subword-sample", ["subword", "sample", "--model", "subword.tsv",
+                            "--input", "hyp_a.txt", "--k", "2", "--seed", "5",
+                            "--alpha", "0.5", "-o", "sample"],
+         ["sample.1.txt", "sample.2.txt"]),
     ]
     uni = ["--hyp", "uni_a.txt", "--ref", "uni_ref.txt"]
     for tokenizer in ("intl", "whitespace", "char-for-zh"):

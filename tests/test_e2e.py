@@ -55,6 +55,12 @@ def test_chain_outputs_match_golden(chain_outputs, golden):
         assert_same_output(name, chain_outputs[name], want)
 
 
+def test_subword_samples_differ(golden):
+    # a vocabulary that gives every word a piece of its own samples nothing
+    assert golden["subword-sample:sample.1.txt"] != \
+        golden["subword-sample:sample.2.txt"]
+
+
 def test_float_comparison_catches_a_changed_digit():
     want = '{"seg": 3, "logp": [-1.25, -2.5e-05]}\n'
     assert_same_output("same", want, want)
