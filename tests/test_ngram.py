@@ -1,8 +1,11 @@
-"""Corpus BLEU and chrF against the frozen brute-force oracle table, the
-tokenizers against their frozen characterization table, and cross-BLEU
-against BLEU."""
+"""Corpus BLEU and chrF against the frozen brute-force oracle table and
+against brute-force per-order counts on random text, the tokenizers against
+their frozen characterization table, and cross-BLEU against BLEU."""
 
+import math
+import random
 import unicodedata
+from collections import Counter
 
 import pytest
 
@@ -92,3 +95,136 @@ def test_cross_bleu_matrix_rejects_degenerate_input(outputs):
 def test_chrf_config_rejects_beta_that_is_not_finite_and_positive(beta):
     with pytest.raises(ConfigError, match=f"got {beta}$"):
         ngram.ChrfConfig(beta=beta)
+
+
+# Exactness on random text: every statistic is an integer, so BLEU and chrF
+# must equal, bit for bit, the same score tail fed by brute-force per-order
+# counts (a Counter per order, clipped by min for BLEU and by & for chrF).
+
+def brute_bleu(hyps, refs, cfg):
+    tok = ngram.TOKENIZERS[cfg.tokenizer]
+    correct, total = [0] * cfg.max_order, [0] * cfg.max_order
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        hyp, ref = tok(hyp), tok(ref)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, cfg.max_order + 1):
+            hyp_counts = Counter(tuple(hyp[i:i + n])
+                                 for i in range(len(hyp) - n + 1))
+            ref_counts = Counter(tuple(ref[i:i + n])
+                                 for i in range(len(ref) - n + 1))
+            total[n - 1] += sum(hyp_counts.values())
+            correct[n - 1] += sum(min(c, ref_counts[g])
+                                  for g, c in hyp_counts.items())
+    if ref_len == 0:
+        raise DomainError("reference corpus has no tokens")
+    if hyp_len == 0:
+        return 0.0
+    logs, zero_run = [], 0
+    for n in range(cfg.max_order):
+        if total[n] == 0:
+            continue
+        if correct[n]:
+            logs.append(math.log(correct[n] / total[n]))
+        elif cfg.smoothing == "exp-floor":
+            zero_run += 1
+            logs.append(math.log(1.0 / (2 ** zero_run * total[n])))
+        else:
+            return 0.0
+    if not logs:
+        return 0.0
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(sum(logs) / len(logs))
+
+
+def brute_chrf(hyps, refs, cfg):
+    order = cfg.char_order
+    matches, hyp_totals, ref_totals = [0] * order, [0] * order, [0] * order
+    for hyp, ref in zip(hyps, refs):
+        hyp, ref = "".join(hyp.split()), "".join(ref.split())
+        for n in range(1, order + 1):
+            hyp_counts = Counter(hyp[i:i + n] for i in range(len(hyp) - n + 1))
+            ref_counts = Counter(ref[i:i + n] for i in range(len(ref) - n + 1))
+            hyp_totals[n - 1] += sum(hyp_counts.values())
+            ref_totals[n - 1] += sum(ref_counts.values())
+            matches[n - 1] += sum((hyp_counts & ref_counts).values())
+    if sum(ref_totals) == 0:
+        raise DomainError("reference corpus is empty after whitespace removal")
+    beta_sq = cfg.beta ** 2
+    f_scores = []
+    for n in range(order):
+        if hyp_totals[n] == 0 and ref_totals[n] == 0:
+            continue
+        precision = matches[n] / hyp_totals[n] if hyp_totals[n] else 0.0
+        recall = matches[n] / ref_totals[n] if ref_totals[n] else 0.0
+        if precision + recall == 0.0:
+            f_scores.append(0.0)
+        else:
+            f_scores.append((1 + beta_sq) * precision * recall
+                            / (beta_sq * precision + recall))
+    return 100.0 * sum(f_scores) / len(f_scores) if f_scores else 0.0
+
+
+# Few distinct characters, so that n-grams of every order repeat and match;
+# whitespace includes a tab and the ideographic space.
+ALPHABET = ("ab12.,-'" "«»“”—…¿¡€°" "中文测试我们。，" "ＡＢ！" "🚀😀"
+            + "   \t\u3000")
+
+
+def random_corpus(rng):
+    """(hypotheses, references): 1-4 segments, each hypothesis an edit of
+    its reference or unrelated text."""
+    hyps, refs = [], []
+    for _ in range(rng.randint(1, 4)):
+        ref = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 24)))
+        if rng.random() < 0.7:
+            chars = list(ref)
+            for _ in range(rng.randint(0, 4)):
+                k = rng.randint(0, len(chars))
+                if rng.random() < 0.5 and k < len(chars):
+                    del chars[k]
+                else:
+                    chars.insert(k, rng.choice(ALPHABET))
+            hyp = "".join(chars)
+        else:
+            hyp = "".join(rng.choice(ALPHABET)
+                          for _ in range(rng.randint(0, 24)))
+        hyps.append(hyp)
+        refs.append(ref)
+    return hyps, refs
+
+
+def outcome(score, *args):
+    try:
+        return score(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+BLEU_SETTINGS = [{}, {"smoothing": "exp-floor"}, {"max_order": 1},
+                 {"max_order": 2}]
+CHRF_SETTINGS = [(6, 2.0), (3, 1.0), (1, 3.0)]
+
+
+def test_bleu_and_chrf_equal_brute_force_counts_on_random_text():
+    rng = random.Random(20210411)
+    corpora = [random_corpus(rng) for _ in range(150)]
+    scored = Counter()
+    for hyps, refs in corpora:
+        for tokenizer in ngram.TOKENIZERS:
+            for settings in BLEU_SETTINGS:
+                cfg = ngram.BleuConfig(tokenizer=tokenizer, **settings)
+                want = outcome(brute_bleu, hyps, refs, cfg)
+                assert outcome(ngram.bleu, hyps, refs, cfg) == want, \
+                    (hyps, refs, cfg)
+                scored["bleu", type(want) is float and 0 < want < 100] += 1
+        for order, beta in CHRF_SETTINGS:
+            cfg = ngram.ChrfConfig(char_order=order, beta=beta)
+            want = outcome(brute_chrf, hyps, refs, cfg)
+            assert outcome(ngram.chrf, hyps, refs, cfg) == want, \
+                (hyps, refs, cfg)
+            scored["chrf", type(want) is float and 0 < want < 100] += 1
+    # most cases score strictly between 0 and 100
+    assert scored["bleu", True] > scored["bleu", False]
+    assert scored["chrf", True] > scored["chrf", False]
