@@ -310,9 +310,14 @@ def _cmd_cross_bleu(args) -> int:
         # One matrix call tokenizes each file once for both directions.
         names, matrix, _ = ngram.cross_bleu_matrix(texts, cfg)
         i, j = names.index(name_a), names.index(name_b)
-        print(f"{name_a}->{name_b}\t{matrix[i][j]:.3f}")
+        rows = [[name_a, name_b, matrix[i][j]]]
         if args.both:
-            print(f"{name_b}->{name_a}\t{matrix[j][i]:.3f}")
+            rows.append([name_b, name_a, matrix[j][i]])
+        for hyp, ref, value in rows:
+            print(f"{hyp}->{ref}\t{value:.3f}")
+        if args.output:
+            _write_rows(args.output, ["hyp", "ref", "score"],
+                        [[hyp, ref, repr(value)] for hyp, ref, value in rows])
     return 0
 
 

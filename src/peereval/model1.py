@@ -28,6 +28,10 @@ NULL_TOKEN = "<NULL>"
 # min/mean statistics finite on noisy hypotheses.
 UNSEEN_PROB_FLOOR = 1e-12
 
+# Probabilities below this are left out of a saved table, which keeps model
+# files small; the loader renormalizes each source's remaining mass.
+SAVE_MIN_PROB = 1e-9
+
 
 @dataclass(frozen=True)
 class LexicalTable:
@@ -158,12 +162,11 @@ def score_corpus(table: LexicalTable, pairs: Sequence,
 # Model files: TSV target<TAB>source<TAB>prob
 # ---------------------------------------------------------------------------
 
-def save_lexical_table(table: LexicalTable, path,
-                       min_prob: float = 1e-9) -> None:
-    """Write nonzero entries; probabilities below min_prob are dropped."""
+def save_lexical_table(table: LexicalTable, path) -> None:
+    """Write the entries of at least SAVE_MIN_PROB."""
     inv_src = {i: s for s, i in table.source_index.items()}
     inv_tgt = {i: t for t, i in table.target_index.items()}
-    rows, cols = np.nonzero(table.probs >= min_prob)
+    rows, cols = np.nonzero(table.probs >= SAVE_MIN_PROB)
     entries = sorted(
         (inv_tgt[r], inv_src[c], table.probs[r, c])
         for r, c in zip(rows.tolist(), cols.tolist())

@@ -1,11 +1,19 @@
 """Reference-based n-gram baselines: corpus BLEU, chrF, and cross-BLEU.
 
+One engine computes the statistic all three rest on: per order n, the
+clipped n-gram matches of hypothesis against reference and the n-gram
+totals, summed over the corpus. ``_ngram_counts`` keys every n-gram of a
+sequence by its n-tuple; a sequence of length L has max(L - n + 1, 0)
+n-grams of order n, so the totals follow from the lengths. BLEU feeds the
+engine tokens; chrF feeds it each segment's characters with whitespace
+removed, so its n-grams are n-tuples of characters.
+
 BLEU follows the de-facto standard corpus formulation: clipped modified
 n-gram precisions accumulated over the corpus, geometric mean over the
 orders that produced any hypothesis n-grams, times the brevity penalty.
-chrF is the character n-gram F-beta with whitespace removed before n-gram
-extraction. Cross-BLEU scores one system's output against another's to
-measure proximity between systems.
+chrF is the character n-gram F-beta averaged over orders. Cross-BLEU scores
+one system's output against another's to measure proximity between
+systems.
 
 The ``intl`` tokenizer (also behind ``char-for-zh``) splits at Unicode
 punctuation and symbols. Those classes are a frozen table,
@@ -21,7 +29,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import _unicode_classes
 from .errors import AlignmentError, ConfigError, DomainError
@@ -89,6 +97,68 @@ TOKENIZERS = {
 
 
 # ---------------------------------------------------------------------------
+# The n-gram statistics engine
+# ---------------------------------------------------------------------------
+
+def _ngram_counts(seq: Sequence, max_order: int) -> Counter:
+    """Every n-gram of orders 1..max_order in a token list or a string."""
+    counts = Counter()
+    for n in range(1, max_order + 1):
+        counts.update(zip(*(seq[k:] for k in range(n))))
+    return counts
+
+
+class _NgramStats:
+    """Clipped n-gram matches, n-gram totals per order and lengths of one
+    hypothesis/reference pair, added up segment by segment."""
+
+    def __init__(self, max_order: int):
+        self.matches = [0] * max_order
+        self.hyp_total = [0] * max_order
+        self.ref_total = [0] * max_order
+        self.hyp_len = 0
+        self.ref_len = 0
+
+    def add(self, hyp: Tuple[int, Counter], ref: Tuple[int, Counter]) -> None:
+        (hyp_n, hyp_counts), (ref_n, ref_counts) = hyp, ref
+        self.hyp_len += hyp_n
+        self.ref_len += ref_n
+        for n in range(len(self.matches)):
+            self.hyp_total[n] += max(hyp_n - n, 0)
+            self.ref_total[n] += max(ref_n - n, 0)
+        matches, get = self.matches, ref_counts.get
+        for ngram, count in hyp_counts.items():
+            matches[len(ngram) - 1] += min(count, get(ngram, 0))
+
+
+def _corpus_stats(texts: Sequence[Sequence[str]], cells,
+                  split: Callable[[str], Sequence],
+                  max_order: int) -> Dict[Tuple[int, int], _NgramStats]:
+    """The statistics of each ``(i, j)`` cell, ``texts[i]`` as hypothesis
+    against ``texts[j]`` as reference. The texts advance together: each
+    segment is split and counted once, and only its counts are kept."""
+    stats = {cell: _NgramStats(max_order) for cell in cells}
+    for segment in zip(*texts):
+        counted = [(len(seq), _ngram_counts(seq, max_order))
+                   for seq in map(split, segment)]
+        for (i, j), cell in stats.items():
+            cell.add(counted[i], counted[j])
+    return stats
+
+
+def _pair_stats(hypotheses: Sequence[str], references: Sequence[str],
+                split: Callable, max_order: int) -> _NgramStats:
+    """The statistics of aligned hypotheses against references."""
+    if len(hypotheses) != len(references):
+        raise AlignmentError(f"{len(hypotheses)} hypotheses vs "
+                             f"{len(references)} references")
+    if not hypotheses:
+        raise DomainError("empty corpus")
+    return _corpus_stats([hypotheses, references], [(0, 1)], split,
+                         max_order)[0, 1]
+
+
+# ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
 
@@ -107,46 +177,9 @@ class BleuConfig:
             raise ConfigError(f"unknown tokenizer {self.tokenizer!r}")
 
 
-def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
-    counts = Counter()
-    for n in range(1, max_order + 1):
-        counts.update(zip(*(tokens[k:] for k in range(n))))
-    return counts
-
-
-def _corpus_counts(lines: Iterable[str],
-                   cfg: BleuConfig) -> Iterator[Tuple[int, Counter]]:
-    """Per segment, in order: its token count and its n-gram counts."""
-    tok = TOKENIZERS[cfg.tokenizer]
-    for line in lines:
-        tokens = tok(line)
-        yield len(tokens), _ngram_counts(tokens, cfg.max_order)
-
-
-class _BleuStats:
-    """Clipped n-gram matches and lengths of one hypothesis/reference pair,
-    added up segment by segment."""
-
-    def __init__(self, max_order: int):
-        self.correct = [0] * max_order
-        self.total = [0] * max_order
-        self.hyp_len = 0
-        self.ref_len = 0
-
-    def add(self, hyp: Tuple[int, Counter], ref: Tuple[int, Counter]) -> None:
-        (hyp_n, hyp_counts), (ref_n, ref_counts) = hyp, ref
-        self.hyp_len += hyp_n
-        self.ref_len += ref_n
-        correct, total = self.correct, self.total
-        for ngram, count in hyp_counts.items():
-            n = len(ngram)
-            total[n - 1] += count
-            correct[n - 1] += min(count, ref_counts.get(ngram, 0))
-
-
-def _bleu_score(stats: _BleuStats, cfg: BleuConfig) -> float:
+def _bleu_score(stats: _NgramStats, cfg: BleuConfig) -> float:
     """Corpus BLEU in [0, 100] from the summed segment statistics."""
-    correct, total = stats.correct, stats.total
+    correct, total = stats.matches, stats.hyp_total
     hyp_len, ref_len = stats.hyp_len, stats.ref_len
     if ref_len == 0:
         raise DomainError("reference corpus has no tokens")
@@ -177,17 +210,8 @@ def _bleu_score(stats: _BleuStats, cfg: BleuConfig) -> float:
 def bleu(hypotheses: Sequence[str], references: Sequence[str],
          cfg: BleuConfig = BleuConfig()) -> float:
     """Corpus BLEU in [0, 100] of hypotheses against aligned references."""
-    if len(hypotheses) != len(references):
-        raise AlignmentError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise DomainError("empty corpus")
-    # Both generators advance one segment at a time: nothing is kept.
-    stats = _BleuStats(cfg.max_order)
-    for hyp, ref in zip(_corpus_counts(hypotheses, cfg),
-                        _corpus_counts(references, cfg)):
-        stats.add(hyp, ref)
+    stats = _pair_stats(hypotheses, references, TOKENIZERS[cfg.tokenizer],
+                        cfg.max_order)
     return _bleu_score(stats, cfg)
 
 
@@ -207,37 +231,18 @@ class ChrfConfig:
             raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
 
 
-_WHITESPACE = re.compile(r"\s+")
-
-
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i:i + n] for i in range(len(text) - n + 1))
+_strip_whitespace = functools.partial(re.compile(r"\s+").sub, "")
 
 
 def chrf(hypotheses: Sequence[str], references: Sequence[str],
          cfg: ChrfConfig = ChrfConfig()) -> float:
     """Corpus chrF in [0, 100]: character n-gram F-beta averaged over orders."""
-    if len(hypotheses) != len(references):
-        raise AlignmentError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise DomainError("empty corpus")
-    hyp_totals = [0] * cfg.char_order
-    ref_totals = [0] * cfg.char_order
-    matches = [0] * cfg.char_order
-    for hyp, ref in zip(hypotheses, references):
-        hyp = _WHITESPACE.sub("", hyp)
-        ref = _WHITESPACE.sub("", ref)
-        for n in range(1, cfg.char_order + 1):
-            hyp_counts = _char_ngrams(hyp, n)
-            ref_counts = _char_ngrams(ref, n)
-            hyp_totals[n - 1] += sum(hyp_counts.values())
-            ref_totals[n - 1] += sum(ref_counts.values())
-            matches[n - 1] += sum((hyp_counts & ref_counts).values())
-    if sum(ref_totals) == 0:
+    stats = _pair_stats(hypotheses, references, _strip_whitespace,
+                        cfg.char_order)
+    if stats.ref_len == 0:
         raise DomainError("reference corpus is empty after whitespace removal")
-
+    matches, hyp_totals, ref_totals = \
+        stats.matches, stats.hyp_total, stats.ref_total
     beta_sq = cfg.beta ** 2
     f_scores = []
     for n in range(cfg.char_order):
@@ -250,9 +255,7 @@ def chrf(hypotheses: Sequence[str], references: Sequence[str],
         else:
             f_scores.append((1 + beta_sq) * precision * recall
                             / (beta_sq * precision + recall))
-    if not f_scores:
-        return 0.0
-    return 100.0 * sum(f_scores) / len(f_scores)
+    return 100.0 * sum(f_scores) / len(f_scores) if f_scores else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +275,7 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
     Returns (names, matrix, averages): matrix[i][j] scores system i as the
     hypothesis against system j as the reference; averages[i] is system i's
     mean over the other systems (its proximity to the field). Each output
-    is tokenized and counted once, and every cell reuses those counts; the
-    outputs advance together one segment at a time, so only one segment's
-    counts per system are kept.
+    is tokenized and counted once, and every cell reuses those counts.
     """
     names = sorted(outputs)
     if len(names) < 2:
@@ -287,17 +288,14 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
     if lengths == {0}:
         raise DomainError("empty corpus")
     size = len(names)
-    cells = {(i, j): _BleuStats(cfg.max_order)
-             for i in range(size) for j in range(size) if i != j}
-    streams = [_corpus_counts(outputs[name], cfg) for name in names]
-    for segment in zip(*streams):
-        for (i, j), stats in cells.items():
-            stats.add(segment[i], segment[j])
+    cells = [(i, j) for i in range(size) for j in range(size) if i != j]
+    stats = _corpus_stats([outputs[name] for name in names], cells,
+                          TOKENIZERS[cfg.tokenizer], cfg.max_order)
     matrix = [[100.0] * size for _ in range(size)]
-    for (i, j), stats in cells.items():
-        if stats.ref_len == 0:
+    for (i, j), cell in stats.items():
+        if cell.ref_len == 0:
             raise DomainError(f"system {names[j]!r} has no tokens")
-        matrix[i][j] = _bleu_score(stats, cfg)
+        matrix[i][j] = _bleu_score(cell, cfg)
     averages = [
         sum(matrix[i][j] for j in range(size) if j != i) / (size - 1)
         for i in range(size)

@@ -480,6 +480,24 @@ def test_cross_bleu_pair_both_directions(tmp_path, capsys):
         f"gamma->alpha\t{forward:.3f}\nalpha->gamma\t{backward:.3f}\n"
 
 
+@pytest.mark.parametrize("both", [[], ["--both"]])
+def test_cross_bleu_pair_writes_output_tsv(tmp_path, capsys, both):
+    paths = write_outputs(tmp_path, ["gamma", "alpha"])
+    assert cli.main(["cross-bleu", *both, "--outputs", *paths]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "pair.tsv"
+    assert cli.main(["cross-bleu", *both, "--outputs", *paths,
+                     "-o", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    forward = ngram.cross_bleu(CROSS_OUTPUTS["gamma"], CROSS_OUTPUTS["alpha"])
+    rows = ["hyp\tref\tscore", f"gamma\talpha\t{forward!r}"]
+    if both:
+        backward = ngram.cross_bleu(CROSS_OUTPUTS["alpha"],
+                                    CROSS_OUTPUTS["gamma"])
+        rows.append(f"alpha\tgamma\t{backward!r}")
+    assert out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+
+
 def test_cross_bleu_names_a_system_without_tokens(tmp_path, capsys):
     blank = tmp_path / "blank.txt"
     blank.write_text("\n\n", encoding="utf-8")

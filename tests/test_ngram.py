@@ -4,12 +4,11 @@ their frozen characterization table, and cross-BLEU against BLEU."""
 
 import math
 import random
-import unicodedata
 from collections import Counter
 
 import pytest
 
-from peereval import ngram
+from peereval import _unicode_classes, ngram
 from peereval.errors import AlignmentError, ConfigError, DomainError
 
 
@@ -27,11 +26,13 @@ def test_chrf_oracle_table(ngram_oracle):
 
 
 def test_tokenizers_match_characterization_table(tokenize_oracle):
-    # The symbol and punctuation classes come from the interpreter's Unicode
-    # database; a different version changes the table, not the code.
-    assert tokenize_oracle["unidata_version"] == unicodedata.unidata_version, (
-        "Unicode database differs from the one the table was made with; "
-        "regenerate it with scripts/gen_tokenize_oracle.py")
+    # The symbol and punctuation classes come from the frozen table
+    # _unicode_classes, not from the interpreter; the oracle must have been
+    # made from a table of the same Unicode version.
+    assert tokenize_oracle["unidata_version"] == \
+        _unicode_classes.UNIDATA_VERSION, (
+            "the oracle was made from another Unicode class table; "
+            "regenerate it with scripts/gen_tokenize_oracle.py")
     cases = tokenize_oracle["cases"]
     assert len(cases) == 276
     for case in cases:
