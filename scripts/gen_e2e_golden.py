@@ -27,7 +27,12 @@ The chain runs ``peereval.cli.main`` in-process on the files of
     ``bleu`` with each of the three tokenizers, with ``--smoothing
     exp-floor`` and with ``--max-order 2``; ``chrf``; ``cross-bleu`` of the
     two hypotheses as a pair, with ``--both``, and of all three files with
-    ``--matrix``.
+    ``--matrix``; ``cross-bleu`` pair mode with ``--both`` and ``-o``;
+  - ``tune-thresholds`` and ``subsample`` over two language pairs, from a
+    human TSV, a metric segment TSV and a scores directory of their own
+    under ``two-pairs/``: the first pair is the one above, the second has 5
+    of its systems with human scores from which the MAD filter keeps 3, so
+    it is left out of every average.
 
 The human score of a segment is the share of its hypothesis tokens equal
 to the reference token at the same position; a system's human score is the
@@ -70,6 +75,16 @@ LANG_PAIR = "xa-xb"
 # into several pieces and sampling has segmentations to choose between
 SUBWORD_VOCAB = 30
 SCORES_DIR = "scores"
+# The multi-pair steps read files of their own, so that adding them left
+# every one-pair output as it was.
+TWO_PAIRS_DIR = "two-pairs"
+SECOND_PAIR = "xc-xb"
+# median 0.8, MAD 0.04: the two low systems lie over 10 scaled MADs away.
+# The 3 kept systems rank against the metric: were the pair let into the
+# average, tune-thresholds-two-pairs would print (-4, -3), not (-5, -2).
+SECOND_PAIR_HUMAN = {"sys-noise00": 0.8, "sys-noise10": 0.82,
+                     "sys-noise20": 0.84, "sys-noise40": 0.15,
+                     "sys-noise50": 0.1}
 
 # Lines for the n-gram baselines: digit-adjacent separators, Unicode
 # punctuation and symbols (astral ones too), CJK, full-width forms,
@@ -181,6 +196,34 @@ def _join_system_scores(systems):
                 mean = sum(record["logp"]) / len(record["logp"])
                 seg_rows.append(f"{LANG_PAIR}\t{system}\t{record['seg']}\t{mean!r}")
     write_lines("metric-seg.tsv", ["lang_pair\tsystem\tseg\tscore", *seg_rows])
+
+
+def _write_two_pairs(systems):
+    """The inputs of the multi-pair steps: the first pair's human rows,
+    metric segment rows and token scores, and for the second pair the same
+    token scores and metric rows of ``SECOND_PAIR_HUMAN``'s systems."""
+    def rows(path):
+        with open(path, encoding="utf-8") as fh:
+            header, *body = fh.read().splitlines()
+        return header, body
+
+    for lp, members in ((LANG_PAIR, systems), (SECOND_PAIR, SECOND_PAIR_HUMAN)):
+        os.makedirs(os.path.join(TWO_PAIRS_DIR, SCORES_DIR, lp))
+        for system in members:
+            with open(_system_path(system), encoding="utf-8") as fh:
+                write_lines(os.path.join(TWO_PAIRS_DIR, SCORES_DIR, lp,
+                                         f"{system}.jsonl"),
+                            fh.read().splitlines())
+    header, human_rows = rows("human-sys.tsv")
+    human_rows += [f"{SECOND_PAIR}\t{system}\t{score!r}"
+                   for system, score in SECOND_PAIR_HUMAN.items()]
+    write_lines(os.path.join(TWO_PAIRS_DIR, "human-sys.tsv"),
+                [header, *human_rows])
+    header, seg_rows = rows("metric-seg.tsv")
+    seg_rows += [row.replace(LANG_PAIR, SECOND_PAIR, 1) for row in seg_rows
+                 if row.split("\t")[1] in SECOND_PAIR_HUMAN]
+    write_lines(os.path.join(TWO_PAIRS_DIR, "metric-seg.tsv"),
+                [header, *seg_rows])
 
 
 def _steps(systems):
@@ -301,6 +344,23 @@ def _steps(systems):
         ("cross-bleu-matrix", ["cross-bleu", "--outputs", "uni_ref.txt",
                                "uni_a.txt", "uni_b.txt", "--matrix",
                                "-o", "cross-bleu.tsv"], ["cross-bleu.tsv"]),
+        ("cross-bleu-pair-o", ["cross-bleu", *pair, "--both",
+                               "-o", "cross-bleu-pair.tsv"],
+         ["cross-bleu-pair.tsv"]),
+    ]
+    two_human = os.path.join(TWO_PAIRS_DIR, "human-sys.tsv")
+    two_subsample = os.path.join(TWO_PAIRS_DIR, "subsample.tsv")
+    steps += [
+        ("two-pairs", lambda: _write_two_pairs(systems), []),
+        ("tune-thresholds-two-pairs",
+         ["tune-thresholds", "--human", two_human,
+          "--scores-dir", os.path.join(TWO_PAIRS_DIR, SCORES_DIR),
+          "--grid=-5,-4,-3.5,-3,-2.5,-2,-1"], []),
+        ("subsample-two-pairs",
+         ["subsample", "--human", two_human,
+          "--metric-seg", os.path.join(TWO_PAIRS_DIR, "metric-seg.tsv"),
+          "--sizes", "10,50,200", "--draws", "4", "--seed", "7",
+          "-o", two_subsample], [two_subsample]),
     ]
     return steps
 

@@ -61,6 +61,14 @@ def test_subword_samples_differ(golden):
         golden["subword-sample:sample.2.txt"]
 
 
+def test_second_pair_is_left_out_of_the_averages(golden):
+    # the MAD filter keeps 3 of its 5 systems
+    for line in golden["subsample-two-pairs:stdout"].splitlines():
+        assert line.endswith("(unreliable: <4 systems: xc-xb)")
+    subsample = golden["subsample-two-pairs:two-pairs/subsample.tsv"]
+    assert "xc-xb\t" in subsample
+
+
 def test_float_comparison_catches_a_changed_digit():
     want = '{"seg": 3, "logp": [-1.25, -2.5e-05]}\n'
     assert_same_output("same", want, want)
