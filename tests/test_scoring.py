@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from peereval.data import (
     assemble_dataset,
 )
 from peereval.errors import ConfigError, DomainError, StructureError
-from peereval.metaeval import pearson
+from peereval.metaeval import metric_report, pearson
 from peereval.scoring import (
     DEFAULT_THRESHOLD_GRID,
     Aggregation,
@@ -290,6 +291,58 @@ SEPARATING_MIXES = {
 }
 
 
+def random_dev_sets(seed):
+    """Dev sets over 2 or 3 pairs, sorted by pair, the first with 3
+    systems. Each system's segment log-probs scatter around a level of its
+    own; human scores follow the level with noise, and now and then one
+    system is far off, for the MAD filter to drop."""
+    rng = np.random.default_rng([seed, 15])
+    datasets = []
+    for k in range(int(rng.integers(2, 4))):
+        lang = f"x{'abc'[k]}-yy"
+        n_systems = 3 if k == 0 else int(rng.integers(4, 8))
+        n_segments = int(rng.integers(5, 30))
+        levels = rng.uniform(-2.5, -0.5, n_systems)
+        human = levels + rng.normal(0.0, 0.3, n_systems)
+        if rng.random() < 0.5:
+            human[int(rng.integers(n_systems))] -= 5.0
+        outputs, scores = [], {}
+        for i, (level, h) in enumerate(zip(levels, human)):
+            name = f"S{i}"
+            token_scores = tuple(
+                TokenScoredSegment(
+                    j, ["w"] * n_tokens,
+                    np.minimum(rng.normal(level, 0.8, n_tokens), 0.0))
+                for j, n_tokens in enumerate(
+                    rng.integers(1, 6, n_segments).tolist()))
+            segments = tuple(SegmentPair(j, "", "") for j in range(n_segments))
+            outputs.append(SystemOutput(name, LanguagePair.parse(lang),
+                                        segments, token_scores))
+            scores[(lang, name)] = float(h)
+        datasets.append(assemble_dataset(outputs, HumanJudgments(scores)))
+    return datasets
+
+
+def brute_force_band(datasets, grid):
+    """Argmax over the grid of meta-eval's weighted average of the
+    thresholded system means; ties prefer smaller high, then larger low."""
+    human = {str(ds.lang_pair): ds.human.scores_for(str(ds.lang_pair))
+             for ds in datasets}
+    best = None
+    for low, high in itertools.combinations(grid, 2):
+        metric = {
+            (str(ds.lang_pair), out.system_name): float(np.mean(
+                threshold_value(mean_token_logprobs(out.token_scores),
+                                low, high)))
+            for ds in datasets for out in ds.systems
+        }
+        score = metric_report(human, metric).weighted_average
+        if score is not None and (best is None
+                                  or (score, -high, low) > best[0]):
+            best = ((score, -high, low), (low, high))
+    return None if best is None else best[1]
+
+
 class TestTuneThresholds:
     def test_default_grid(self):
         grid = np.asarray(DEFAULT_THRESHOLD_GRID)
@@ -341,6 +394,19 @@ class TestTuneThresholds:
         low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
         assert high == -1.0
         assert low == -3.0
+
+    @pytest.mark.filterwarnings("ignore:correlation")
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_brute_force_over_meta_eval(self, seed):
+        # tuning maximizes the very number meta-eval reports
+        datasets = random_dev_sets(seed)
+        grid = list(np.linspace(-3.0, 0.0, 7))
+        want = brute_force_band(datasets, grid)
+        if want is None:
+            with pytest.raises(ConfigError, match="no valid"):
+                tune_thresholds(datasets, grid)
+        else:
+            assert tune_thresholds(datasets, grid) == want
 
     def test_grid_validation(self):
         ds = make_threshold_dataset({
