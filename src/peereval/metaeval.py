@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -48,17 +49,12 @@ def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
     """
     if not human_scores:
         raise DomainError("no human scores")
-    names = sorted(human_scores)
-    values = np.array([human_scores[n] for n in names], dtype=np.float64)
-    med = np.median(values)
-    deviations = np.abs(values - med)
-    mad = np.median(deviations)
-    if mad == 0.0:
-        mask = deviations > 0.0
-    else:
-        mask = deviations / (MAD_SCALE * mad) > MAD_CUTOFF
-    outliers = {n for n, bad in zip(names, mask) if bad}
-    return set(names) - outliers, outliers
+    med = statistics.median(map(float, human_scores.values()))
+    deviations = {n: abs(float(h) - med) for n, h in human_scores.items()}
+    scale = MAD_SCALE * statistics.median(deviations.values())
+    outliers = {n for n, d in deviations.items()
+                if (d / scale > MAD_CUTOFF if scale else d > 0.0)}
+    return set(human_scores) - outliers, outliers
 
 
 def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
@@ -436,7 +432,9 @@ def _pair_scores(scores: Mapping[Tuple[str, str], float], lang_pair: str) -> dic
 def correlate_pair(human_scores: Mapping[str, float],
                    metric_scores: Mapping[str, float],
                    lang_pair: str) -> CorrelationResult:
-    """Outlier-filtered Pearson correlation for one language pair."""
+    """Outlier-filtered Pearson correlation for one language pair, the one
+    rule behind ``metric_report``, ``tune_thresholds`` and
+    ``subsample_correlations``; ``r`` is None when undefined."""
     kept, outliers = kept_systems(lang_pair, human_scores, metric_scores)
     h = [human_scores[s] for s in kept]
     m = [metric_scores[s] for s in kept]
@@ -607,10 +605,10 @@ def subsample_correlations(human_scores: Mapping[str, float],
 
     For every size, ``draws`` segment subsets are drawn without replacement
     (seed derived per (seed, size, draw), so draws are order-independent),
-    system scores are recomputed as subset means, and the Pearson correlation
-    with the human scores is averaged over draws. A size at which some draw
-    has no correlation (constant scores, or fewer than 2 kept systems) maps
-    to None. Errors name ``lang_pair``.
+    and each kept system's score is its subset mean. Each draw is scored by
+    ``correlate_pair``, and the size maps to the mean r over its draws, or
+    to None when some draw has no correlation (constant scores, or fewer
+    than 2 kept systems). Errors name ``lang_pair``.
     """
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
@@ -618,7 +616,6 @@ def subsample_correlations(human_scores: Mapping[str, float],
     matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in kept])
     n_segments = matrix.shape[1]
-    h = np.array([human_scores[s] for s in kept])
     prefix = f"{lang_pair}: " if lang_pair else ""
     result = {}
     for size in sizes:
@@ -628,13 +625,11 @@ def subsample_correlations(human_scores: Mapping[str, float],
                 f"{prefix}subset size {size} outside [1, {n_segments}]"
             )
         rs = []
-        try:
-            for draw in range(draws):
-                rng = np.random.default_rng([seed, size, draw])
-                idx = rng.choice(n_segments, size=size, replace=False)
-                rs.append(pearson(matrix[:, idx].mean(axis=1), h))
-        except DomainError:
-            result[size] = None
-            continue
-        result[size] = float(np.mean(rs))
+        for draw in range(draws):
+            idx = np.random.default_rng([seed, size, draw]).choice(
+                n_segments, size=size, replace=False)
+            rs.append(correlate_pair(
+                human_scores, dict(zip(kept, matrix[:, idx].mean(axis=1))),
+                lang_pair).r)
+        result[size] = None if None in rs else float(np.mean(rs))
     return result

@@ -146,12 +146,14 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     """Grid-search the threshold band maximizing dev-set correlation.
 
     Every (low, high) pair with low < high from the grid, which must be
-    strictly ascending, is scored by ``metaeval.average_correlations`` over
-    the datasets' outlier-filtered Pearson correlations, so a dataset that
-    is degenerate on a candidate or has fewer than 4 kept systems does not
+    strictly ascending, scores each dataset's systems by the mean of their
+    thresholded segment means. ``metaeval.correlate_pair`` correlates those
+    with the human scores, and ``metaeval.average_correlations`` averages
+    the pairs: the number ``meta-eval`` reports. So a dataset that is
+    degenerate on a candidate or has fewer than 4 kept systems does not
     count. Ties prefer smaller high, then larger low. Returns (low, high).
     """
-    from .metaeval import average_correlations, kept_systems, pearson
+    from .metaeval import average_correlations, correlate_pair
 
     if grid is None:
         grid = DEFAULT_THRESHOLD_GRID
@@ -161,33 +163,26 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid must be strictly ascending")
 
-    # Mean token log-probs and outlier-filtered human vectors never change
-    # across candidates, so compute them once per dataset.
-    prepared = []
+    # mean token log-probs never change across candidates
+    dev_sets = []
     for ds in datasets:
         lp = str(ds.lang_pair)
-        human = ds.human.scores_for(lp)
         means = {}
         for out in ds.systems:
             if out.token_scores is None:
                 raise ConfigError(f"{out.system_name}: no token scores loaded")
             means[out.system_name] = mean_token_logprobs(out.token_scores)
-        kept, _ = kept_systems(lp, human, means)
-        prepared.append(([means[s] for s in kept],
-                         np.array([human[s] for s in kept])))
+        dev_sets.append((lp, ds.human.scores_for(lp), means))
 
     best = None
     for j, high in enumerate(grid):
         for low in grid[:j]:
-            rs = []
-            for means, h_vec in prepared:
-                m_vec = [threshold_value(m, low, high).mean() for m in means]
-                try:
-                    r = pearson(m_vec, h_vec)
-                except DomainError:
-                    r = None  # constant metric vector on this candidate
-                rs.append((r, len(means)))
-            score = average_correlations(rs)
+            results = [correlate_pair(
+                human, {s: threshold_value(m, low, high).mean()
+                        for s, m in means.items()}, lp)
+                       for lp, human, means in dev_sets]
+            score = average_correlations([(res.r, res.n_systems)
+                                          for res in results])
             if score is None:
                 continue
             # maximize score; tie-break: smaller high, then larger low
