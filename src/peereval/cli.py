@@ -100,6 +100,7 @@ SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 
 
 def _cmd_score(args) -> int:
+    lang_pair = str(LanguagePair.parse(args.lang_pair))
     method = args.method
     if args.sample_mode == "segment" and method not in SEGMENT_MODE_METHODS:
         raise ConfigError("--sample-mode segment supports "
@@ -130,7 +131,7 @@ def _cmd_score(args) -> int:
         values = scoring.threshold_value(values, args.low, args.high)
     sys_score = scoring.system_score(
         [scoring.SegmentScore(i, float(v)) for i, v in zip(seg_ids, values)],
-        args.system, args.lang_pair, method)
+        args.system, lang_pair, method)
     _write_rows(args.output,
                 ["system", "lang_pair", "score", "n_segments"],
                 [[sys_score.system_name, sys_score.lang_pair,
@@ -298,6 +299,9 @@ def _cmd_cross_bleu(args) -> int:
     if len(texts) != len(args.outputs):
         raise ConfigError("output files must have distinct basenames")
     if args.matrix:
+        if args.both:
+            raise ConfigError("--both is for pair mode; --matrix already "
+                              "has both directions")
         names, matrix, averages = ngram.cross_bleu_matrix(texts, cfg)
         rows = [[name] + [repr(v) for v in row]
                 for name, row in zip(names, matrix)]
@@ -522,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "segment log-probs (methods: "
                         + ", ".join(SEGMENT_MODE_METHODS) + ")")
     p.add_argument("--system", default="system")
-    p.add_argument("--lang-pair", default="xx-yy")
+    p.add_argument("--lang-pair", default="xx-yy",
+                   help="written in lower case (DE-EN as de-en)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_score)
 

@@ -9,6 +9,7 @@ Wire formats:
     files keep them as segments.
   * token scores: JSON lines, one object per segment,
     ``{"seg": <int>, "tokens": [<str>...], "logp": [<number>...]}``.
+    Segment ids, here and in every other file, are integers >= 0.
     K regularization samples are K separate files.
   * score tables (human judgments and metric scores): TSV whose first
     non-blank line is a header naming ``lang_pair``, ``system`` and
@@ -230,6 +231,8 @@ def load_token_scores(path) -> list:
             raise ParseError(
                 "record must have integer 'seg', list of strings 'tokens', "
                 "list of numbers 'logp'", path, lineno)
+        if seg_id < 0:
+            raise ParseError(f"negative seg {seg_id}", path, lineno)
         if seg_id in seen:
             raise StructureError(f"{path}:{lineno}: duplicate seg_id {seg_id}")
         seen.add(seg_id)
@@ -263,14 +266,15 @@ def read_score_table(path, keys) -> dict:
     ``keys`` is ``SYSTEM_KEYS`` or ``SEGMENT_KEYS``. The first non-blank line
     is the header; it names the key columns and ``score`` in any order, and
     other columns are ignored. Every row has as many fields as the header.
-    Scores are finite floats, ``seg`` values are integers, and each language
-    pair must parse.
+    Scores are finite floats, ``seg`` values are integers >= 0, and each
+    language pair must parse; rows are keyed by its normal form (``DE-EN``
+    as ``de-en``).
     """
     keys = tuple(keys)
     if keys not in (SYSTEM_KEYS, SEGMENT_KEYS):
         raise ValueError(f"unknown key columns {keys!r}")
     table = {}
-    known_pairs = set()
+    known_pairs = {}   # text as written -> normal form
     columns = None
     for lineno, raw in read_lines(path):
         if not raw:
@@ -302,12 +306,14 @@ def read_score_table(path, keys) -> dict:
             except ValueError as exc:
                 raise ParseError(f"non-integer seg {key[2]!r}",
                                  path, lineno) from exc
+            if key[2] < 0:
+                raise ParseError(f"negative seg {key[2]}", path, lineno)
         if key[0] not in known_pairs:
             try:
-                LanguagePair.parse(key[0])
+                known_pairs[key[0]] = str(LanguagePair.parse(key[0]))
             except DomainError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
-            known_pairs.add(key[0])
+        key[0] = known_pairs[key[0]]
         key = tuple(key)
         if key in table:
             raise StructureError(f"{path}:{lineno}: duplicate row for "
@@ -326,8 +332,8 @@ def load_human_scores(path) -> HumanJudgments:
 def read_lines_with_ids(path, ids_path=None) -> list:
     """Read plain-text segments as (seg_id, text) pairs.
 
-    With ids_path, ids come from the sidecar file (one integer per line,
-    same length); otherwise they are 0-based line numbers.
+    With ids_path, ids come from the sidecar file (one integer >= 0 per
+    line, same length); otherwise they are 0-based line numbers.
     """
     lines = [line for _, line in read_lines(path)]
     if ids_path is None:
@@ -344,6 +350,8 @@ def read_lines_with_ids(path, ids_path=None) -> list:
             ids.append(int(text))
         except ValueError as exc:
             raise ParseError(f"bad segment id {text!r}", ids_path, lineno) from exc
+        if ids[-1] < 0:
+            raise ParseError(f"negative segment id {ids[-1]}", ids_path, lineno)
     if len(set(ids)) != len(ids):
         raise StructureError(f"{ids_path}: duplicate segment ids")
     return list(zip(ids, lines))

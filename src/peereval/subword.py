@@ -186,8 +186,10 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
     with its multiplicity; all counts are integers, so the result does not
     depend on the corpus order.
     """
-    if max_piece_len < 1:
-        raise ConfigError(f"max_piece_len must be >= 1, got {max_piece_len}")
+    for name, value in (("rounds", rounds), ("max_piece_len", max_piece_len),
+                        ("min_count", min_count)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     words = Counter(line for line in corpus if line)
     if not words:
         raise DomainError("empty training corpus")

@@ -252,6 +252,57 @@ def test_tune_thresholds_system_without_scores_is_an_error(tmp_path, capsys):
     assert err.startswith("error: de-en: ") and err.rstrip().endswith("E")
 
 
+def tune_thresholds_output(tmp_path, capsys, human_pair, dir_pair):
+    tmp_path.mkdir(exist_ok=True)
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows(human_pair, HUMAN))
+    scores_dir = tmp_path / "scores"
+    (scores_dir / dir_pair).mkdir(parents=True)
+    for system, level in zip(SYSTEMS, METRIC):
+        write_samples(scores_dir / dir_pair / f"{system}.jsonl",
+                      [[-0.5 - level], [-1.5 - level], [-0.25]])
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(scores_dir), "--grid=-2:0:5"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("human_pair, dir_pair", [
+    ("DE-EN", "DE-EN"), ("de-en", "De-En"), ("DE-EN", "de-en")])
+def test_tune_thresholds_language_pair_case(tmp_path, capsys, human_pair,
+                                            dir_pair):
+    want = tune_thresholds_output(tmp_path / "lower", capsys, "de-en", "de-en")
+    assert tune_thresholds_output(tmp_path, capsys, human_pair,
+                                  dir_pair) == want
+
+
+def test_score_writes_language_pair_in_lower_case(tmp_path, capsys):
+    sample = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0]])
+    assert cli.main(["score", "--samples", sample, "--method", "mean",
+                     "--lang-pair", "DE-EN"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[1] == "de-en"
+    assert cli.main(["score", "--samples", sample, "--method", "mean",
+                     "--lang-pair", "deen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad language pair 'deen', "
+                            "expected 'xx-yy'\n")
+
+
+def test_toy_score_negative_sidecar_id_names_the_line(tmp_path, capsys):
+    table, text, ids = (tmp_path / name for name in
+                        ("table.tsv", "t.txt", "ids.txt"))
+    table.write_text("x\t<NULL>\t1.0\n")
+    text.write_text("x\nx\n")
+    ids.write_text("0\n-1\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["toy-scorer", "score", "--model", str(table),
+                     "--source", str(text), "--target", str(text),
+                     "--ids", str(ids), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ids}:2: negative segment id -1\n")
+    assert not out.exists()
+
+
 def test_meta_eval_reports_degenerate_pair(tmp_path, capsys):
     human = tmp_path / "human.tsv"
     human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
@@ -498,6 +549,16 @@ def test_cross_bleu_pair_writes_output_tsv(tmp_path, capsys, both):
     assert out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
 
+def test_cross_bleu_matrix_rejects_both(tmp_path, capsys):
+    paths = write_outputs(tmp_path, ["gamma", "alpha"])
+    assert cli.main(["cross-bleu", "--matrix", "--both",
+                     "--outputs", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --both is for pair mode; --matrix "
+                            "already has both directions\n")
+
+
 def test_cross_bleu_names_a_system_without_tokens(tmp_path, capsys):
     blank = tmp_path / "blank.txt"
     blank.write_text("\n\n", encoding="utf-8")
@@ -613,6 +674,9 @@ def subword_sample_args(tmp_path, capsys):
     (pairwise_args, "--alpha", "-1", "-1.0"),
     (pairwise_args, "--alpha", "2", "2.0"),
     (subword_train_args, "--max-piece-len", "0", "0"),
+    (subword_train_args, "--rounds", "-1", "-1"),
+    (subword_train_args, "--rounds", "0", "0"),
+    (subword_train_args, "--min-count", "0", "0"),
     (subword_sample_args, "--k", "0", "0"),
 ], ids=lambda p: p.__name__[:-5] if callable(p) else p)
 def test_bad_numeric_argument_is_one_error_line(tmp_path, capsys, command,

@@ -100,6 +100,14 @@ class TestTokenScoreFile:
             load_token_scores(path)
         assert err.value.line == 2
 
+    def test_negative_seg_names_line(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"seg":0,"tokens":["a"],"logp":[-1.0]}\n'
+                        '{"seg":-1,"tokens":["a"],"logp":[-1.0]}\n')
+        with pytest.raises(ParseError, match="negative seg -1") as err:
+            load_token_scores(path)
+        assert (err.value.path, err.value.line) == (path, 2)
+
     def test_positive_logprob_is_domain_error(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"seg":0,"tokens":["a"],"logp":[0.5]}\n')
@@ -235,6 +243,25 @@ class TestScoreTable:
             read_score_table(path, SEGMENT_KEYS)
         assert err.value.line == 3
 
+    def test_negative_seg_names_line(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tseg\tscore\n"
+                                    "de-en\tA\t0\t0.1\nde-en\tA\t-1\t0.2\n")
+        with pytest.raises(ParseError, match="negative seg -1") as err:
+            read_score_table(path, SEGMENT_KEYS)
+        assert (err.value.path, err.value.line) == (path, 3)
+
+    def test_language_pair_keyed_in_lower_case(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tscore\n"
+                                    "DE-EN\tA\t0.1\n De-En\tB\t0.2\n")
+        assert read_score_table(path, SYSTEM_KEYS) == {
+            ("de-en", "A"): 0.1, ("de-en", "B"): 0.2}
+
+    def test_language_pair_case_variants_are_one_pair(self, tmp_path):
+        path = self.write(tmp_path, "lang_pair\tsystem\tscore\n"
+                                    "de-en\tA\t0.1\nDE-EN\tA\t0.2\n")
+        with pytest.raises(StructureError, match=re.escape(f"{path}:3:")):
+            read_score_table(path, SYSTEM_KEYS)
+
     def test_bad_language_pair_names_line(self, tmp_path):
         path = self.write(tmp_path, "lang_pair\tsystem\tscore\n"
                                     "de-en\tA\t0.1\ndeen\tA\t0.2\n")
@@ -306,6 +333,15 @@ class TestPlainText:
         ids = tmp_path / "ids.txt"
         ids.write_text("5\n3\n")
         assert read_lines_with_ids(path, ids) == [(5, "one"), (3, "two")]
+
+    def test_sidecar_negative_id_names_line(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("one\ntwo\n")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("5\n\n-1\n")
+        with pytest.raises(ParseError, match="negative segment id -1") as err:
+            read_lines_with_ids(path, ids)
+        assert (err.value.path, err.value.line) == (ids, 3)
 
     def test_sidecar_length_mismatch(self, tmp_path):
         path = tmp_path / "out.txt"
