@@ -393,11 +393,19 @@ def _cmd_tune_thresholds(args) -> int:
     grid = _parse_grid(args.grid)
     human = load_human_scores(args.human)
     datasets = []
+    dirs = {}   # language pair -> its directory
     for lp in sorted(os.listdir(args.scores_dir)):
         lp_dir = os.path.join(args.scores_dir, lp)
         if not os.path.isdir(lp_dir):
             continue
-        lang_pair = LanguagePair.parse(lp)
+        try:
+            lang_pair = LanguagePair.parse(lp)
+        except DomainError as exc:
+            raise DomainError(f"{lp_dir}: {exc}") from None
+        if lang_pair in dirs:
+            raise ConfigError(f"{dirs[lang_pair]} and {lp_dir} hold the same "
+                              f"language pair {lang_pair}")
+        dirs[lang_pair] = lp_dir
         outputs = []
         for fname in sorted(os.listdir(lp_dir)):
             if not fname.endswith(".jsonl"):

@@ -275,6 +275,27 @@ def test_tune_thresholds_language_pair_case(tmp_path, capsys, human_pair,
                                   dir_pair) == want
 
 
+def test_tune_thresholds_checks_directory_names(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    for name in ("DE-EN", "de-en"):
+        (tmp_path / name).mkdir()
+        for system in "AB":
+            write_samples(tmp_path / name / f"{system}.jsonl", [[-0.5]])
+    args = ["tune-thresholds", "--human", str(human),
+            "--scores-dir", str(tmp_path)]
+    # one pair in two directories would count twice in the average
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'DE-EN'} and {tmp_path / 'de-en'} hold the same "
+        "language pair de-en\n")
+    (tmp_path / "DE-EN").rename(tmp_path / "notes")
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'notes'}: bad language pair 'notes', "
+        "expected 'xx-yy'\n")
+
+
 def test_score_writes_language_pair_in_lower_case(tmp_path, capsys):
     sample = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0]])
     assert cli.main(["score", "--samples", sample, "--method", "mean",

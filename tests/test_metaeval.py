@@ -55,6 +55,30 @@ class TestMadOutliers:
         with pytest.raises(DomainError):
             mad_outliers({})
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy_median_reference(self, seed):
+        # the filter with np.median; for even n both medians take
+        # (a + b) / 2, so the splits must be equal, not just close
+        def reference(scores):
+            names = sorted(scores)
+            values = np.array([scores[n] for n in names])
+            deviations = np.abs(values - np.median(values))
+            mad = np.median(deviations)
+            mask = (deviations > 0.0 if mad == 0.0
+                    else deviations / (1.483 * mad) > 2.5)
+            outliers = {n for n, bad in zip(names, mask) if bad}
+            return set(names) - outliers, outliers
+
+        rng = np.random.default_rng([seed, 15])
+        for _ in range(500):
+            n = int(rng.integers(1, 10))
+            values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-5, 6)
+            values[rng.random(n) < 0.2] *= 30.0             # far-off systems
+            if rng.random() < 0.3:
+                values = rng.choice([0.1, 0.2, 0.3, 7.0], n)   # ties
+            scores = {f"S{i}": float(v) for i, v in enumerate(values)}
+            assert mad_outliers(scores) == reference(scores)
+
     @given(st.floats(min_value=0.001, max_value=100),
            st.floats(min_value=-50, max_value=50))
     @settings(max_examples=50, deadline=None)
