@@ -15,6 +15,9 @@ Subcommands wire ingestion -> scoring -> meta-evaluation:
 
 Everything is deterministic for a fixed seed; machine-readable outputs keep
 full float precision, printed tables use 3 decimals.
+
+Each subcommand imports scoring, metaeval, model1, subword or numpy itself,
+so that a text subcommand (bleu, chrf, cross-bleu) never loads numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import metaeval, model1, ngram, scoring, subword
+from . import ngram
 from .data import (
     SEGMENT_KEYS,
     SYSTEM_KEYS,
@@ -34,6 +35,7 @@ from .data import (
     LanguagePair,
     SegmentPair,
     SystemOutput,
+    assemble_dataset,
     load_human_scores,
     load_token_scores,
     read_lines_with_ids,
@@ -86,7 +88,7 @@ def _read_segment_scores(path):
                 raise AlignmentError(
                     f"{path}: {lp}: system {system} scored on a different "
                     f"segment set than {first}")
-        aligned[lp] = {system: np.array([scores[i] for i in order])
+        aligned[lp] = {system: [scores[i] for i in order]
                        for system, scores in per_system.items()}
         seg_ids[lp] = order
     return aligned, seg_ids
@@ -100,6 +102,8 @@ SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 
 
 def _cmd_score(args) -> int:
+    from . import scoring
+
     lang_pair = str(LanguagePair.parse(args.lang_pair))
     method = args.method
     if args.sample_mode == "segment" and method not in SEGMENT_MODE_METHODS:
@@ -156,6 +160,8 @@ def _repr_r(value) -> str:
 
 
 def _cmd_meta_eval(args) -> int:
+    from . import metaeval
+
     human = load_human_scores(args.human)
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
     report = metaeval.metric_report(_human_by_pair(human), metric_scores)
@@ -214,6 +220,8 @@ def _cmd_meta_eval(args) -> int:
 
 
 def _cmd_outliers(args) -> int:
+    from . import metaeval
+
     human = load_human_scores(args.human)
     rows = []
     for lp in human.lang_pairs():
@@ -228,6 +236,8 @@ def _cmd_outliers(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_pairwise(args) -> int:
+    from . import metaeval
+
     # checked here too: a pair with one system never reaches pairwise_compare
     metaeval.check_alpha(args.alpha)
     metric, metric_ids = _read_segment_scores(args.metric_seg)
@@ -330,6 +340,8 @@ def _cmd_cross_bleu(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_subsample(args) -> int:
+    from . import metaeval
+
     sizes = [_parse_number(int, s, "size") for s in args.sizes.split(",") if s]
     if not sizes:
         raise ConfigError("no sizes given")
@@ -382,13 +394,15 @@ def _parse_grid(text: str) -> list:
         n = _parse_number(int, parts[2], "grid size")
         if n < 2:
             raise ConfigError(f"grid size {n} below 2")
+        import numpy as np
+
         return list(np.linspace(lo, hi, n))
     return [_parse_number(float, v, "grid point")
             for v in text.split(",") if v]
 
 
 def _cmd_tune_thresholds(args) -> int:
-    from .data import assemble_dataset
+    from . import scoring
 
     grid = _parse_grid(args.grid)
     human = load_human_scores(args.human)
@@ -431,6 +445,8 @@ def _cmd_tune_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_subword_train(args) -> int:
+    from . import subword
+
     tokens = []
     for line in _read_text(args.corpus):
         tokens.extend(line.split())
@@ -443,6 +459,8 @@ def _cmd_subword_train(args) -> int:
 
 
 def _cmd_subword_nbest(args) -> int:
+    from . import subword
+
     model = subword.load_unigram_model(args.model)
     for seg in subword.nbest_segmentations(model, args.text, args.n):
         print(f"{seg.score:.3f}\t{' '.join(seg.pieces)}")
@@ -450,6 +468,10 @@ def _cmd_subword_nbest(args) -> int:
 
 
 def _cmd_subword_sample(args) -> int:
+    import numpy as np
+
+    from . import subword
+
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     model = subword.load_unigram_model(args.model)
@@ -477,6 +499,8 @@ def _cmd_subword_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_toy_train(args) -> int:
+    from . import model1
+
     sources = [line.split() for line in _read_text(args.source)]
     targets = [line.split() for line in _read_text(args.target)]
     if len(sources) != len(targets):
@@ -492,6 +516,8 @@ def _cmd_toy_train(args) -> int:
 
 
 def _cmd_toy_score(args) -> int:
+    from . import model1
+
     table = model1.load_lexical_table(args.model)
     sources = read_lines_with_ids(args.source, args.ids)
     targets = read_lines_with_ids(args.target, args.ids)

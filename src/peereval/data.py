@@ -332,8 +332,8 @@ def load_human_scores(path) -> HumanJudgments:
 def read_lines_with_ids(path, ids_path=None) -> list:
     """Read plain-text segments as (seg_id, text) pairs.
 
-    With ids_path, ids come from the sidecar file (one integer >= 0 per
-    line, same length); otherwise they are 0-based line numbers.
+    With ids_path, ids come from the sidecar file (one distinct integer >= 0
+    per line, same length); otherwise they are 0-based line numbers.
     """
     lines = [line for _, line in read_lines(path)]
     if ids_path is None:
@@ -344,16 +344,18 @@ def read_lines_with_ids(path, ids_path=None) -> list:
         raise AlignmentError(
             f"{ids_path} has {len(id_lines)} ids for {len(lines)} lines in {path}"
         )
-    ids = []
+    ids, seen = [], set()
     for lineno, text in id_lines:
         try:
-            ids.append(int(text))
+            seg_id = int(text)
         except ValueError as exc:
             raise ParseError(f"bad segment id {text!r}", ids_path, lineno) from exc
-        if ids[-1] < 0:
-            raise ParseError(f"negative segment id {ids[-1]}", ids_path, lineno)
-    if len(set(ids)) != len(ids):
-        raise StructureError(f"{ids_path}: duplicate segment ids")
+        if seg_id < 0:
+            raise ParseError(f"negative segment id {seg_id}", ids_path, lineno)
+        if seg_id in seen:
+            raise ParseError(f"duplicate segment id {seg_id}", ids_path, lineno)
+        seen.add(seg_id)
+        ids.append(seg_id)
     return list(zip(ids, lines))
 
 
@@ -388,6 +390,6 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
     )
     if missing:
         raise StructureError(
-            "no human system score for: " + ", ".join(missing)
+            f"{lp}: no human system score for: " + ", ".join(missing)
         )
     return EvalDataset(lang_pair, tuple(outputs), human)

@@ -47,18 +47,41 @@ def test_toy_scorer_to_meta_eval(tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def test_cli_import_loads_numpy_only():
-    # numpy is the only dependency: a fresh interpreter that imports the CLI
-    # loads no other third-party package, so none adds to every cold start
+def third_party_loaded(code, cwd=None):
+    """The non-stdlib top-level packages a fresh interpreter loads running
+    ``code``, space-separated on the last line it prints."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
-            "import peereval.cli\n"
+            + code +
             "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=SRC))
+                            text=True, cwd=cwd,
+                            env=dict(os.environ, PYTHONPATH=SRC))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "numpy peereval\n"
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # each subcommand imports what it runs, so the CLI itself loads no
+    # third-party package, numpy included
+    assert third_party_loaded("import peereval.cli\n") == "peereval"
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["bleu", "--hyp", "a.txt", "--ref", "b.txt"], "peereval"),
+    (["chrf", "--hyp", "a.txt", "--ref", "b.txt"], "peereval"),
+    (["cross-bleu", "--outputs", "a.txt", "b.txt"], "peereval"),
+    (["score", "--samples", "a.jsonl", "--method", "mean"], "numpy peereval"),
+], ids=["bleu", "chrf", "cross-bleu", "score"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
+    # the text subcommands run ngram and data only and never load numpy;
+    # numpy is the one dependency the others load
+    (tmp_path / "a.txt").write_text("a b c\n")
+    (tmp_path / "b.txt").write_text("a b d\n")
+    (tmp_path / "a.jsonl").write_text(JSONL + "\n")
+    code = f"from peereval import cli\nassert cli.main({args!r}) == 0\n"
+    assert third_party_loaded(code, cwd=tmp_path) == loaded
 
 
 HUMAN_TSV = "lang_pair\tsystem\tscore\nde-en\tA\t0.1\nde-en\tB\t0.2\n"
@@ -250,6 +273,20 @@ def test_tune_thresholds_system_without_scores_is_an_error(tmp_path, capsys):
                      "--scores-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: de-en: ") and err.rstrip().endswith("E")
+
+
+def test_tune_thresholds_names_the_pair_without_human_score(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN)
+                     + rows("fr-en", HUMAN).replace("fr-en\tB\t0.1\n", ""))
+    for lp in ("de-en", "fr-en"):
+        (tmp_path / lp).mkdir()
+        for system in "AB":
+            write_samples(tmp_path / lp / f"{system}.jsonl", [[-0.5]])
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: fr-en: no human system score for: B\n")
 
 
 def tune_thresholds_output(tmp_path, capsys, human_pair, dir_pair):

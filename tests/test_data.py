@@ -330,6 +330,15 @@ class TestPlainText:
             read_lines_with_ids(path, ids)
         assert (err.value.path, err.value.line) == (ids, 3)
 
+    def test_sidecar_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("one\ntwo\nthree\n")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("3\n4\n3\n")
+        with pytest.raises(ParseError, match="duplicate segment id 3") as err:
+            read_lines_with_ids(path, ids)
+        assert (err.value.path, err.value.line) == (ids, 3)
+
     def test_sidecar_length_mismatch(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("one\ntwo\n")
