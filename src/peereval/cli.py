@@ -162,17 +162,17 @@ def _repr_r(value) -> str:
 def _cmd_meta_eval(args) -> int:
     from . import metaeval
 
-    human = load_human_scores(args.human)
+    human = _human_by_pair(load_human_scores(args.human))
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
-    report = metaeval.metric_report(_human_by_pair(human), metric_scores)
+    report = metaeval.metric_report(human, metric_scores)
 
     comparisons = {}
     if args.baseline:
         baseline_scores = read_score_table(args.baseline, SYSTEM_KEYS)
-        for comp in metaeval.compare_metrics(_human_by_pair(human),
-                                             metric_scores, baseline_scores,
-                                             tails=args.tails):
-            comparisons[comp.lang_pair] = comp
+        comparisons = {comp.lang_pair: comp for comp in
+                       metaeval.compare_metrics(human, metric_scores,
+                                                baseline_scores,
+                                                tails=args.tails)}
 
     print("lang_pair\tr\tn_systems\toutliers"
           + ("\tbaseline_r\twilliams_p" if comparisons else ""))
@@ -238,8 +238,6 @@ def _cmd_outliers(args) -> int:
 def _cmd_pairwise(args) -> int:
     from . import metaeval
 
-    # checked here too: a pair with one system never reaches pairwise_compare
-    metaeval.check_alpha(args.alpha)
     metric, metric_ids = _read_segment_scores(args.metric_seg)
     human, human_ids = _read_segment_scores(args.human_seg)
     shared_pairs = sorted(set(metric) & set(human))
@@ -248,16 +246,10 @@ def _cmd_pairwise(args) -> int:
 
     tallies = {}
     for lp in shared_pairs:
-        if sorted(metric[lp]) != sorted(human[lp]):
-            raise AlignmentError(f"{lp}: metric and human systems differ")
         if metric_ids[lp] != human_ids[lp]:
             raise AlignmentError(
                 f"{lp}: {args.metric_seg} and {args.human_seg} score "
                 "different segments")
-        if len(metric[lp]) < 2:
-            # one system: no system pair to compare, an all-zero row
-            tallies[lp] = metaeval.PairwiseTally()
-            continue
         tallies[lp] = metaeval.pairwise_compare(
             metric[lp], human[lp], alpha=args.alpha, lang_pair=lp)
 
@@ -348,32 +340,21 @@ def _cmd_subsample(args) -> int:
     human = load_human_scores(args.human)
     metric, _ = _read_segment_scores(args.metric_seg)
 
-    rows = []
-    per_size_all = {size: [] for size in sizes}
-    degenerate = {size: [] for size in sizes}
-    unreliable = []
-    for lp in sorted(metric):
-        human_lp = human.scores_for(lp)
-        if not human_lp:
-            raise AlignmentError(f"no human scores for {lp}")
-        curve = metaeval.subsample_correlations(
-            human_lp, metric[lp], sizes, draws=args.draws, seed=args.seed,
-            lang_pair=lp)
-        kept, _ = metaeval.mad_outliers(human_lp)
-        if len(kept) < metaeval.MIN_RELIABLE_SYSTEMS:
-            unreliable.append(lp)
-        for size in sizes:
-            rows.append([lp, size, _repr_r(curve[size])])
-            per_size_all[size].append((curve[size], len(kept)))
-            if curve[size] is None:
-                degenerate[size].append(lp)
+    curves = [metaeval.subsample_correlations(
+        human.scores_for(lp), metric[lp], sizes, draws=args.draws,
+        seed=args.seed, lang_pair=lp) for lp in sorted(metric)]
+    rows = [[curve[size].lang_pair, size, _repr_r(curve[size].r)]
+            for curve in curves for size in sizes]
     for size in sizes:
-        avg = metaeval.average_correlations(per_size_all[size])
+        results = [curve[size] for curve in curves]
+        avg = metaeval.average_correlations(results)
         rows.append(["[all]", size, _repr_r(avg)])
         line = f"{size}\t{_format_r(avg)}"
-        if degenerate[size]:
+        degenerate = [res.lang_pair for res in results if res.r is None]
+        unreliable = [res.lang_pair for res in results if not res.reliable]
+        if degenerate:
             line += ("\t(degenerate: constant scores: "
-                     + ",".join(degenerate[size]) + ")")
+                     + ",".join(degenerate) + ")")
         if unreliable:
             line += "\t(unreliable: <4 systems: " + ",".join(unreliable) + ")"
         print(line)

@@ -15,6 +15,7 @@ is a subset-count DP over rank sums (``ranksum_exact_p``).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import statistics
@@ -58,17 +59,19 @@ def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
 
 
 def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
-                 *metric_scores: Mapping[str, object]) -> Tuple[list, set]:
+                 metric_scores: Mapping[str, object]) -> Tuple[list, set]:
     """Systems the MAD filter keeps, sorted, and the outliers it drops.
 
-    Raises InsufficientDataError naming ``lang_pair`` and every kept system
-    that one of the ``metric_scores`` mappings has no entry for.
+    Raises InsufficientDataError naming ``lang_pair`` when it has no human
+    scores, or with every kept system ``metric_scores`` has no entry for.
     """
+    prefix = f"{lang_pair}: " if lang_pair else ""
+    if not human_scores:
+        raise InsufficientDataError(f"{prefix}no human scores")
     kept, outliers = mad_outliers(human_scores)
     kept = sorted(kept)
-    missing = [s for s in kept if any(s not in m for m in metric_scores)]
+    missing = [s for s in kept if s not in metric_scores]
     if missing:
-        prefix = f"{lang_pair}: " if lang_pair else ""
         raise InsufficientDataError(
             f"{prefix}no metric score for " + ", ".join(missing)
         )
@@ -127,17 +130,16 @@ def fisher_weighted_average(results: Sequence[Tuple[float, float]]) -> float:
     return math.tanh(num / den)
 
 
-def average_correlations(results: Sequence[Tuple[Optional[float], int]]
+def average_correlations(results: Sequence[CorrelationResult]
                          ) -> Optional[float]:
-    """Fisher average, weighted by system count, of (r, n_systems) pairs.
+    """Fisher average, weighted by system count, of per-pair results.
 
     This is the one rule for which language pairs enter an average: a pair
     is left out when its r is None (degenerate: constant scores) or when it
-    has fewer than MIN_RELIABLE_SYSTEMS systems. Returns None when no pair
-    is left.
+    is not ``reliable``. Returns None when no pair is left.
     """
-    usable = [(r, n) for r, n in results
-              if r is not None and n >= MIN_RELIABLE_SYSTEMS]
+    usable = [(res.r, res.n_systems) for res in results
+              if res.r is not None and res.reliable]
     return fisher_weighted_average(usable) if usable else None
 
 
@@ -398,13 +400,18 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Outlier-filtered correlation for one pair; ``r`` is None when the
-    pair is degenerate (constant scores, or fewer than 2 kept systems)."""
+    """Outlier-filtered correlation for one pair over its sorted ``kept``
+    systems; ``r`` is None when the pair is degenerate (constant scores, or
+    fewer than 2 kept systems)."""
 
     lang_pair: str
     r: Optional[float]
-    n_systems: int
+    kept: tuple
     outliers: tuple
+
+    @property
+    def n_systems(self) -> int:
+        return len(self.kept)
 
     @property
     def reliable(self) -> bool:
@@ -442,7 +449,8 @@ def correlate_pair(human_scores: Mapping[str, float],
         r = pearson(m, h)
     except DomainError:
         r = None
-    return CorrelationResult(lang_pair, r, len(kept), tuple(sorted(outliers)))
+    return CorrelationResult(lang_pair, r, tuple(kept),
+                             tuple(sorted(outliers)))
 
 
 def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
@@ -458,8 +466,7 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
         for lp, human in sorted(human_scores_by_pair.items())
     }
     group_averages = {
-        group: average_correlations([(per_pair[lp].r, per_pair[lp].n_systems)
-                                     for lp in members])
+        group: average_correlations([per_pair[lp] for lp in members])
         for group, members in group_members(list(per_pair)).items()
     }
     return MetricReport(tuple(per_pair.values()), group_averages["all"],
@@ -483,28 +490,24 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
                     tails: int = 1) -> list:
     """Williams-test comparison of two metrics on every language pair.
 
-    Pairs with fewer than 4 kept systems, and degenerate pairs (a constant
-    score vector), are skipped.
+    Both metric-human r come from ``correlate_pair``. A pair is skipped when
+    it is not ``reliable`` or when either r is None.
     """
     comparisons = []
     for lp in sorted(human_scores_by_pair):
         human = human_scores_by_pair[lp]
-        first = _pair_scores(first_scores, lp)
-        second = _pair_scores(second_scores, lp)
-        kept, _ = kept_systems(lp, human, first, second)
-        if len(kept) < MIN_RELIABLE_SYSTEMS:
+        a_scores = _pair_scores(first_scores, lp)
+        b_scores = _pair_scores(second_scores, lp)
+        first = correlate_pair(human, a_scores, lp)
+        second = correlate_pair(human, b_scores, lp)
+        if not first.reliable or first.r is None or second.r is None:
             continue
-        h = [human[s] for s in kept]
-        a = [first[s] for s in kept]
-        b = [second[s] for s in kept]
-        try:
-            r1h, r2h, r12 = pearson(a, h), pearson(b, h), pearson(a, b)
-        except DomainError:
-            continue
-        t, p = williams_test(r1h, r2h, r12, len(kept), tails=tails)
-        comparisons.append(
-            WilliamsComparison(lp, r1h, r2h, r12, len(kept), t, p)
-        )
+        r12 = pearson([a_scores[s] for s in first.kept],
+                      [b_scores[s] for s in first.kept])
+        t, p = williams_test(first.r, second.r, r12, first.n_systems,
+                             tails=tails)
+        comparisons.append(WilliamsComparison(
+            lp, first.r, second.r, r12, first.n_systems, t, p))
     return comparisons
 
 
@@ -539,12 +542,6 @@ class PairwiseTally:
         )
 
 
-def check_alpha(alpha: float) -> None:
-    """A ConfigError unless ``alpha`` is a significance level in (0, 1)."""
-    if not 0 < alpha < 1:   # also false for nan
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
                      human_segment_scores: Mapping[str, Sequence[float]],
                      alpha: float = 0.05,
@@ -556,22 +553,24 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     paired t-test on per-segment metric differences, each at ``p < alpha``.
     A metric-significant decision is correct when the signs of the metric
     and human mean differences agree. Scores must be aligned on the same
-    segments across systems. Errors name ``lang_pair``.
+    segments across systems. One system has no pair to compare and gives an
+    all-zero tally. Errors name ``lang_pair``.
     """
-    check_alpha(alpha)
+    if not 0 < alpha < 1:   # also false for nan
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     prefix = f"{lang_pair}: " if lang_pair else ""
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
         raise InsufficientDataError(
             f"{prefix}metric and human segment scores cover different systems"
         )
-    if len(systems) < 2:
-        raise DomainError(f"{prefix}pairwise comparison needs >= 2 systems")
     lengths = {len(metric_segment_scores[s]) for s in systems}
     lengths |= {len(human_segment_scores[s]) for s in systems}
     if len(lengths) != 1:
         raise InsufficientDataError(
             f"{prefix}segment score vectors differ in length")
+    if len(systems) < 2:
+        return PairwiseTally()
     metric = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in systems])
     human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)
@@ -600,15 +599,16 @@ def subsample_correlations(human_scores: Mapping[str, float],
                            metric_segment_scores: Mapping[str, Sequence[float]],
                            sizes: Sequence[int], draws: int = 10,
                            seed: int = 0, lang_pair: Optional[str] = None
-                           ) -> Dict[int, Optional[float]]:
+                           ) -> Dict[int, CorrelationResult]:
     """Mean outlier-filtered correlation at each subsampled test-set size.
 
     For every size, ``draws`` segment subsets are drawn without replacement
     (seed derived per (seed, size, draw), so draws are order-independent),
     and each kept system's score is its subset mean. Each draw is scored by
-    ``correlate_pair``, and the size maps to the mean r over its draws, or
-    to None when some draw has no correlation (constant scores, or fewer
-    than 2 kept systems). Errors name ``lang_pair``.
+    ``correlate_pair``, and the size maps to that ``CorrelationResult`` with
+    r the mean over its draws, or None when some draw has no correlation
+    (constant scores, or fewer than 2 kept systems). Errors name
+    ``lang_pair``.
     """
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
@@ -624,12 +624,14 @@ def subsample_correlations(human_scores: Mapping[str, float],
             raise DomainError(
                 f"{prefix}subset size {size} outside [1, {n_segments}]"
             )
-        rs = []
+        results = []
         for draw in range(draws):
             idx = np.random.default_rng([seed, size, draw]).choice(
                 n_segments, size=size, replace=False)
-            rs.append(correlate_pair(
+            results.append(correlate_pair(
                 human_scores, dict(zip(kept, matrix[:, idx].mean(axis=1))),
-                lang_pair).r)
-        result[size] = None if None in rs else float(np.mean(rs))
+                lang_pair))
+        rs = [res.r for res in results]
+        result[size] = dataclasses.replace(
+            results[0], r=None if None in rs else float(np.mean(rs)))
     return result

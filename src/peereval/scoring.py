@@ -181,8 +181,7 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
                 human, {s: threshold_value(m, low, high).mean()
                         for s, m in means.items()}, lp)
                        for lp, human, means in dev_sets]
-            score = average_correlations([(res.r, res.n_systems)
-                                          for res in results])
+            score = average_correlations(results)
             if score is None:
                 continue
             # maximize score; tie-break: smaller high, then larger low

@@ -471,6 +471,19 @@ def test_subsample_names_pairs_under_4_systems(tmp_path, capsys):
     assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
 
 
+def test_subsample_names_the_pair_without_human_scores(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    varied = [[m + 0.125 * seg for seg in range(4)] for m in METRIC]
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", varied)
+                      + segment_rows("fr-en", varied))
+    assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                     str(metric), "--sizes", "4"]) == 1
+    assert capsys.readouterr().err == "error: fr-en: no human scores\n"
+
+
 def test_subsample_malformed_size_is_an_error(tmp_path, capsys):
     human = tmp_path / "human.tsv"
     human.write_text(HEADER + rows("de-en", HUMAN))
@@ -545,6 +558,24 @@ def test_pairwise_one_system_pair_gets_a_zero_row(tmp_path, capsys):
         "[all]\t1\t0\t0\t0\t0\t0",
         "[xx-en]\t1\t0\t0\t0\t0\t0",
     ]
+
+
+def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 2.5), 7))
+                     + segment_rows("fr-en", level_scores((0, 2.5), 7)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0, 2), 5))
+                      + segment_rows("fr-en", level_scores((0, 2, 1), 5)))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fr-en: metric and human segment scores "
+                            "cover different systems\n")
 
 
 CROSS_OUTPUTS = {

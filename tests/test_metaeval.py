@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from peereval.errors import ConfigError, DomainError, InsufficientDataError
 from peereval.metaeval import (
     GROUPS,
+    CorrelationResult,
     PairwiseTally,
     average_correlations,
     compare_metrics,
@@ -195,12 +196,17 @@ class TestFisherAverage:
             fisher_weighted_average([])
 
     def test_average_correlations_leaves_out_degenerate(self):
+        def result(r, n_systems):
+            return CorrelationResult(
+                "xa-xb", r, tuple(f"s{i}" for i in range(n_systems)), ())
+
         # r None (degenerate) and fewer than 4 systems both stay out
-        assert average_correlations([(0.3, 4), (None, 9), (0.6, 2),
-                                     (0.7, 5), (0.99, 3)]) == \
+        assert average_correlations([result(0.3, 4), result(None, 9),
+                                     result(0.6, 2), result(0.7, 5),
+                                     result(0.99, 3)]) == \
             fisher_weighted_average([(0.3, 4), (0.7, 5)])
-        assert average_correlations([(None, 5)]) is None
-        assert average_correlations([(0.9, 3)]) is None
+        assert average_correlations([result(None, 5)]) is None
+        assert average_correlations([result(0.9, 3)]) is None
         assert average_correlations([]) is None
 
 
@@ -468,13 +474,18 @@ class TestMetricReport:
         with pytest.raises(InsufficientDataError, match="B"):
             correlate_pair(human["xa-xb"], {"A": 0.5}, "xa-xb")
 
+    def test_missing_human_scores_named(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^xa-xb: no human scores$"):
+            correlate_pair({}, {"A": 0.5}, "xa-xb")
+
     def test_outliers_dropped_before_correlation(self):
         human = {"A": 0.1, "B": 0.2, "C": 0.25, "D": 0.3, "E": 0.9}
         # metric wildly wrong on the outlier only; correlation unaffected
         metric = {"A": 0.1, "B": 0.2, "C": 0.25, "D": 0.3, "E": -5.0}
         res = correlate_pair(human, metric, "xa-xb")
         assert res.outliers == ("E",)
-        assert res.n_systems == 4
+        assert res.kept == ("A", "B", "C", "D") and res.n_systems == 4
         assert res.r == pytest.approx(1.0)
 
 
@@ -558,10 +569,14 @@ class TestPairwise:
         with pytest.raises(InsufficientDataError):
             pairwise_compare({"A": [1.0, 2.0]}, {"B": [1.0, 2.0]})
 
-    def test_one_system_rejected_naming_the_pair(self):
-        with pytest.raises(DomainError, match="^de-en: pairwise comparison "
-                           "needs >= 2 systems"):
-            pairwise_compare({"A": [1.0]}, {"A": [1.0]}, lang_pair="de-en")
+    def test_one_system_gives_a_zero_tally(self):
+        # no system pair to compare, so not even one segment is an error
+        for segments in ([1.0], [1.0, 2.0, 0.5]):
+            assert pairwise_compare({"A": segments}, {"A": segments},
+                                    lang_pair="de-en") == PairwiseTally()
+        # the alpha check still holds
+        with pytest.raises(ConfigError, match="got nan$"):
+            pairwise_compare({"A": [1.0]}, {"A": [1.0]}, alpha=math.nan)
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 1.0, 2.0])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
@@ -584,10 +599,18 @@ class TestSubsample:
 
     def test_full_size_equals_full_correlation(self):
         human, metric = self.make_fixture()
-        full = pearson([metric[s].mean() for s in sorted(metric)],
-                       [human[s] for s in sorted(human)])
-        curve = subsample_correlations(human, metric, sizes=[200], draws=5)
-        assert curve[200] == pytest.approx(full, abs=1e-12)
+        full = correlate_pair(human, {s: v.mean() for s, v in metric.items()},
+                              "de-en")
+        curve = subsample_correlations(human, metric, sizes=[200], draws=5,
+                                       lang_pair="de-en")
+        assert curve[200].r == pytest.approx(full.r, abs=1e-12)
+        assert curve[200].r == pytest.approx(
+            pearson([metric[s].mean() for s in sorted(metric)],
+                    [human[s] for s in sorted(human)]), abs=1e-12)
+        # the kept systems, outliers and pair are those of the full scores
+        assert (curve[200].lang_pair, curve[200].kept, curve[200].outliers) \
+            == (full.lang_pair, full.kept, full.outliers)
+        assert curve[200].n_systems == 8 and curve[200].reliable
 
     def test_deterministic_given_seed(self):
         human, metric = self.make_fixture()
@@ -611,8 +634,10 @@ class TestSubsample:
     def test_constant_scores_give_none(self):
         human, metric = self.make_fixture(n_segs=20)
         constant = {s: np.full(20, 0.5) for s in metric}
-        assert subsample_correlations(human, constant, [5, 20]) == \
+        curve = subsample_correlations(human, constant, [5, 20])
+        assert {size: res.r for size, res in curve.items()} == \
             {5: None, 20: None}
+        assert all(res.n_systems == 8 for res in curve.values())
 
 
 def test_tally_addition():
