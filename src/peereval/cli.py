@@ -43,7 +43,13 @@ from .data import (
     write_lines,
     write_token_scores,
 )
-from .errors import AlignmentError, ConfigError, DomainError, PeerEvalError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    DomainError,
+    InsufficientDataError,
+    PeerEvalError,
+)
 
 
 def _read_text(path) -> list:
@@ -164,15 +170,22 @@ def _cmd_meta_eval(args) -> int:
 
     human = _human_by_pair(load_human_scores(args.human))
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
-    report = metaeval.metric_report(human, metric_scores)
+    # a system missing from a score file is the only InsufficientDataError
+    try:
+        report = metaeval.metric_report(human, metric_scores)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{args.scores}: {exc}") from None
 
     comparisons = {}
     if args.baseline:
         baseline_scores = read_score_table(args.baseline, SYSTEM_KEYS)
-        comparisons = {comp.lang_pair: comp for comp in
-                       metaeval.compare_metrics(human, metric_scores,
-                                                baseline_scores,
-                                                tails=args.tails)}
+        try:
+            comparisons = {comp.lang_pair: comp for comp in
+                           metaeval.compare_metrics(human, metric_scores,
+                                                    baseline_scores,
+                                                    tails=args.tails)}
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"{args.baseline}: {exc}") from None
 
     print("lang_pair\tr\tn_systems\toutliers"
           + ("\tbaseline_r\twilliams_p" if comparisons else ""))

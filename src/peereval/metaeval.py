@@ -491,7 +491,9 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     """Williams-test comparison of two metrics on every language pair.
 
     Both metric-human r come from ``correlate_pair``. A pair is skipped when
-    it is not ``reliable`` or when either r is None.
+    it is not ``reliable``, when either r is None, or when its Williams
+    correlation matrix is singular (say, one metric an affine copy of the
+    other).
     """
     comparisons = []
     for lp in sorted(human_scores_by_pair):
@@ -504,8 +506,11 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
             continue
         r12 = pearson([a_scores[s] for s in first.kept],
                       [b_scores[s] for s in first.kept])
-        t, p = williams_test(first.r, second.r, r12, first.n_systems,
-                             tails=tails)
+        try:
+            t, p = williams_test(first.r, second.r, r12, first.n_systems,
+                                 tails=tails)
+        except InsufficientDataError:
+            continue
         comparisons.append(WilliamsComparison(
             lp, first.r, second.r, r12, first.n_systems, t, p))
     return comparisons
@@ -553,8 +558,8 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     paired t-test on per-segment metric differences, each at ``p < alpha``.
     A metric-significant decision is correct when the signs of the metric
     and human mean differences agree. Scores must be aligned on the same
-    segments across systems. One system has no pair to compare and gives an
-    all-zero tally. Errors name ``lang_pair``.
+    segments across systems, at least 2 of them. One system has no pair to
+    compare and gives an all-zero tally. Errors name ``lang_pair``.
     """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -571,6 +576,11 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
             f"{prefix}segment score vectors differ in length")
     if len(systems) < 2:
         return PairwiseTally()
+    n_segments, = lengths
+    if n_segments < 2:
+        raise InsufficientDataError(
+            f"{prefix}pairwise comparison needs >= 2 segments, got "
+            f"{n_segments}")
     metric = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in systems])
     human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)

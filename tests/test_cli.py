@@ -258,8 +258,22 @@ def test_baseline_missing_kept_system_is_an_error(tmp_path, capsys):
     baseline.write_text(HEADER + rows("de-en", METRIC[:-1]))
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "--baseline", str(baseline)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: de-en: ") and err.rstrip().endswith("E")
+    assert capsys.readouterr().err == \
+        f"error: {baseline}: de-en: no metric score for E\n"
+
+
+def test_scores_missing_kept_system_is_an_error(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(HEADER + rows("de-en", METRIC[:-1]))
+    baseline = tmp_path / "baseline.tsv"
+    baseline.write_text(HEADER + rows("de-en", METRIC))
+    for extra in ([], ["--baseline", str(baseline)]):
+        assert cli.main(["meta-eval", "--human", str(human), "--scores",
+                         str(scores), *extra]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {scores}: de-en: no metric score for E\n"
 
 
 def test_tune_thresholds_system_without_scores_is_an_error(tmp_path, capsys):
@@ -381,6 +395,26 @@ def test_meta_eval_reports_degenerate_pair(tmp_path, capsys):
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "-o", str(tsv)]) == 0
     assert "fr-en\t-\t5\t-\n" in tsv.read_text()
+
+
+def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
+    # fr-en's baseline is an affine copy of its metric: a singular
+    # correlation matrix, though rounding makes the two r differ
+    fr_metric = (0.05, 0.2, 0.1, 0.35, 0.4)
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(HEADER + rows("de-en", METRIC) + rows("fr-en", fr_metric))
+    baseline = tmp_path / "baseline.tsv"
+    baseline.write_text(HEADER + rows("de-en", (0.1, 0.0, 0.2, 0.4, 0.3))
+                        + rows("fr-en", [3 * m + 0.7 for m in fr_metric]))
+    assert cli.main(["meta-eval", "--human", str(human), "--scores",
+                     str(scores), "--baseline", str(baseline)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == \
+        "lang_pair\tr\tn_systems\toutliers\tbaseline_r\twilliams_p"
+    assert re.fullmatch(r"de-en\t0\.900\t5\t-\t0\.800\t0\.\d{3}", lines[1])
+    assert lines[2] == "fr-en\t0.881\t5\t-\t-\t-"
 
 
 def segment_rows(lang_pair, per_system):
@@ -558,6 +592,24 @@ def test_pairwise_one_system_pair_gets_a_zero_row(tmp_path, capsys):
         "[all]\t1\t0\t0\t0\t0\t0",
         "[xx-en]\t1\t0\t0\t0\t0\t0",
     ]
+
+
+def test_pairwise_names_the_pair_scored_on_one_segment(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 2.5), 7))
+                     + segment_rows("fr-en", [[0.5], [1.5]]))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0, 2), 5))
+                      + segment_rows("fr-en", [[-1.0], [-0.5]]))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fr-en: pairwise comparison needs >= 2 "
+                            "segments, got 1\n")
 
 
 def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):

@@ -26,16 +26,19 @@ def tsv(header, rows):
                      + ["\t".join(str(c) for c in row) for row in rows]) + "\n"
 
 
-def system_tsv(order):
+def system_tsv(order, pairs=("de-en",)):
     return tsv(["lang_pair", "system", "score"],
-               [["de-en", SYSTEMS[i], LEVELS[j]] for i, j in enumerate(order)])
+               [[lp, SYSTEMS[i], LEVELS[j]]
+                for lp in pairs for i, j in enumerate(order)])
 
 
-def segment_tsv(step):
+def segment_tsv(step, pairs=(("de-en", SYSTEMS, 6),)):
+    """Segment scores; ``pairs`` holds (pair, systems, segment count)."""
     return tsv(["lang_pair", "system", "seg", "score"],
-               [["de-en", s, seg, level + (seg * step + k * 5) % 13 / 8]
-                for k, (s, level) in enumerate(zip(SYSTEMS, LEVELS))
-                for seg in range(6)])
+               [[lp, s, seg, level + (seg * step + k * 5) % 13 / 8]
+                for lp, systems, n_segments in pairs
+                for k, (s, level) in enumerate(zip(systems, LEVELS))
+                for seg in range(n_segments)])
 
 
 def jsonl(shift):
@@ -57,6 +60,9 @@ TARGET = "the house\nthe book\na book\na house\n"
 
 HUMAN = {"human.tsv": system_tsv((0, 1, 2, 3, 4))}
 SEGMENTS = {"human-seg.tsv": segment_tsv(7), "metric-seg.tsv": segment_tsv(5)}
+# the second pair has 2 systems on 2 segments, the least pairwise compares
+TWO_PAIR_SEGMENTS = (("de-en", SYSTEMS, 6), ("fr-en", SYSTEMS[:2], 2))
+TWO_PAIRS = ("de-en", "fr-en")
 
 # id, subcommand arguments, input files (name -> text)
 CASES = [
@@ -74,10 +80,21 @@ CASES = [
       "--baseline", "b.tsv", "-o", "report.tsv"],
      {**HUMAN, "m.tsv": system_tsv((0, 2, 1, 3, 4)),
       "b.tsv": system_tsv((1, 0, 2, 4, 3))}),
+    ("meta-eval-two-pairs",
+     ["meta-eval", "--human", "human.tsv", "--scores", "m.tsv",
+      "--baseline", "b.tsv"],
+     {"human.tsv": system_tsv((0, 1, 2, 3, 4), TWO_PAIRS),
+      "m.tsv": system_tsv((0, 2, 1, 3, 4), TWO_PAIRS),
+      "b.tsv": system_tsv((1, 0, 2, 4, 3), TWO_PAIRS)}),
     ("outliers", ["outliers", "--human", "human.tsv"], HUMAN),
     ("pairwise",
      ["pairwise", "--human-seg", "human-seg.tsv", "--metric-seg",
       "metric-seg.tsv"], SEGMENTS),
+    ("pairwise-two-pairs",
+     ["pairwise", "--human-seg", "human-seg.tsv", "--metric-seg",
+      "metric-seg.tsv"],
+     {"human-seg.tsv": segment_tsv(7, TWO_PAIR_SEGMENTS),
+      "metric-seg.tsv": segment_tsv(5, TWO_PAIR_SEGMENTS)}),
     ("bleu", ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt", "-o", "b.tsv"],
      TEXT),
     ("chrf", ["chrf", "--hyp", "hyp.txt", "--ref", "ref.txt"], TEXT),

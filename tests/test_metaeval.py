@@ -489,7 +489,75 @@ class TestMetricReport:
         assert res.r == pytest.approx(1.0)
 
 
+def random_metric_pairs(seed):
+    """Human scores and two metrics over five pairs: one with a system far
+    off (an outlier), one with 3 systems, one where MAD keeps 3 of 5, and
+    one each where the first or the second metric is constant."""
+    rng = np.random.default_rng([seed, 17])
+    human, first, second = {}, {}, {}
+    for lp, n_systems in (("de-en", 7), ("fr-en", 6), ("zh-en", 3),
+                          ("en-de", 5), ("en-fr", 5), ("en-zh", 5)):
+        names = [f"s{i}" for i in range(n_systems)]
+        h = rng.normal(size=n_systems)
+        if lp == "fr-en":
+            h[int(rng.integers(n_systems))] += 20.0
+        if lp == "en-de":
+            h[:] = [1.0, 1.0, 1.0, 5.0, -5.0]   # MAD 0: s3, s4 are outliers
+        a = h + rng.normal(scale=0.5, size=n_systems)
+        b = h + rng.normal(scale=1.0, size=n_systems)
+        if lp == "en-fr":
+            a[:] = 0.25
+        if lp == "en-zh":
+            b[:] = -1.5
+        human[lp] = dict(zip(names, h))
+        first.update({(lp, nm): a[i] for i, nm in enumerate(names)})
+        second.update({(lp, nm): b[i] for i, nm in enumerate(names)})
+    return human, first, second
+
+
 class TestCompareMetrics:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_correlations_as_metric_report(self, seed):
+        human, first, second = random_metric_pairs(seed)
+        report_a = metric_report(human, first)
+        report_b = metric_report(human, second)
+        # premises: an outlier, a pair under 4 kept systems, and both
+        # degenerate kinds are in the data
+        assert report_a.result_for("fr-en").outliers
+        assert report_a.result_for("en-de").n_systems == 3
+        assert report_a.result_for("en-fr").r is None
+        assert report_b.result_for("en-zh").r is None
+        comps = compare_metrics(human, first, second)
+        for comp in comps:
+            a = report_a.result_for(comp.lang_pair)
+            b = report_b.result_for(comp.lang_pair)
+            assert (comp.r_first, comp.r_second, comp.n_systems) == \
+                (a.r, b.r, a.n_systems) == (a.r, b.r, b.n_systems)
+        assert [comp.lang_pair for comp in comps] == [
+            a.lang_pair for a, b in zip(report_a.per_pair, report_b.per_pair)
+            if a.reliable and a.r is not None and b.r is not None]
+        assert [comp.lang_pair for comp in comps] == ["de-en", "fr-en"]
+
+    @pytest.mark.parametrize("scale", [3.0, -3.0])
+    def test_singular_matrix_pair_skipped(self, scale):
+        names = list("ABCDE")
+        h = [0.0, 0.1, 0.2, 0.3, 0.4]
+        m = [0.05, 0.2, 0.1, 0.35, 0.4]
+        b = [scale * v + 0.7 for v in m]   # an affine copy of m
+        r1h, r2h, r12 = pearson(m, h), pearson(b, h), pearson(m, b)
+        # premises: the two r differ (rounding, or the sign), so the
+        # symmetric null does not cover the singular matrix
+        assert r1h != r2h and abs(r12) == 1.0
+        with pytest.raises(InsufficientDataError, match="degenerate"):
+            williams_test(r1h, r2h, r12, 5)
+        human = {lp: dict(zip(names, h)) for lp in ("xa-xb", "xc-xd")}
+        first = {(lp, s): v for lp in human for s, v in zip(names, m)}
+        second = {("xa-xb", s): v for s, v in zip(names, b)}
+        second.update({("xc-xd", s): v for s, v in
+                       zip(names, [0.1, 0.0, 0.2, 0.4, 0.3])})
+        comps = compare_metrics(human, first, second)
+        assert [c.lang_pair for c in comps] == ["xc-xd"]
+
     def test_equal_metrics_tie(self):
         rng = np.random.default_rng(3)
         names = [f"s{i}" for i in range(8)]
@@ -564,6 +632,13 @@ class TestPairwise:
         assert pairwise_compare({"A": base + 1.0, "B": base},
                                 {"A": base + 1.0, "B": base}) == \
             PairwiseTally(sig_correct=1)
+
+    def test_one_segment_rejected_naming_the_pair(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^de-en: pairwise comparison needs >= 2 "
+                           "segments, got 1$"):
+            pairwise_compare({"A": [1.0], "B": [2.0]},
+                             {"A": [1.0], "B": [2.0]}, lang_pair="de-en")
 
     def test_mismatched_systems_rejected(self):
         with pytest.raises(InsufficientDataError):
