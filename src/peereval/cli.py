@@ -188,12 +188,12 @@ def _cmd_meta_eval(args) -> int:
             raise InsufficientDataError(f"{args.baseline}: {exc}") from None
 
     print("lang_pair\tr\tn_systems\toutliers"
-          + ("\tbaseline_r\twilliams_p" if comparisons else ""))
+          + ("\tbaseline_r\twilliams_p" if args.baseline else ""))
     for res in report.per_pair:
         row = (f"{res.lang_pair}\t{_format_r(res.r)}\t{res.n_systems}\t"
                f"{','.join(res.outliers) or '-'}")
-        comp = comparisons.get(res.lang_pair)
-        if comparisons:
+        if args.baseline:
+            comp = comparisons.get(res.lang_pair)
             row += (f"\t{comp.r_second:.3f}\t{comp.p:.3f}"
                     if comp else "\t-\t-")
         if res.r is None:

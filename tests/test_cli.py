@@ -415,6 +415,13 @@ def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
         "lang_pair\tr\tn_systems\toutliers\tbaseline_r\twilliams_p"
     assert re.fullmatch(r"de-en\t0\.900\t5\t-\t0\.800\t0\.\d{3}", lines[1])
     assert lines[2] == "fr-en\t0.881\t5\t-\t-\t-"
+    # with no Williams row at all, the baseline columns still show
+    human.write_text(HEADER + rows("fr-en", HUMAN))
+    assert cli.main(["meta-eval", "--human", str(human), "--scores",
+                     str(scores), "--baseline", str(baseline)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "lang_pair\tr\tn_systems\toutliers\tbaseline_r\twilliams_p",
+        "fr-en\t0.881\t5\t-\t-\t-"]
 
 
 def segment_rows(lang_pair, per_system):
