@@ -44,7 +44,7 @@ class UnigramSubwordModel:
     """Subword vocabulary with unigram log-probabilities (nats).
 
     The model is immutable: ``vocab`` is a read-only mapping. So each model
-    memoizes its n-best lists and sampling weights per word, and every
+    memoizes its n-best lists and sampling CDFs per word, and every
     repeated word or draw reuses them.
     """
 
@@ -67,8 +67,9 @@ class UnigramSubwordModel:
         object.__setattr__(self, "vocab", MappingProxyType(vocab))
         object.__setattr__(self, "max_piece_len",
                            max(len(p) for p in vocab))
-        # (text, n) -> n-best list; (text, n, alpha) -> (n-best, probs).
-        # Not a field, so ==, hash and repr ignore it.
+        # (text, n) -> n-best list; (text, n, alpha) -> (n-best, CDF), at
+        # most MEMO_ENTRIES in insertion order. Not a field, so ==, hash and
+        # repr ignore it.
         object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
@@ -105,6 +106,26 @@ def _nbest(vocab: dict, max_len: int, text: str, n: int,
     return [(0.0 - cost, pieces) for cost, pieces in ends[len(text)]]
 
 
+# Most entries one model memoizes, n-best lists and sampling CDFs together.
+# A sampled word of 4-10 characters takes two entries, about 2.8 KB at
+# n = 10, so the memo stays under about 50 MB however many distinct words a
+# model meets. A miss on a full memo evicts the oldest entry.
+MEMO_ENTRIES = 1 << 15
+
+# Generator.choice's tolerance on the sum of its probabilities.
+_PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _remember(model: UnigramSubwordModel, key, value):
+    """Store ``value`` in the model's memo, first evicting the oldest entry
+    when the memo is full; called on a miss only."""
+    memo = model._memo
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def nbest_segmentations(model: UnigramSubwordModel, text: str,
                         n: int) -> list:
     """Up to n distinct segmentations of ``text``, best score first."""
@@ -121,8 +142,7 @@ def nbest_segmentations(model: UnigramSubwordModel, text: str,
         detail = f"character {bad!r} not in vocabulary" if bad else "no path"
         raise CoverageError(f"cannot segment {text!r}: {detail}")
     found = [Segmentation(pieces, score) for score, pieces in final]
-    model._memo[(text, n)] = found
-    return list(found)
+    return list(_remember(model, (text, n), found))
 
 
 def viterbi_segmentation(model: UnigramSubwordModel, text: str) -> Segmentation:
@@ -135,8 +155,10 @@ def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
     """Sample from the n-best list with weights exp(alpha * score).
 
     alpha = 0 is uniform over the list; large alpha collapses to the top
-    segmentation. Draws from the caller-owned ``rng``, one ``rng.choice``
-    per call.
+    segmentation. Each call draws one ``rng.random()`` from the caller-owned
+    ``rng`` and looks it up in the list's memoized CDF. That is what
+    ``rng.choice(len(candidates), p=probs)`` computes, so the index and the
+    generator state after the draw are the ones ``choice`` would give.
     """
     found = model._memo.get((text, n, alpha))
     if found is None:
@@ -144,13 +166,23 @@ def sample_segmentation(model: UnigramSubwordModel, text: str, n: int = 10,
             raise ConfigError(f"alpha must be a finite number >= 0, "
                               f"got {alpha}")
         candidates = nbest_segmentations(model, text, n)
-        weights = alpha * np.array([c.score for c in candidates])
-        weights -= weights.max()
-        probs = np.exp(weights)
-        probs /= probs.sum()
-        found = model._memo[(text, n, alpha)] = (candidates, probs)
-    candidates, probs = found
-    return candidates[int(rng.choice(len(candidates), p=probs))]
+        # an alpha so large that every weight overflows leaves nan, which
+        # the check below turns into the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = alpha * np.array([c.score for c in candidates])
+            weights -= weights.max()
+            probs = np.exp(weights)
+            probs /= probs.sum()
+        # the checks choice makes on every call, made once; nan fails both
+        if not (probs.min() >= 0.0
+                and abs(math.fsum(probs) - 1.0) <= _PROB_SUM_ATOL):
+            raise DomainError(f"alpha {alpha} gives {text!r} no sampling "
+                              "distribution")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        found = _remember(model, (text, n, alpha), (candidates, cdf))
+    candidates, cdf = found
+    return candidates[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def test_equal_scores_prefer_the_smaller_piece_sequence():
 
 
 def test_memoized_draws_equal_draws_from_a_fresh_model(model):
-    # the memo keeps one rng.choice per draw, so the random stream is the
-    # one a model that never saw the word before would consume
+    # every draw takes one rng.random(), memo hit or miss, so the random
+    # stream is the one a model that never saw the word before would consume
     for alpha in (0.0, 0.5):
         memo_rng, fresh_rng = np.random.default_rng(5), np.random.default_rng(5)
         memoized = [subword.sample_segmentation(model, word, n=6, alpha=alpha,
@@ -92,6 +92,62 @@ def test_memoized_draws_equal_draws_from_a_fresh_model(model):
                      alpha=alpha, rng=fresh_rng).pieces
                  for word in WORDS * 4]
         assert memoized == fresh
+
+
+def test_draws_equal_generator_choice_on_random_weights():
+    # the memoized CDF draw is Generator.choice(len(c), p=probs): the same
+    # index, and the generator left in the same state
+    pick = random.Random(3)
+    for case in range(200):
+        # k letters, each a piece alone and doubled; "aa...kk" then has 2**k
+        # segmentations, and "a" has one
+        k = pick.randint(1, 6)
+        vocab = {chr(97 + i): math.log(0.5 / k) for i in range(k)}
+        vocab.update({chr(97 + i) * 2: math.log(pick.uniform(1e-4, 0.5) / k)
+                      for i in range(k)})
+        model = subword.UnigramSubwordModel(vocab)
+        text = "a" if case % 4 == 0 else "".join(p for p in vocab if len(p) == 2)
+        alpha = pick.choice([0.0, 0.3, 1.0, 50.0, 1e3])
+        candidates = subword.nbest_segmentations(model, text, 8)
+        scores = alpha * np.array([c.score for c in candidates])
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        ours, theirs = (np.random.default_rng(case) for _ in range(2))
+        for _ in range(3):
+            drawn = subword.sample_segmentation(model, text, n=8, alpha=alpha,
+                                                rng=ours)
+            assert drawn == candidates[theirs.choice(len(candidates), p=probs)]
+        assert ours.random() == theirs.random()
+
+
+def test_memo_never_exceeds_its_cap(model, monkeypatch):
+    monkeypatch.setattr(subword, "MEMO_ENTRIES", 5)
+    capped = subword.UnigramSubwordModel(model.vocab)
+    capped_rng, fresh_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for word in WORDS * 3:
+        drawn = subword.sample_segmentation(capped, word, n=6, rng=capped_rng)
+        assert len(capped._memo) <= 5
+        # a word evicted earlier is sampled again as a fresh model would
+        fresh = subword.sample_segmentation(
+            subword.UnigramSubwordModel(model.vocab), word, n=6, rng=fresh_rng)
+        assert drawn == fresh
+        assert subword.nbest_segmentations(capped, word, 3) == \
+            subword.nbest_segmentations(model, word, 3)
+        assert len(capped._memo) <= 5
+    # the oldest entries went first: the last word's entries are kept
+    assert (WORDS[-1], 6, 1.0) in capped._memo
+
+
+def test_a_memo_hit_evicts_nothing(model, monkeypatch):
+    monkeypatch.setattr(subword, "MEMO_ENTRIES", 2)
+    capped = subword.UnigramSubwordModel(model.vocab)
+    rng = np.random.default_rng(0)
+    subword.sample_segmentation(capped, "lower", rng=rng)
+    before = list(capped._memo)
+    for _ in range(3):
+        subword.sample_segmentation(capped, "lower", rng=rng)
+        subword.nbest_segmentations(capped, "lower", 10)
+    assert list(capped._memo) == before
 
 
 def test_mutating_a_returned_nbest_list_leaves_the_memo_intact(model):
@@ -139,6 +195,14 @@ def test_bad_alpha_is_a_config_error_naming_it(model, alpha):
     for _ in range(2):
         with pytest.raises(ConfigError, match=f"got {alpha}"):
             subword.sample_segmentation(model, "lower", alpha=alpha, rng=rng)
+
+
+def test_alpha_that_leaves_no_finite_weight_is_a_domain_error(model):
+    # 1e308 * score is -inf for every candidate, so no weight is finite
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="no sampling distribution"):
+            subword.sample_segmentation(model, "lower", alpha=1e308, rng=rng)
 
 
 @pytest.mark.parametrize("lines, lineno, message", [
