@@ -15,9 +15,11 @@ and sums the same way. So these sums are taken over gathered ``(k, n)``
 blocks, one per distinct length n (``groups_by_length``): one per source
 length S for the masses, one per target length T for the log-likelihood
 terms. ``np.add.reduceat`` is not used for them: it adds in sequence, which
-often differs from the pairwise sum in the last bit once n >= 8. ``segment_stats`` uses
-``reduceat`` for its sums, which are compared at a tolerance, and takes the
-median per distinct length over a ``(k, L)`` block.
+often differs from the pairwise sum in the last bit once n >= 8.
+``segment_stats`` uses ``reduceat`` for its sums, which are compared at a
+tolerance. The median, about 95 % of the cost of all five statistics, is a
+kernel of its own, ``segment_medians``, so only a caller that reads the
+median pays for it; it is taken per distinct length over a ``(k, L)`` block.
 
 The EM counts are added with ``np.add.at``, which adds in index order: the
 links (target token, source token) of the corpus are laid out pair-major
@@ -44,12 +46,8 @@ def to_csr(sequences, dtype):
     return values, offsets
 
 
-def segment_stats(values, offsets):
-    """Per-segment (sum, mean, median, min, population std) over a CSR layout.
-
-    Returns five float64 arrays of length n_segments. Standard deviation uses
-    divisor T (population convention).
-    """
+def _segments(values, offsets):
+    """``(values, starts, counts)`` of a checked CSR layout."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.shape[0] < 2:
@@ -57,18 +55,34 @@ def segment_stats(values, offsets):
     counts = np.diff(offsets)
     if np.any(counts < 1):
         raise ValueError("empty segment in offsets")
-    starts = offsets[:-1]
+    return values, offsets[:-1], counts
+
+
+def segment_stats(values, offsets):
+    """Per-segment (sum, mean, min, population std) over a CSR layout.
+
+    Returns four float64 arrays of length n_segments. Standard deviation uses
+    divisor T (population convention). The median is ``segment_medians``.
+    """
+    values, starts, counts = _segments(values, offsets)
     sums = np.add.reduceat(values, starts)
     means = sums / counts
     mins = np.minimum.reduceat(values, starts)
     centered = values - np.repeat(means, counts)
     stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
-    # one (k, L) block per distinct length L; row medians equal the 1-D ones
+    return sums, means, mins, stds
+
+
+def segment_medians(values, offsets):
+    """Per-segment median over a CSR layout, equal bit for bit to
+    ``np.median`` of each segment: one ``(k, L)`` block per distinct length
+    L, whose row medians equal the 1-D ones."""
+    values, starts, counts = _segments(values, offsets)
     medians = np.empty(len(counts))
     for group in groups_by_length(counts):
         block = values[starts[group][:, None] + np.arange(counts[group[0]])]
         medians[group] = np.median(block, axis=1)
-    return sums, means, medians, mins, stds
+    return medians
 
 
 # (target token, source token) links per EM block: enough to amortize the

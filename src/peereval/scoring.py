@@ -53,26 +53,27 @@ class SystemScore:
             raise DomainError(f"{self.system_name}: non-finite system score")
 
 
-def _segment_stats(segments: Sequence[TokenScoredSegment]):
-    values, offsets = kernels.to_csr([seg.logprobs for seg in segments],
-                                     np.float64)
-    return kernels.segment_stats(values, offsets)
+def _csr(segments: Sequence[TokenScoredSegment]):
+    return kernels.to_csr([seg.logprobs for seg in segments], np.float64)
 
 
 def aggregate_segments(segments: Sequence[TokenScoredSegment],
                        method: Aggregation) -> list:
-    """Batch aggregation of many segments (single kernel pass)."""
+    """Batch aggregation of many segments (single kernel pass); only the
+    median runs ``kernels.segment_medians``."""
     if not segments:
         return []
     method = Aggregation(method)
-    sums, means, medians, mins, stds = _segment_stats(segments)
-    chosen = {
-        Aggregation.SUM: sums,
-        Aggregation.MEAN: means,
-        Aggregation.MEDIAN: medians,
-        Aggregation.MIN: mins,
-        Aggregation.NEG_STD: -stds,
-    }[method]
+    if method is Aggregation.MEDIAN:
+        chosen = kernels.segment_medians(*_csr(segments))
+    else:
+        sums, means, mins, stds = kernels.segment_stats(*_csr(segments))
+        chosen = {
+            Aggregation.SUM: sums,
+            Aggregation.MEAN: means,
+            Aggregation.MIN: mins,
+            Aggregation.NEG_STD: -stds,
+        }[method]
     return [SegmentScore(seg.seg_id, float(v))
             for seg, v in zip(segments, chosen)]
 
@@ -81,7 +82,7 @@ def mean_token_logprobs(segments: Sequence[TokenScoredSegment]) -> np.ndarray:
     """Per-segment mean token log-prob, ordered like ``segments``."""
     if not segments:
         return np.empty(0)
-    return _segment_stats(segments)[1]
+    return kernels.segment_stats(*_csr(segments))[1]
 
 
 def threshold_value(mean_logprob, low: float, high: float):

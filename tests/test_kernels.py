@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from peereval import kernels
+from peereval import kernels, scoring
+from peereval.data import TokenScoredSegment
 
 
 def random_csr(rng, n_segments=200, max_len=30):
@@ -40,18 +41,24 @@ def segment_stats_loop(values, offsets):
     return sums, means, medians, mins, stds
 
 
+def segment_kernels(values, offsets):
+    """The five statistics from the two kernels, in the loop's order."""
+    sums, means, mins, stds = kernels.segment_stats(values, offsets)
+    return sums, means, kernels.segment_medians(values, offsets), mins, stds
+
+
 def test_segment_stats_against_loop_reference():
     rng = np.random.default_rng(7)
     values, offsets = random_csr(rng)
     expected = segment_stats_loop(values, offsets)
-    for a, b in zip(kernels.segment_stats(values, offsets), expected):
+    for a, b in zip(segment_kernels(values, offsets), expected):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_segment_stats_against_numpy_reference():
     rng = np.random.default_rng(11)
     values, offsets = random_csr(rng, n_segments=50)
-    sums, means, medians, mins, stds = kernels.segment_stats(values, offsets)
+    sums, means, medians, mins, stds = segment_kernels(values, offsets)
     for i in range(len(offsets) - 1):
         seg = values[offsets[i]:offsets[i + 1]]
         assert sums[i] == pytest.approx(seg.sum(), rel=1e-12)
@@ -69,13 +76,15 @@ def test_segment_median_bit_identical_to_per_segment_median():
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(lengths)
     values = -np.round(rng.exponential(1.5, size=offsets[-1]), 1)
-    medians = kernels.segment_stats(values, offsets)[2]
+    medians = kernels.segment_medians(values, offsets)
     expected = [np.median(values[lo:hi])
                 for lo, hi in zip(offsets[:-1], offsets[1:])]
     assert np.array_equal(medians, expected)
 
 
-def test_segment_median_one_call_per_distinct_length(monkeypatch):
+@pytest.fixture
+def median_calls(monkeypatch):
+    """A list that gets one entry per ``np.median`` call."""
     calls = []
     median = np.median
 
@@ -84,10 +93,27 @@ def test_segment_median_one_call_per_distinct_length(monkeypatch):
         return median(*args, **kwargs)
 
     monkeypatch.setattr(np, "median", counting_median)
+    return calls
+
+
+def test_segment_median_one_call_per_distinct_length(median_calls):
     rng = np.random.default_rng(17)
     values, offsets = random_csr(rng, n_segments=300, max_len=10)
-    kernels.segment_stats(values, offsets)
-    assert len(calls) == len(np.unique(np.diff(offsets)))
+    kernels.segment_medians(values, offsets)
+    assert len(median_calls) == len(np.unique(np.diff(offsets)))
+
+
+@pytest.mark.parametrize("method", ["sum", "mean", "min", "negstd"])
+def test_only_the_median_aggregation_takes_medians(median_calls, method):
+    rng = np.random.default_rng(19)
+    values, offsets = random_csr(rng, n_segments=40, max_len=10)
+    segments = [TokenScoredSegment(i, ["t"] * (hi - lo), values[lo:hi].tolist())
+                for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))]
+    scoring.aggregate_segments(segments, method)
+    scoring.mean_token_logprobs(segments)
+    assert median_calls == []
+    scoring.aggregate_segments(segments, "median")
+    assert len(median_calls) == len(np.unique(np.diff(offsets)))
 
 
 def test_segment_stats_rejects_empty_segment():
@@ -95,6 +121,8 @@ def test_segment_stats_rejects_empty_segment():
     offsets = np.array([0, 1, 1], dtype=np.int64)
     with pytest.raises(ValueError):
         kernels.segment_stats(values, offsets)
+    with pytest.raises(ValueError):
+        kernels.segment_medians(values, offsets)
 
 
 def random_corpus(rng, n_pairs=40, n_tgt=25, n_src=20, max_len=12):
