@@ -170,7 +170,8 @@ def _cmd_meta_eval(args) -> int:
 
     human = _human_by_pair(load_human_scores(args.human))
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
-    # a system missing from a score file is the only InsufficientDataError
+    # each InsufficientDataError is the score file's: a kept system it lacks,
+    # or a pair it scores that has no human scores
     try:
         report = metaeval.metric_report(human, metric_scores)
     except InsufficientDataError as exc:
@@ -253,26 +254,26 @@ def _cmd_pairwise(args) -> int:
 
     metric, metric_ids = _read_segment_scores(args.metric_seg)
     human, human_ids = _read_segment_scores(args.human_seg)
-    shared_pairs = sorted(set(metric) & set(human))
-    if not shared_pairs:
-        raise AlignmentError("metric and human files share no language pairs")
+    if not metric:
+        raise AlignmentError(f"{args.metric_seg}: no segment scores")
 
     tallies = {}
-    for lp in shared_pairs:
-        if metric_ids[lp] != human_ids[lp]:
+    for lp in sorted(metric):
+        # a pair the human file lacks is pairwise_compare's error
+        if lp in human and metric_ids[lp] != human_ids[lp]:
             raise AlignmentError(
                 f"{lp}: {args.metric_seg} and {args.human_seg} score "
                 "different segments")
         tallies[lp] = metaeval.pairwise_compare(
-            metric[lp], human[lp], alpha=args.alpha, lang_pair=lp)
+            metric[lp], human.get(lp, {}), alpha=args.alpha, lang_pair=lp)
 
     def tally_row(name, tally):
         return [name, tally.sig_correct, tally.sig_incorrect,
                 tally.sig_metric_ns, tally.ns_correct, tally.ns_incorrect,
                 tally.ns_metric_ns]
 
-    rows = [tally_row(lp, tallies[lp]) for lp in shared_pairs]
-    for group, members in metaeval.group_members(shared_pairs).items():
+    rows = [tally_row(lp, tally) for lp, tally in tallies.items()]
+    for group, members in metaeval.group_members(list(tallies)).items():
         if members:
             combined = sum((tallies[lp] for lp in members),
                            metaeval.PairwiseTally())

@@ -436,6 +436,16 @@ def _pair_scores(scores: Mapping[Tuple[str, str], float], lang_pair: str) -> dic
     return {system: v for (lp, system), v in scores.items() if lp == lang_pair}
 
 
+def _scored_pairs(human_scores_by_pair: Mapping[str, Mapping[str, float]],
+                  *metric_scores: Mapping[Tuple[str, str], float]) -> list:
+    """Every pair with human or metric scores, sorted; ``correlate_pair``
+    rejects one with metric scores only."""
+    pairs = set(human_scores_by_pair)
+    for scores in metric_scores:
+        pairs.update(lp for lp, _ in scores)
+    return sorted(pairs)
+
+
 def correlate_pair(human_scores: Mapping[str, float],
                    metric_scores: Mapping[str, float],
                    lang_pair: str) -> CorrelationResult:
@@ -459,11 +469,13 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
 
     ``human_scores_by_pair`` maps lang_pair -> {system: human score};
     ``metric_scores`` maps (lang_pair, system) -> metric score. Each group's
-    average is ``average_correlations`` over its pairs.
+    average is ``average_correlations`` over its pairs. A pair with metric
+    scores and no human scores is an InsufficientDataError naming it.
     """
     per_pair = {
-        lp: correlate_pair(human, _pair_scores(metric_scores, lp), lp)
-        for lp, human in sorted(human_scores_by_pair.items())
+        lp: correlate_pair(human_scores_by_pair.get(lp, {}),
+                           _pair_scores(metric_scores, lp), lp)
+        for lp in _scored_pairs(human_scores_by_pair, metric_scores)
     }
     group_averages = {
         group: average_correlations([per_pair[lp] for lp in members])
@@ -493,11 +505,12 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     Both metric-human r come from ``correlate_pair``. A pair is skipped when
     it is not ``reliable``, when either r is None, or when its Williams
     correlation matrix is singular (say, one metric an affine copy of the
-    other).
+    other). A pair with metric scores and no human scores is an
+    InsufficientDataError naming it.
     """
     comparisons = []
-    for lp in sorted(human_scores_by_pair):
-        human = human_scores_by_pair[lp]
+    for lp in _scored_pairs(human_scores_by_pair, first_scores, second_scores):
+        human = human_scores_by_pair.get(lp, {})
         a_scores = _pair_scores(first_scores, lp)
         b_scores = _pair_scores(second_scores, lp)
         first = correlate_pair(human, a_scores, lp)
@@ -559,11 +572,14 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     A metric-significant decision is correct when the signs of the metric
     and human mean differences agree. Scores must be aligned on the same
     segments across systems, at least 2 of them. One system has no pair to
-    compare and gives an all-zero tally. Errors name ``lang_pair``.
+    compare and gives an all-zero tally. Errors name ``lang_pair``; no human
+    scores at all is one.
     """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     prefix = f"{lang_pair}: " if lang_pair else ""
+    if not human_segment_scores:
+        raise InsufficientDataError(f"{prefix}no human scores")
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
         raise InsufficientDataError(

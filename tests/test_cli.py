@@ -397,6 +397,22 @@ def test_meta_eval_reports_degenerate_pair(tmp_path, capsys):
     assert "fr-en\t-\t5\t-\n" in tsv.read_text()
 
 
+def test_meta_eval_names_the_pair_without_human_scores(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    full = tmp_path / "full.tsv"
+    full.write_text(HEADER + rows("de-en", METRIC) + rows("fr-en", METRIC))
+    de_en = tmp_path / "de-en.tsv"
+    de_en.write_text(HEADER + rows("de-en", METRIC))
+    # the error names the score file that holds the pair
+    for scores, baseline in ((full, de_en), (de_en, full)):
+        assert cli.main(["meta-eval", "--human", str(human), "--scores",
+                         str(scores), "--baseline", str(baseline)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {full}: fr-en: no human scores\n"
+
+
 def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
     # fr-en's baseline is an affine copy of its metric: a singular
     # correlation matrix, though rounding makes the two r differ
@@ -417,6 +433,8 @@ def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
     assert lines[2] == "fr-en\t0.881\t5\t-\t-\t-"
     # with no Williams row at all, the baseline columns still show
     human.write_text(HEADER + rows("fr-en", HUMAN))
+    scores.write_text(HEADER + rows("fr-en", fr_metric))
+    baseline.write_text(HEADER + rows("fr-en", [3 * m + 0.7 for m in fr_metric]))
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "--baseline", str(baseline)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
@@ -635,6 +653,27 @@ def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: fr-en: metric and human segment scores "
                             "cover different systems\n")
+
+
+def test_pairwise_names_the_pair_without_human_scores(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 2.5), 7)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0, 2), 5))
+                      + segment_rows("fr-en", level_scores((0, 2), 5)))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fr-en: no human scores\n"
+    # a metric file without rows has no pair to compare
+    metric.write_text(seg_header)
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 1
+    assert capsys.readouterr().err == f"error: {metric}: no segment scores\n"
 
 
 CROSS_OUTPUTS = {

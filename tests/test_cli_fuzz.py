@@ -107,6 +107,12 @@ CASES = [
      ["subsample", "--human", "human.tsv", "--metric-seg", "metric-seg.tsv",
       "--sizes", "2,4", "--draws", "3"],
      {**HUMAN, "metric-seg.tsv": SEGMENTS["metric-seg.tsv"]}),
+    ("subsample-two-pairs",
+     ["subsample", "--human", "human.tsv", "--metric-seg", "metric-seg.tsv",
+      "--sizes", "2", "--draws", "2"],
+     {"human.tsv": system_tsv((0, 1, 2, 3, 4), TWO_PAIRS),
+      "metric-seg.tsv": segment_tsv(5, (("de-en", SYSTEMS, 6),
+                                        ("fr-en", SYSTEMS, 4)))}),
     ("tune-thresholds",
      ["tune-thresholds", "--human", "human.tsv", "--scores-dir", "s",
       "--grid=-2:0:4"],

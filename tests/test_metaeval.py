@@ -479,6 +479,19 @@ class TestMetricReport:
                            match="^xa-xb: no human scores$"):
             correlate_pair({}, {"A": 0.5}, "xa-xb")
 
+    def test_metric_pair_without_human_scores_named(self):
+        human = {"xa-xb": {s: float(i) for i, s in enumerate("ABCDE")}}
+        metric = {(lp, s): v for lp in ("xa-xb", "xc-xd")
+                  for s, v in zip("ABCDE", (0.0, 2.0, 1.0, 3.0, 4.0))}
+        with pytest.raises(InsufficientDataError,
+                           match="^xc-xd: no human scores$"):
+            metric_report(human, metric)
+        only_xa = {k: v for k, v in metric.items() if k[0] == "xa-xb"}
+        for first, second in ((metric, only_xa), (only_xa, metric)):
+            with pytest.raises(InsufficientDataError,
+                               match="^xc-xd: no human scores$"):
+                compare_metrics(human, first, second)
+
     def test_outliers_dropped_before_correlation(self):
         human = {"A": 0.1, "B": 0.2, "C": 0.25, "D": 0.3, "E": 0.9}
         # metric wildly wrong on the outlier only; correlation unaffected
@@ -643,6 +656,12 @@ class TestPairwise:
     def test_mismatched_systems_rejected(self):
         with pytest.raises(InsufficientDataError):
             pairwise_compare({"A": [1.0, 2.0]}, {"B": [1.0, 2.0]})
+
+    def test_no_human_scores_rejected_naming_the_pair(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^fr-en: no human scores$"):
+            pairwise_compare({"A": [1.0, 2.0], "B": [2.0, 1.0]}, {},
+                             lang_pair="fr-en")
 
     def test_one_system_gives_a_zero_tally(self):
         # no system pair to compare, so not even one segment is an error
