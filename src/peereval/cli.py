@@ -31,7 +31,6 @@ from . import ngram
 from .data import (
     SEGMENT_KEYS,
     SYSTEM_KEYS,
-    HumanJudgments,
     LanguagePair,
     SegmentPair,
     SystemOutput,
@@ -40,6 +39,7 @@ from .data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    scores_by_pair,
     write_lines,
     write_token_scores,
 )
@@ -153,10 +153,6 @@ def _cmd_score(args) -> int:
 # meta-eval / outliers
 # ---------------------------------------------------------------------------
 
-def _human_by_pair(human: HumanJudgments) -> dict:
-    return {lp: human.scores_for(lp) for lp in human.lang_pairs()}
-
-
 def _format_r(value) -> str:
     return "-" if value is None else f"{value:.3f}"
 
@@ -168,7 +164,7 @@ def _repr_r(value) -> str:
 def _cmd_meta_eval(args) -> int:
     from . import metaeval
 
-    human = _human_by_pair(load_human_scores(args.human))
+    human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
     # each InsufficientDataError is the score file's: a kept system it lacks,
     # or a pair it scores that has no human scores
@@ -236,10 +232,10 @@ def _cmd_meta_eval(args) -> int:
 def _cmd_outliers(args) -> int:
     from . import metaeval
 
-    human = load_human_scores(args.human)
+    human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     rows = []
-    for lp in human.lang_pairs():
-        _, outliers = metaeval.mad_outliers(human.scores_for(lp))
+    for lp in metaeval.scored_pairs(human):
+        _, outliers = metaeval.mad_outliers(human[lp])
         rows.append([lp, ", ".join(sorted(outliers)) or "-"])
     _write_rows(args.output, ["lang_pair", "outliers"], rows)
     return 0
@@ -258,14 +254,15 @@ def _cmd_pairwise(args) -> int:
         raise AlignmentError(f"{args.metric_seg}: no segment scores")
 
     tallies = {}
-    for lp in sorted(metric):
-        # a pair the human file lacks is pairwise_compare's error
-        if lp in human and metric_ids[lp] != human_ids[lp]:
+    # a pair one file lacks is pairwise_compare's error
+    for lp in metaeval.scored_pairs(metric, human):
+        if lp in metric and lp in human and metric_ids[lp] != human_ids[lp]:
             raise AlignmentError(
                 f"{lp}: {args.metric_seg} and {args.human_seg} score "
                 "different segments")
         tallies[lp] = metaeval.pairwise_compare(
-            metric[lp], human.get(lp, {}), alpha=args.alpha, lang_pair=lp)
+            metric.get(lp, {}), human.get(lp, {}), alpha=args.alpha,
+            lang_pair=lp)
 
     def tally_row(name, tally):
         return [name, tally.sig_correct, tally.sig_incorrect,
@@ -351,12 +348,13 @@ def _cmd_subsample(args) -> int:
     sizes = [_parse_number(int, s, "size") for s in args.sizes.split(",") if s]
     if not sizes:
         raise ConfigError("no sizes given")
-    human = load_human_scores(args.human)
+    human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     metric, _ = _read_segment_scores(args.metric_seg)
 
     curves = [metaeval.subsample_correlations(
-        human.scores_for(lp), metric[lp], sizes, draws=args.draws,
-        seed=args.seed, lang_pair=lp) for lp in sorted(metric)]
+        human.get(lp, {}), metric.get(lp, {}), sizes, draws=args.draws,
+        seed=args.seed, lang_pair=lp)
+        for lp in metaeval.scored_pairs(human, metric)]
     rows = [[curve[size].lang_pair, size, _repr_r(curve[size].r)]
             for curve in curves for size in sizes]
     for size in sizes:

@@ -15,7 +15,7 @@ Wire formats:
     non-blank line is a header naming ``lang_pair``, ``system`` and
     ``score`` (system level), plus ``seg`` (segment level). Columns are
     matched by name, in any order; other columns are ignored.
-    ``read_score_table`` is the one reader.
+    ``read_score_table`` is the one reader, ``scores_by_pair`` the one split.
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
 
@@ -147,14 +147,6 @@ class HumanJudgments:
 
     def __post_init__(self):
         object.__setattr__(self, "system_scores", dict(self.system_scores))
-
-    def lang_pairs(self) -> list:
-        return sorted({lp for lp, _ in self.system_scores})
-
-    def scores_for(self, lang_pair: str) -> dict:
-        return {
-            s: v for (lp, s), v in self.system_scores.items() if lp == lang_pair
-        }
 
 
 @dataclass(frozen=True)
@@ -322,6 +314,15 @@ def read_score_table(path, keys) -> dict:
     if columns is None:
         raise ParseError("no header line", path)
     return table
+
+
+def scores_by_pair(table: Mapping) -> dict:
+    """Split a ``(lang_pair, system)``-keyed score table into
+    ``{lang_pair: {system: score}}`` in one pass."""
+    by_pair = {}
+    for (lang_pair, system), score in table.items():
+        by_pair.setdefault(lang_pair, {})[system] = score
+    return by_pair
 
 
 def load_human_scores(path) -> HumanJudgments:

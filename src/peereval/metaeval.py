@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import LanguagePair
+from .data import LanguagePair, scores_by_pair
 from .errors import ConfigError, DomainError, InsufficientDataError
 
 MAD_SCALE = 1.483  # normal-consistency constant for the MAD
@@ -431,19 +431,11 @@ class MetricReport:
         return None
 
 
-def _pair_scores(scores: Mapping[Tuple[str, str], float], lang_pair: str) -> dict:
-    """{system: score} for one pair of a (lang_pair, system)-keyed mapping."""
-    return {system: v for (lp, system), v in scores.items() if lp == lang_pair}
-
-
-def _scored_pairs(human_scores_by_pair: Mapping[str, Mapping[str, float]],
-                  *metric_scores: Mapping[Tuple[str, str], float]) -> list:
-    """Every pair with human or metric scores, sorted; ``correlate_pair``
-    rejects one with metric scores only."""
-    pairs = set(human_scores_by_pair)
-    for scores in metric_scores:
-        pairs.update(lp for lp, _ in scores)
-    return sorted(pairs)
+def scored_pairs(*tables_by_pair: Mapping[str, object]) -> list:
+    """The one walk of a multi-pair report: every language pair of the
+    ``{lang_pair: ...}`` tables, sorted. The per-pair rule names a pair that
+    some table lacks."""
+    return sorted(set().union(*tables_by_pair))
 
 
 def correlate_pair(human_scores: Mapping[str, float],
@@ -468,14 +460,15 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
     """Per-pair outlier-filtered correlations plus group averages.
 
     ``human_scores_by_pair`` maps lang_pair -> {system: human score};
-    ``metric_scores`` maps (lang_pair, system) -> metric score. Each group's
-    average is ``average_correlations`` over its pairs. A pair with metric
-    scores and no human scores is an InsufficientDataError naming it.
+    ``metric_scores`` maps (lang_pair, system) -> metric score. It walks
+    ``scored_pairs`` of both, so a pair either lacks is an error naming it.
+    Each group's average is ``average_correlations`` over its pairs.
     """
+    metric_by_pair = scores_by_pair(metric_scores)
     per_pair = {
         lp: correlate_pair(human_scores_by_pair.get(lp, {}),
-                           _pair_scores(metric_scores, lp), lp)
-        for lp in _scored_pairs(human_scores_by_pair, metric_scores)
+                           metric_by_pair.get(lp, {}), lp)
+        for lp in scored_pairs(human_scores_by_pair, metric_by_pair)
     }
     group_averages = {
         group: average_correlations([per_pair[lp] for lp in members])
@@ -502,17 +495,19 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
                     tails: int = 1) -> list:
     """Williams-test comparison of two metrics on every language pair.
 
-    Both metric-human r come from ``correlate_pair``. A pair is skipped when
-    it is not ``reliable``, when either r is None, or when its Williams
-    correlation matrix is singular (say, one metric an affine copy of the
-    other). A pair with metric scores and no human scores is an
-    InsufficientDataError naming it.
+    It walks ``scored_pairs`` of the three, so a pair one of them lacks is
+    an error naming it. Both metric-human r come from ``correlate_pair``. A
+    pair is skipped when it is not ``reliable``, when either r is None, or
+    when its Williams correlation matrix is singular (say, one metric an
+    affine copy of the other).
     """
+    a_by_pair = scores_by_pair(first_scores)
+    b_by_pair = scores_by_pair(second_scores)
     comparisons = []
-    for lp in _scored_pairs(human_scores_by_pair, first_scores, second_scores):
+    for lp in scored_pairs(human_scores_by_pair, a_by_pair, b_by_pair):
         human = human_scores_by_pair.get(lp, {})
-        a_scores = _pair_scores(first_scores, lp)
-        b_scores = _pair_scores(second_scores, lp)
+        a_scores = a_by_pair.get(lp, {})
+        b_scores = b_by_pair.get(lp, {})
         first = correlate_pair(human, a_scores, lp)
         second = correlate_pair(human, b_scores, lp)
         if not first.reliable or first.r is None or second.r is None:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import TokenScoredSegment
+from .data import TokenScoredSegment, scores_by_pair
 from .errors import ConfigError, DomainError, StructureError
 
 
@@ -173,7 +173,8 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
             if out.token_scores is None:
                 raise ConfigError(f"{out.system_name}: no token scores loaded")
             means[out.system_name] = mean_token_logprobs(out.token_scores)
-        dev_sets.append((lp, ds.human.scores_for(lp), means))
+        human = scores_by_pair(ds.human.system_scores).get(lp, {})
+        dev_sets.append((lp, human, means))
 
     best = None
     for j, high in enumerate(grid):

@@ -470,6 +470,7 @@ def test_subsample_reports_degenerate_pair(tmp_path, capsys):
     assert float(table["[all]", "4"]) == pytest.approx(0.9, abs=1e-12)
 
     # no pair left: the average is "-" too
+    human.write_text(HEADER + rows("fr-en", HUMAN))
     metric.write_text("lang_pair\tsystem\tseg\tscore\n"
                       + segment_rows("fr-en", [[0.5] * 4] * len(SYSTEMS)))
     assert cli.main(["subsample", "--human", str(human), "--metric-seg",

@@ -17,6 +17,7 @@ from peereval.data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    scores_by_pair,
     write_lines,
     write_token_scores,
 )
@@ -188,6 +189,17 @@ class TestHumanScores:
         path = tmp_path / "h.tsv"
         path.write_text("\nlang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
         assert load_human_scores(path).system_scores == {("de-en", "A"): 0.1}
+
+    def test_scores_by_pair_splits_every_pair(self):
+        table = {("fr-en", "A"): 0.5, ("de-en", "A"): 0.1,
+                 ("de-en", "B"): 0.2, ("en-zh", "C"): -1.0,
+                 ("fr-en", "B"): 0.25}
+        assert scores_by_pair(table) == {
+            "de-en": {"A": 0.1, "B": 0.2},
+            "fr-en": {"A": 0.5, "B": 0.25},
+            "en-zh": {"C": -1.0},
+        }
+        assert scores_by_pair({}) == {}
 
 
 class TestScoreTable:

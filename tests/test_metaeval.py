@@ -24,11 +24,23 @@ from peereval.metaeval import (
     pairwise_compare,
     pearson,
     ranksum_exact_p,
+    scored_pairs,
     subsample_correlations,
     t_sf,
     wilcoxon_ranksum,
     williams_test,
 )
+
+
+class TestScoredPairs:
+    @pytest.mark.parametrize("tables, want", [
+        (({"fr-en": {}, "de-en": {}},), ["de-en", "fr-en"]),
+        (({"fr-en": {}}, {"de-en": {}, "fr-en": {}}), ["de-en", "fr-en"]),
+        (({"zh-en": 1}, {}, {"en-de": 2, "cs-en": 3}),
+         ["cs-en", "en-de", "zh-en"]),
+    ], ids=["one", "two", "three"])
+    def test_sorted_union(self, tables, want):
+        assert scored_pairs(*tables) == want
 
 
 class TestMadOutliers:
@@ -491,6 +503,14 @@ class TestMetricReport:
             with pytest.raises(InsufficientDataError,
                                match="^xc-xd: no human scores$"):
                 compare_metrics(human, first, second)
+
+    def test_metric_report_names_a_pair_without_metric_scores(self):
+        human = {lp: {s: float(i) for i, s in enumerate("ABCDE")}
+                 for lp in ("xa-xb", "xc-xd")}
+        metric = {("xa-xb", s): float(i) for i, s in enumerate("ABCDE")}
+        with pytest.raises(InsufficientDataError,
+                           match="^xc-xd: no metric score for A, B, C, D, E$"):
+            metric_report(human, metric)
 
     def test_outliers_dropped_before_correlation(self):
         human = {"A": 0.1, "B": 0.2, "C": 0.25, "D": 0.3, "E": 0.9}

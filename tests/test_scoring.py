@@ -13,6 +13,7 @@ from peereval.data import (
     SystemOutput,
     TokenScoredSegment,
     assemble_dataset,
+    scores_by_pair,
 )
 from peereval.errors import ConfigError, DomainError, StructureError
 from peereval.metaeval import metric_report, pearson
@@ -326,8 +327,8 @@ def random_dev_sets(seed):
 def brute_force_band(datasets, grid):
     """Argmax over the grid of meta-eval's weighted average of the
     thresholded system means; ties prefer smaller high, then larger low."""
-    human = {str(ds.lang_pair): ds.human.scores_for(str(ds.lang_pair))
-             for ds in datasets}
+    human = scores_by_pair({key: score for ds in datasets
+                            for key, score in ds.human.system_scores.items()})
     best = None
     for low, high in itertools.combinations(grid, 2):
         metric = {

@@ -41,5 +41,6 @@ def test_files_round_trip(tmp_path):
         assert data.read_lines_with_ids(paths[key]) == \
             [(i, " ".join(toks)) for i, toks in enumerate(segments)]
     human = data.load_human_scores(paths["human"])
-    assert human.scores_for(str(bench.lang_pair)) == \
-        {name: -rate for name, rate in bench.noise_rates.items()}
+    lp = str(bench.lang_pair)
+    assert human.system_scores == \
+        {(lp, name): -rate for name, rate in bench.noise_rates.items()}
