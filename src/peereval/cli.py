@@ -23,6 +23,7 @@ so that a text subcommand (bleu, chrf, cross-bleu) never loads numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional
@@ -72,6 +73,16 @@ def _parse_number(kind, token: str, what: str):
         return kind(token)
     except ValueError:
         raise ConfigError(f"bad {what} {token!r}") from None
+
+
+@contextlib.contextmanager
+def _blame(path):
+    """Prefix an InsufficientDataError raised inside with ``path``, the
+    file at fault."""
+    try:
+        yield
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{path}: {exc}") from None
 
 
 def _read_segment_scores(path):
@@ -167,22 +178,18 @@ def _cmd_meta_eval(args) -> int:
     human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     metric_scores = read_score_table(args.scores, SYSTEM_KEYS)
     # each InsufficientDataError is the score file's: a kept system it lacks,
-    # or a pair it scores that has no human scores
-    try:
+    # a pair it scores that has no human scores, or no pair at all
+    with _blame(args.scores):
         report = metaeval.metric_report(human, metric_scores)
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{args.scores}: {exc}") from None
 
     comparisons = {}
     if args.baseline:
         baseline_scores = read_score_table(args.baseline, SYSTEM_KEYS)
-        try:
+        with _blame(args.baseline):
             comparisons = {comp.lang_pair: comp for comp in
                            metaeval.compare_metrics(human, metric_scores,
                                                     baseline_scores,
                                                     tails=args.tails)}
-        except InsufficientDataError as exc:
-            raise InsufficientDataError(f"{args.baseline}: {exc}") from None
 
     print("lang_pair\tr\tn_systems\toutliers"
           + ("\tbaseline_r\twilliams_p" if args.baseline else ""))
@@ -234,9 +241,10 @@ def _cmd_outliers(args) -> int:
 
     human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     rows = []
-    for lp in metaeval.scored_pairs(human):
-        _, outliers = metaeval.mad_outliers(human[lp])
-        rows.append([lp, ", ".join(sorted(outliers)) or "-"])
+    with _blame(args.human):
+        for lp in metaeval.scored_pairs(human):
+            _, outliers = metaeval.mad_outliers(human[lp])
+            rows.append([lp, ", ".join(sorted(outliers)) or "-"])
     _write_rows(args.output, ["lang_pair", "outliers"], rows)
     return 0
 
@@ -255,14 +263,16 @@ def _cmd_pairwise(args) -> int:
 
     tallies = {}
     # a pair one file lacks is pairwise_compare's error
-    for lp in metaeval.scored_pairs(metric, human):
-        if lp in metric and lp in human and metric_ids[lp] != human_ids[lp]:
-            raise AlignmentError(
-                f"{lp}: {args.metric_seg} and {args.human_seg} score "
-                "different segments")
-        tallies[lp] = metaeval.pairwise_compare(
-            metric.get(lp, {}), human.get(lp, {}), alpha=args.alpha,
-            lang_pair=lp)
+    with _blame(args.metric_seg):
+        for lp in metaeval.scored_pairs(metric, human):
+            if (lp in metric and lp in human
+                    and metric_ids[lp] != human_ids[lp]):
+                raise AlignmentError(
+                    f"{lp}: {args.metric_seg} and {args.human_seg} score "
+                    "different segments")
+            tallies[lp] = metaeval.pairwise_compare(
+                metric.get(lp, {}), human.get(lp, {}), alpha=args.alpha,
+                lang_pair=lp)
 
     def tally_row(name, tally):
         return [name, tally.sig_correct, tally.sig_incorrect,
@@ -351,10 +361,11 @@ def _cmd_subsample(args) -> int:
     human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
     metric, _ = _read_segment_scores(args.metric_seg)
 
-    curves = [metaeval.subsample_correlations(
-        human.get(lp, {}), metric.get(lp, {}), sizes, draws=args.draws,
-        seed=args.seed, lang_pair=lp)
-        for lp in metaeval.scored_pairs(human, metric)]
+    with _blame(args.metric_seg):
+        curves = [metaeval.subsample_correlations(
+            human.get(lp, {}), metric.get(lp, {}), sizes, draws=args.draws,
+            seed=args.seed, lang_pair=lp)
+            for lp in metaeval.scored_pairs(human, metric)]
     rows = [[curve[size].lang_pair, size, _repr_r(curve[size].r)]
             for curve in curves for size in sizes]
     for size in sizes:

@@ -434,8 +434,11 @@ class MetricReport:
 def scored_pairs(*tables_by_pair: Mapping[str, object]) -> list:
     """The one walk of a multi-pair report: every language pair of the
     ``{lang_pair: ...}`` tables, sorted. The per-pair rule names a pair that
-    some table lacks."""
-    return sorted(set().union(*tables_by_pair))
+    some table lacks; no pair at all is an InsufficientDataError."""
+    pairs = sorted(set().union(*tables_by_pair))
+    if not pairs:
+        raise InsufficientDataError("no language pairs")
+    return pairs
 
 
 def correlate_pair(human_scores: Mapping[str, float],
@@ -568,13 +571,15 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     and human mean differences agree. Scores must be aligned on the same
     segments across systems, at least 2 of them. One system has no pair to
     compare and gives an all-zero tally. Errors name ``lang_pair``; no human
-    scores at all is one.
+    or no metric scores at all is one.
     """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     prefix = f"{lang_pair}: " if lang_pair else ""
     if not human_segment_scores:
         raise InsufficientDataError(f"{prefix}no human scores")
+    if not metric_segment_scores:
+        raise InsufficientDataError(f"{prefix}no metric scores")
     systems = sorted(metric_segment_scores)
     if sorted(human_segment_scores) != systems:
         raise InsufficientDataError(

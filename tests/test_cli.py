@@ -541,7 +541,55 @@ def test_subsample_names_the_pair_without_human_scores(tmp_path, capsys):
                       + segment_rows("fr-en", varied))
     assert cli.main(["subsample", "--human", str(human), "--metric-seg",
                      str(metric), "--sizes", "4"]) == 1
-    assert capsys.readouterr().err == "error: fr-en: no human scores\n"
+    assert capsys.readouterr().err == \
+        f"error: {metric}: fr-en: no human scores\n"
+
+
+def test_subsample_names_the_pair_without_metric_scores(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
+    varied = [[m + 0.125 * seg for seg in range(4)] for m in METRIC]
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", varied))
+    args = ["subsample", "--human", str(human), "--metric-seg", str(metric),
+            "--sizes", "4"]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {metric}: fr-en: no metric score for A, B, C, D, E\n"
+    # a metric file without rows scores none of the human pairs
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n")
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {metric}: de-en: no metric score for A, B, C, D, E\n"
+
+
+@pytest.mark.parametrize("command, blamed", [
+    (["meta-eval", "--human", "{human}", "--scores", "{scores}"], "scores"),
+    (["outliers", "--human", "{human}"], "human"),
+    (["subsample", "--human", "{human}", "--metric-seg", "{metric}",
+      "--sizes", "2"], "metric"),
+], ids=["meta-eval", "outliers", "subsample"])
+def test_input_without_a_language_pair_is_an_error(tmp_path, capsys, command,
+                                                    blamed):
+    # every file holds only its header; pairwise has its own message
+    # (test_pairwise_names_the_pair_without_human_scores)
+    paths = {"human": tmp_path / "human.tsv", "scores": tmp_path / "scores.tsv",
+             "metric": tmp_path / "metric-seg.tsv"}
+    paths["human"].write_text(HEADER)
+    paths["scores"].write_text(HEADER)
+    paths["metric"].write_text("lang_pair\tsystem\tseg\tscore\n")
+    out = tmp_path / "out.tsv"
+    assert cli.main([arg.format(**paths) for arg in command]
+                    + ["-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {paths[blamed]}: no language pairs\n"
+    assert not out.exists()
 
 
 def test_subsample_malformed_size_is_an_error(tmp_path, capsys):
@@ -634,8 +682,8 @@ def test_pairwise_names_the_pair_scored_on_one_segment(tmp_path, capsys):
                      "--metric-seg", str(metric)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: fr-en: pairwise comparison needs >= 2 "
-                            "segments, got 1\n")
+    assert captured.err == (f"error: {metric}: fr-en: pairwise comparison "
+                            "needs >= 2 segments, got 1\n")
 
 
 def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):
@@ -652,8 +700,8 @@ def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):
                      "--metric-seg", str(metric)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: fr-en: metric and human segment scores "
-                            "cover different systems\n")
+    assert captured.err == (f"error: {metric}: fr-en: metric and human "
+                            "segment scores cover different systems\n")
 
 
 def test_pairwise_names_the_pair_without_human_scores(tmp_path, capsys):
@@ -669,12 +717,28 @@ def test_pairwise_names_the_pair_without_human_scores(tmp_path, capsys):
                      "--metric-seg", str(metric)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: fr-en: no human scores\n"
+    assert captured.err == f"error: {metric}: fr-en: no human scores\n"
     # a metric file without rows has no pair to compare
     metric.write_text(seg_header)
     assert cli.main(["pairwise", "--human-seg", str(human),
                      "--metric-seg", str(metric)]) == 1
     assert capsys.readouterr().err == f"error: {metric}: no segment scores\n"
+
+
+def test_pairwise_names_the_pair_without_metric_scores(tmp_path, capsys):
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    human = tmp_path / "human-seg.tsv"
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 2.5), 7))
+                     + segment_rows("fr-en", level_scores((0, 2.5), 7)))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0, 2), 5)))
+    assert cli.main(["pairwise", "--human-seg", str(human),
+                     "--metric-seg", str(metric)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {metric}: fr-en: no metric scores\n"
 
 
 CROSS_OUTPUTS = {

@@ -42,6 +42,12 @@ class TestScoredPairs:
     def test_sorted_union(self, tables, want):
         assert scored_pairs(*tables) == want
 
+    def test_no_pair_is_an_error(self):
+        for tables in ((), ({},), ({}, {})):
+            with pytest.raises(InsufficientDataError,
+                               match="^no language pairs$"):
+                scored_pairs(*tables)
+
 
 class TestMadOutliers:
     def test_worked_example(self):
@@ -681,6 +687,12 @@ class TestPairwise:
         with pytest.raises(InsufficientDataError,
                            match="^fr-en: no human scores$"):
             pairwise_compare({"A": [1.0, 2.0], "B": [2.0, 1.0]}, {},
+                             lang_pair="fr-en")
+
+    def test_no_metric_scores_rejected_naming_the_pair(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^fr-en: no metric scores$"):
+            pairwise_compare({}, {"A": [1.0, 2.0], "B": [2.0, 1.0]},
                              lang_pair="fr-en")
 
     def test_one_system_gives_a_zero_tally(self):
