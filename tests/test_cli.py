@@ -852,8 +852,10 @@ def test_subword_train_nbest_sample(tmp_path, capsys):
     paths = [f"{prefix}.1.txt", f"{prefix}.2.txt"]
     assert capsys.readouterr().out.splitlines() == paths
     # uniform draws over the 4-best lists: these hashes pin the random stream
-    digests = [hashlib.sha256(open(path, "rb").read()).hexdigest()
-               for path in paths]
+    digests = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert digests == [
         "3d6740a4735986a23d9d903dc23c60039da859e98e3085b0d0a471dc78937d65",
         "f8ea637020556d5e04d97b3dc601ef80a803ce748aec3dd47443132902e462f6",
