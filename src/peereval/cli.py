@@ -40,6 +40,7 @@ from .data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    same_segments,
     scores_by_pair,
     write_lines,
     write_token_scores,
@@ -87,10 +88,7 @@ def _blame(path):
 
 def _read_segment_scores(path):
     """A segment score TSV as ``({lp: {system: scores in seg order}},
-    {lp: sorted seg ids})``.
-
-    Every system of a language pair must be scored on the same segments;
-    an AlignmentError names the first system that is not.
+    {lp: sorted seg ids})``; the systems of a pair cover the same segments.
     """
     nested = {}
     for (lp, system, seg), score in read_score_table(path,
@@ -98,13 +96,7 @@ def _read_segment_scores(path):
         nested.setdefault(lp, {}).setdefault(system, {})[seg] = score
     aligned, seg_ids = {}, {}
     for lp, per_system in nested.items():
-        first, *others = per_system
-        order = sorted(per_system[first])
-        for system in others:
-            if sorted(per_system[system]) != order:
-                raise AlignmentError(
-                    f"{path}: {lp}: system {system} scored on a different "
-                    f"segment set than {first}")
+        order = same_segments(per_system, f"{path}: {lp}: ")
         aligned[lp] = {system: [scores[i] for i in order]
                        for system, scores in per_system.items()}
         seg_ids[lp] = order
@@ -128,11 +120,8 @@ def _cmd_score(args) -> int:
                           f"{', '.join(SEGMENT_MODE_METHODS)}; got {method}")
     # each file is sorted by seg_id and has no repeated id
     samples = [load_token_scores(p) for p in args.samples]
-    seg_ids = [s.seg_id for s in samples[0]]
-    for path, sample in zip(args.samples[1:], samples[1:]):
-        if [s.seg_id for s in sample] != seg_ids:
-            raise AlignmentError(
-                f"{path} covers different seg_ids than {args.samples[0]}")
+    seg_ids = same_segments({path: [s.seg_id for s in sample]
+                             for path, sample in zip(args.samples, samples)})
     if not seg_ids:
         raise DomainError("sample files contain no segments")
 
@@ -265,11 +254,9 @@ def _cmd_pairwise(args) -> int:
     # a pair one file lacks is pairwise_compare's error
     with _blame(args.metric_seg):
         for lp in metaeval.scored_pairs(metric, human):
-            if (lp in metric and lp in human
-                    and metric_ids[lp] != human_ids[lp]):
-                raise AlignmentError(
-                    f"{lp}: {args.metric_seg} and {args.human_seg} score "
-                    "different segments")
+            if lp in metric and lp in human:
+                same_segments({args.metric_seg: metric_ids[lp],
+                               args.human_seg: human_ids[lp]}, f"{lp}: ")
             tallies[lp] = metaeval.pairwise_compare(
                 metric.get(lp, {}), human.get(lp, {}), alpha=args.alpha,
                 lang_pair=lp)
@@ -525,8 +512,8 @@ def _cmd_toy_score(args) -> int:
     table = model1.load_lexical_table(args.model)
     sources = read_lines_with_ids(args.source, args.ids)
     targets = read_lines_with_ids(args.target, args.ids)
-    if [i for i, _ in sources] != [i for i, _ in targets]:
-        raise AlignmentError("source and target segment ids differ")
+    same_segments({args.source: [i for i, _ in sources],
+                   args.target: [i for i, _ in targets]})
     segments = model1.score_corpus(
         table, [(src.split(), tgt.split())
                 for (_, src), (_, tgt) in zip(sources, targets)],

@@ -16,6 +16,10 @@ Wire formats:
     ``score`` (system level), plus ``seg`` (segment level). Columns are
     matched by name, in any order; other columns are ignored.
     ``read_score_table`` is the one reader, ``scores_by_pair`` the one split.
+  * segment ids: inputs that are compared segment by segment (the samples
+    of one system, the systems of one pair, a metric file and a human
+    file, a source and a target) must cover the same ids; ``same_segments``
+    is the one check.
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
 
@@ -128,14 +132,9 @@ class SystemOutput:
         if self.token_scores is not None:
             scores = tuple(sorted(self.token_scores, key=lambda s: s.seg_id))
             object.__setattr__(self, "token_scores", scores)
-            if {s.seg_id for s in scores} != set(ids):
-                raise AlignmentError(
-                    f"{self.system_name}: token-score seg_ids do not match segments"
-                )
-
-    @property
-    def seg_ids(self) -> frozenset:
-        return frozenset(s.seg_id for s in self.segments)
+            same_segments({"segments": ids,
+                           "token scores": [s.seg_id for s in scores]},
+                          f"{self.system_name}: ")
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,6 @@ class EvalDataset:
         object.__setattr__(self, "systems", systems)
         if len(systems) < 2:
             raise StructureError("an evaluation dataset needs at least 2 systems")
-
-    @property
-    def seg_ids(self) -> list:
-        return sorted(self.systems[0].seg_ids)
-
-    @property
-    def system_names(self) -> list:
-        return [s.system_name for s in self.systems]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +321,23 @@ def load_human_scores(path) -> HumanJudgments:
     return HumanJudgments(read_score_table(path, SYSTEM_KEYS))
 
 
+def same_segments(ids_by_name: Mapping, prefix: str = "") -> list:
+    """The sorted segment ids that every entry of ``{name: segment ids}``
+    covers: the one rule for which files, systems or samples line up.
+
+    Ids are compared as sorted lists, so a repeated id is a difference. An
+    entry whose ids differ from the first entry's is an AlignmentError
+    naming it and the first entry, after ``prefix``.
+    """
+    (first, ids), *others = ids_by_name.items()
+    order = sorted(ids)
+    for name, other in others:
+        if sorted(other) != order:
+            raise AlignmentError(
+                f"{prefix}{name} and {first} cover different segments")
+    return order
+
+
 def read_lines_with_ids(path, ids_path=None) -> list:
     """Read plain-text segments as (seg_id, text) pairs.
 
@@ -369,21 +377,18 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
     if not outputs:
         raise DomainError("no system outputs given")
     lang_pair = outputs[0].lang_pair
+    lp = str(lang_pair)
+    ids_by_system = {}
     for out in outputs:
         if out.lang_pair != lang_pair:
             raise AlignmentError(
                 f"mixed language pairs: {out.system_name} is {out.lang_pair}, "
                 f"expected {lang_pair}"
             )
-    base = outputs[0].seg_ids
-    misaligned = sorted(
-        out.system_name for out in outputs if out.seg_ids != base
-    )
-    if misaligned:
-        raise AlignmentError(
-            "segment ids differ across systems: " + ", ".join(misaligned)
-        )
-    lp = str(lang_pair)
+        if out.system_name in ids_by_system:
+            raise StructureError(f"{lp}: system {out.system_name} given twice")
+        ids_by_system[out.system_name] = [s.seg_id for s in out.segments]
+    same_segments(ids_by_system, f"{lp}: ")
     missing = sorted(
         out.system_name
         for out in outputs

@@ -171,6 +171,21 @@ def test_toy_score_errors_name_the_file(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_toy_score_target_of_another_length_is_an_error(tmp_path, capsys):
+    table, src, tgt = (tmp_path / name for name in
+                       ("table.tsv", "s.txt", "t.txt"))
+    table.write_text("x\t<NULL>\t1.0\nx\ta\t1.0\n")
+    src.write_text("a\na\na\n")
+    tgt.write_text("x\nx\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["toy-scorer", "score", "--model", str(table),
+                     "--source", str(src), "--target", str(tgt),
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tgt} and {src} cover different segments\n")
+    assert not out.exists()
+
+
 def test_missing_hyp_is_an_error(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     ref.write_text("a b\n")
@@ -976,7 +991,7 @@ def test_score_names_the_first_sample_file_over_other_seg_ids(
             assert cli.main(["score", "--samples", *samples, "--method",
                              "mean", "--sample-mode", mode]) == 1
             assert capsys.readouterr().err == (
-                f"error: {bad} covers different seg_ids than {a}\n")
+                f"error: {bad} and {a} cover different segments\n")
 
 
 def misaligned_rows(lang_pair):
@@ -991,16 +1006,14 @@ def test_pairwise_system_on_other_segments_is_an_error(tmp_path, capsys):
     args = pairwise_files(tmp_path, misaligned_rows("de-en"))
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
-        f"error: {args[-1]}: de-en: system B scored on a different segment "
-        "set than A\n")
+        f"error: {args[-1]}: de-en: B and A cover different segments\n")
     # a misaligned pair that only the metric file has is an error too
     args = pairwise_files(
         tmp_path, segment_rows("de-en", level_scores((0, 0.5, 2), 5))
         + misaligned_rows("fr-en"))
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
-        f"error: {args[-1]}: fr-en: system B scored on a different segment "
-        "set than A\n")
+        f"error: {args[-1]}: fr-en: B and A cover different segments\n")
 
 
 def test_pairwise_files_on_other_segments_is_an_error(tmp_path, capsys):
@@ -1012,7 +1025,7 @@ def test_pairwise_files_on_other_segments_is_an_error(tmp_path, capsys):
     args = pairwise_files(tmp_path, shifted)
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
-        f"error: de-en: {args[-1]} and {args[-3]} score different segments\n")
+        f"error: de-en: {args[-3]} and {args[-1]} cover different segments\n")
 
 
 def test_pairwise_checks_alpha_when_no_pair_has_two_systems(tmp_path, capsys):
@@ -1043,5 +1056,4 @@ def test_subsample_system_on_other_segments_is_an_error(tmp_path, capsys):
     assert cli.main(["subsample", "--human", str(human), "--metric-seg",
                      str(metric), "--sizes", "4"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {metric}: de-en: system B scored on a different segment "
-        "set than A\n")
+        f"error: {metric}: de-en: B and A cover different segments\n")

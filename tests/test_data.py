@@ -17,6 +17,7 @@ from peereval.data import (
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
+    same_segments,
     scores_by_pair,
     write_lines,
     write_token_scores,
@@ -73,6 +74,43 @@ class TestTokenScoredSegment:
     def test_empty(self):
         with pytest.raises(StructureError):
             TokenScoredSegment(0, [], [])
+
+
+class TestSystemOutput:
+    def test_token_scores_on_other_segments(self):
+        segments = tuple(SegmentPair(i, "", "") for i in range(3))
+        for ids in ((0, 1), (0, 1, 2, 3), (0, 1, 1, 2)):
+            scores = tuple(TokenScoredSegment(i, ["a"], [-1.0]) for i in ids)
+            with pytest.raises(AlignmentError) as exc:
+                SystemOutput("A", LanguagePair.parse("de-en"), segments,
+                             scores)
+            assert str(exc.value) == (
+                "A: token scores and segments cover different segments")
+
+
+class TestSameSegments:
+    def test_one_entry_gives_its_ids_sorted(self):
+        assert same_segments({"a": [3, 0, 2]}) == [0, 2, 3]
+
+    def test_entries_in_any_order_line_up(self):
+        assert same_segments({"a": [2, 0, 1], "b": (0, 1, 2),
+                              "c": {1: 0.5, 2: 0.5, 0: 0.5}}) == [0, 1, 2]
+
+    def test_first_entry_that_differs_is_named_with_the_first(self):
+        with pytest.raises(AlignmentError) as exc:
+            same_segments({"a": [0, 1], "b": [1, 0], "c": [0, 2],
+                           "d": [0]})
+        assert str(exc.value) == "c and a cover different segments"
+
+    def test_a_repeated_id_is_a_difference(self):
+        with pytest.raises(AlignmentError) as exc:
+            same_segments({"a": [0, 1], "b": [0, 1, 1]})
+        assert str(exc.value) == "b and a cover different segments"
+
+    def test_prefix_is_kept(self):
+        with pytest.raises(AlignmentError) as exc:
+            same_segments({"A": [0, 1], "B": [0]}, "m.tsv: de-en: ")
+        assert str(exc.value) == "m.tsv: de-en: B and A cover different segments"
 
 
 class TestTokenScoreFile:
@@ -289,16 +327,27 @@ class TestAssembleDataset:
                    for n in "ABC"]
         human = HumanJudgments({("de-en", n): i for i, n in enumerate("ABC")})
         ds = assemble_dataset(outputs, human)
-        assert ds.system_names == ["A", "B", "C"]
-        assert ds.seg_ids == list(range(10))
+        assert [out.system_name for out in ds.systems] == ["A", "B", "C"]
+        for out in ds.systems:
+            assert [seg.seg_id for seg in out.segments] == list(range(10))
 
     def test_misaligned_system_named(self):
         good = [make_output(n, ["x"] * 10) for n in "AC"]
         segments = tuple(SegmentPair(i, "", "y") for i in range(10) if i != 7)
         bad = SystemOutput("B", LanguagePair.parse("de-en"), segments)
         human = HumanJudgments({("de-en", n): 0.0 for n in "ABC"})
-        with pytest.raises(AlignmentError, match="B"):
+        with pytest.raises(AlignmentError) as exc:
             assemble_dataset([good[0], bad, good[1]], human)
+        assert str(exc.value) == "de-en: B and A cover different segments"
+
+    def test_system_given_twice_named(self):
+        # one name over other segments must not hide behind the first
+        outputs = [make_output("A", ["x"] * 9), make_output("A", ["x"] * 10),
+                   make_output("B", ["x"] * 10)]
+        human = HumanJudgments({("de-en", n): 0.0 for n in "AB"})
+        with pytest.raises(StructureError) as exc:
+            assemble_dataset(outputs, human)
+        assert str(exc.value) == "de-en: system A given twice"
 
     def test_missing_judgment_named(self):
         outputs = [make_output(n, ["x"] * 5) for n in "ABC"]
