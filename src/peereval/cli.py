@@ -32,11 +32,11 @@ from . import ngram
 from .data import (
     SEGMENT_KEYS,
     SYSTEM_KEYS,
+    HumanJudgments,
     LanguagePair,
     SegmentPair,
     SystemOutput,
     assemble_dataset,
-    load_human_scores,
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
@@ -393,38 +393,41 @@ def _parse_grid(text: str) -> list:
 
 
 def _cmd_tune_thresholds(args) -> int:
-    from . import scoring
+    from . import metaeval, scoring
 
     grid = _parse_grid(args.grid)
-    human = load_human_scores(args.human)
-    datasets = []
+    table = read_score_table(args.human, SYSTEM_KEYS)
+    human = HumanJudgments(table)
     dirs = {}   # language pair -> its directory
-    for lp in sorted(os.listdir(args.scores_dir)):
-        lp_dir = os.path.join(args.scores_dir, lp)
+    for name in sorted(os.listdir(args.scores_dir)):
+        lp_dir = os.path.join(args.scores_dir, name)
         if not os.path.isdir(lp_dir):
             continue
         try:
-            lang_pair = LanguagePair.parse(lp)
+            lp = str(LanguagePair.parse(name))
         except DomainError as exc:
             raise DomainError(f"{lp_dir}: {exc}") from None
-        if lang_pair in dirs:
-            raise ConfigError(f"{dirs[lang_pair]} and {lp_dir} hold the same "
-                              f"language pair {lang_pair}")
-        dirs[lang_pair] = lp_dir
-        outputs = []
-        for fname in sorted(os.listdir(lp_dir)):
-            if not fname.endswith(".jsonl"):
-                continue
-            system = fname[:-len(".jsonl")]
-            token_scores = load_token_scores(os.path.join(lp_dir, fname))
-            segments = tuple(SegmentPair(s.seg_id, "", "")
-                             for s in token_scores)
-            outputs.append(SystemOutput(system, lang_pair, segments,
-                                        tuple(token_scores)))
-        if outputs:
+        if lp in dirs:
+            raise ConfigError(f"{dirs[lp]} and {lp_dir} hold the same "
+                              f"language pair {lp}")
+        dirs[lp] = lp_dir
+    datasets = []
+    with _blame(args.scores_dir):
+        for lp in metaeval.scored_pairs(scores_by_pair(table), dirs):
+            lp_dir = dirs.get(lp)
+            files = [] if lp_dir is None else sorted(
+                f for f in os.listdir(lp_dir) if f.endswith(".jsonl"))
+            if not files:
+                raise InsufficientDataError(f"{lp}: no token-score files")
+            lang_pair = LanguagePair.parse(lp)
+            outputs = []
+            for fname in files:
+                token_scores = load_token_scores(os.path.join(lp_dir, fname))
+                segments = tuple(SegmentPair(s.seg_id, "", "")
+                                 for s in token_scores)
+                outputs.append(SystemOutput(fname[:-len(".jsonl")], lang_pair,
+                                            segments, tuple(token_scores)))
             datasets.append(assemble_dataset(outputs, human))
-    if not datasets:
-        raise ConfigError(f"no token-score files under {args.scores_dir}")
     low, high = scoring.tune_thresholds(datasets, grid)
     print(f"low\t{low!r}")
     print(f"high\t{high!r}")

@@ -316,11 +316,6 @@ def scores_by_pair(table: Mapping) -> dict:
     return by_pair
 
 
-def load_human_scores(path) -> HumanJudgments:
-    """Read a system-level human score TSV."""
-    return HumanJudgments(read_score_table(path, SYSTEM_KEYS))
-
-
 def same_segments(ids_by_name: Mapping, prefix: str = "") -> list:
     """The sorted segment ids that every entry of ``{name: segment ids}``
     covers: the one rule for which files, systems or samples line up.

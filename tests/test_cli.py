@@ -318,6 +318,28 @@ def test_tune_thresholds_names_the_pair_without_human_score(tmp_path, capsys):
         "error: fr-en: no human system score for: B\n")
 
 
+@pytest.mark.parametrize("fr_en_dir", [None, "empty", "other files"])
+def test_tune_thresholds_names_the_pair_without_token_scores(
+        tmp_path, capsys, fr_en_dir):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
+    scores_dir = tmp_path / "scores"
+    (scores_dir / "de-en").mkdir(parents=True)
+    for system, level in zip(SYSTEMS, METRIC):
+        write_samples(scores_dir / "de-en" / f"{system}.jsonl",
+                      [[-0.5 - level], [-0.25]])
+    if fr_en_dir is not None:
+        (scores_dir / "fr-en").mkdir()
+    if fr_en_dir == "other files":
+        (scores_dir / "fr-en" / "notes.txt").write_text("")
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(scores_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {scores_dir}: fr-en: no token-score files\n")
+
+
 def tune_thresholds_output(tmp_path, capsys, human_pair, dir_pair):
     tmp_path.mkdir(exist_ok=True)
     human = tmp_path / "human.tsv"

@@ -13,7 +13,6 @@ from peereval.data import (
     SystemOutput,
     TokenScoredSegment,
     assemble_dataset,
-    load_human_scores,
     load_token_scores,
     read_lines_with_ids,
     read_score_table,
@@ -207,26 +206,26 @@ class TestHumanScores:
     def test_parse_system_row(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("lang_pair\tsystem\tscore\nde-en\tonline-X.0\t-0.53\n")
-        human = load_human_scores(path)
-        assert human.system_scores[("de-en", "online-X.0")] == -0.53
+        human = read_score_table(path, SYSTEM_KEYS)
+        assert human[("de-en", "online-X.0")] == -0.53
 
     def test_duplicate_row(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("lang_pair\tsystem\tscore\n"
                         "de-en\tA\t0.1\nde-en\tA\t0.2\n")
         with pytest.raises(StructureError):
-            load_human_scores(path)
+            read_score_table(path, SYSTEM_KEYS)
 
     def test_non_numeric_score(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("lang_pair\tsystem\tscore\nde-en\tA\tabc\n")
         with pytest.raises(ParseError):
-            load_human_scores(path)
+            read_score_table(path, SYSTEM_KEYS)
 
     def test_leading_blank_line(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("\nlang_pair\tsystem\tscore\nde-en\tA\t0.1\n")
-        assert load_human_scores(path).system_scores == {("de-en", "A"): 0.1}
+        assert read_score_table(path, SYSTEM_KEYS) == {("de-en", "A"): 0.1}
 
     def test_scores_by_pair_splits_every_pair(self):
         table = {("fr-en", "A"): 0.5, ("de-en", "A"): 0.1,

@@ -40,7 +40,7 @@ def test_files_round_trip(tmp_path):
     for key, segments in expected.items():
         assert data.read_lines_with_ids(paths[key]) == \
             [(i, " ".join(toks)) for i, toks in enumerate(segments)]
-    human = data.load_human_scores(paths["human"])
+    human = data.read_score_table(paths["human"], data.SYSTEM_KEYS)
     lp = str(bench.lang_pair)
-    assert human.system_scores == \
+    assert human == \
         {(lp, name): -rate for name, rate in bench.noise_rates.items()}
