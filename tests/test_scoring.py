@@ -359,13 +359,15 @@ class TestTuneThresholds:
             "C": {-2.0: 2, -0.5: 8},
             "D": {-2.0: 6, -0.5: 4},
         })
-        assert tune_thresholds([ds], [-1.0, 0.0]) == (-1.0, 0.0)
+        with pytest.warns(UserWarning, match="clamped"):
+            assert tune_thresholds([ds], [-1.0, 0.0]) == (-1.0, 0.0)
 
     def test_recovers_separating_band(self):
         # three mean levels; only (-1, -0.6) scores systems as
         # frac(-0.5) - frac(-2.0), which is exactly the human score
         ds = make_threshold_dataset(SEPARATING_MIXES)
-        low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
+        with pytest.warns(UserWarning, match="clamped"):
+            low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
         assert (low, high) == (-1.0, -0.6)
 
     def test_dev_set_under_4_systems_does_not_move_the_band(self):
@@ -392,7 +394,8 @@ class TestTuneThresholds:
             "C": {-2.0: 2, -0.5: 8},
             "D": {-2.0: 6, -0.5: 4},
         })
-        low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
+        with pytest.warns(UserWarning, match="clamped"):
+            low, high = tune_thresholds([ds], [-3.0, -1.0, -0.6, 0.0])
         assert high == -1.0
         assert low == -3.0
 
