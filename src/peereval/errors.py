@@ -34,7 +34,8 @@ class DomainError(PeerEvalError):
 
 
 class AlignmentError(PeerEvalError):
-    """Segment ids or corpus lengths do not line up across files or systems."""
+    """Segment ids or corpus lengths do not line up across files or systems.
+    ``data.same_segments`` raises it for every segment-id comparison."""
 
 
 class CoverageError(PeerEvalError):
