@@ -340,6 +340,18 @@ def test_tune_thresholds_names_the_pair_without_token_scores(
         f"error: {scores_dir}: fr-en: no token-score files\n")
 
 
+def test_tune_thresholds_without_a_language_pair_is_an_error(tmp_path,
+                                                            capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER)
+    scores_dir = tmp_path / "scores"
+    scores_dir.mkdir()
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(scores_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scores_dir}: no language pairs\n")
+
+
 def tune_thresholds_output(tmp_path, capsys, human_pair, dir_pair):
     tmp_path.mkdir(exist_ok=True)
     human = tmp_path / "human.tsv"
