@@ -14,8 +14,8 @@ The chain runs ``peereval.cli.main`` in-process on the files of
     samples, and over one sample;
   - ``toy-scorer score`` and ``score --lang-pair xa-xb`` (mean and median)
     of all six systems, the rows joined into two system score TSVs;
-  - ``meta-eval`` (tsv and json, the median TSV as ``--baseline``) and
-    ``outliers`` against human system scores;
+  - ``meta-eval`` (tsv and json, the median TSV as ``--baseline``) against
+    human system scores;
   - ``pairwise`` and ``subsample`` over a metric segment TSV (per-segment
     mean log-probs) and a human segment TSV;
   - ``tune-thresholds`` over the ``<lang pair>/<system>.jsonl`` files;
@@ -25,9 +25,8 @@ The chain runs ``peereval.cli.main`` in-process on the files of
     (the two samples differ);
   - on a small Unicode/CJK text set (a reference and two hypotheses):
     ``bleu`` with each of the three tokenizers, with ``--smoothing
-    exp-floor`` and with ``--max-order 2``; ``chrf``; ``cross-bleu`` of the
-    two hypotheses as a pair, with ``--both``, and of all three files with
-    ``--matrix``; ``cross-bleu`` pair mode with ``--both`` and ``-o``;
+    exp-floor`` and with ``--max-order 2``; ``chrf``; the ``cross-bleu``
+    matrix of all three files;
   - ``tune-thresholds`` and ``subsample`` over two language pairs, from a
     human TSV, a metric segment TSV and a scores directory of their own
     under ``two-pairs/``: the first pair is the one above, the second has 5
@@ -297,7 +296,6 @@ def _steps(systems):
                             "--baseline", "median-sys.tsv",
                             "--format", "json", "-o", "meta-eval.json"],
          ["meta-eval.json"]),
-        ("outliers", ["outliers", "--human", "human-sys.tsv"], []),
         ("pairwise", ["pairwise", "--human-seg", "human-seg.tsv",
                       "--metric-seg", "metric-seg.tsv", "-o", "pairwise.tsv"],
          ["pairwise.tsv"]),
@@ -329,7 +327,6 @@ def _steps(systems):
                       ["bleu", *uni, "--tokenizer", tokenizer,
                        "-o", f"bleu-{tokenizer}.tsv"],
                       [f"bleu-{tokenizer}.tsv"]))
-    pair = ["--outputs", "uni_a.txt", "uni_b.txt"]
     steps += [
         # split at whitespace only, hypothesis b shares no 3- or 4-gram
         # with the reference, so the score without smoothing is 0
@@ -338,15 +335,9 @@ def _steps(systems):
                             "--smoothing", "exp-floor"], []),
         ("bleu-max-order-2", ["bleu", *uni, "--max-order", "2"], []),
         ("chrf", ["chrf", *uni, "-o", "chrf.tsv"], ["chrf.tsv"]),
-        ("cross-bleu-pair", ["cross-bleu", *pair], []),
-        ("cross-bleu-both", ["cross-bleu", *pair, "--both",
-                             "--tokenizer", "char-for-zh"], []),
         ("cross-bleu-matrix", ["cross-bleu", "--outputs", "uni_ref.txt",
-                               "uni_a.txt", "uni_b.txt", "--matrix",
+                               "uni_a.txt", "uni_b.txt",
                                "-o", "cross-bleu.tsv"], ["cross-bleu.tsv"]),
-        ("cross-bleu-pair-o", ["cross-bleu", *pair, "--both",
-                               "-o", "cross-bleu-pair.tsv"],
-         ["cross-bleu-pair.tsv"]),
     ]
     two_human = os.path.join(TWO_PAIRS_DIR, "human-sys.tsv")
     two_subsample = os.path.join(TWO_PAIRS_DIR, "subsample.tsv")

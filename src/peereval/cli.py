@@ -5,9 +5,8 @@ Subcommands wire ingestion -> scoring -> meta-evaluation:
   score            token-score files -> system score TSV
   meta-eval        metric scores vs human judgments, per-pair + group report
   pairwise         pairwise ranking agreement tally
-  outliers         per-pair outlier systems under the MAD filter
   bleu / chrf      corpus metrics over plain-text files
-  cross-bleu       proximity between system outputs (pair or matrix)
+  cross-bleu       proximity matrix between system outputs
   subsample        correlation versus test-set size
   tune-thresholds  grid search for the confidence-threshold band
   subword          train / nbest / sample for the unigram segmenter
@@ -122,8 +121,6 @@ def _cmd_score(args) -> int:
     samples = [load_token_scores(p) for p in args.samples]
     seg_ids = same_segments({path: [s.seg_id for s in sample]
                              for path, sample in zip(args.samples, samples)})
-    if not seg_ids:
-        raise DomainError("sample files contain no segments")
 
     if args.sample_mode == "segment" and len(samples) > 1:
         values = [scoring.regularize(group, "segment",
@@ -150,7 +147,7 @@ def _cmd_score(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# meta-eval / outliers
+# meta-eval
 # ---------------------------------------------------------------------------
 
 def _format_r(value) -> str:
@@ -177,8 +174,7 @@ def _cmd_meta_eval(args) -> int:
         with _blame(args.baseline):
             comparisons = {comp.lang_pair: comp for comp in
                            metaeval.compare_metrics(human, metric_scores,
-                                                    baseline_scores,
-                                                    tails=args.tails)}
+                                                    baseline_scores)}
 
     print("lang_pair\tr\tn_systems\toutliers"
           + ("\tbaseline_r\twilliams_p" if args.baseline else ""))
@@ -222,19 +218,6 @@ def _cmd_meta_eval(args) -> int:
                      for group, avg in report.group_averages.items()]
             _write_rows(args.output,
                         ["lang_pair", "r", "n_systems", "outliers"], rows)
-    return 0
-
-
-def _cmd_outliers(args) -> int:
-    from . import metaeval
-
-    human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
-    rows = []
-    with _blame(args.human):
-        for lp in metaeval.scored_pairs(human):
-            _, outliers = metaeval.mad_outliers(human[lp])
-            rows.append([lp, ", ".join(sorted(outliers)) or "-"])
-    _write_rows(args.output, ["lang_pair", "outliers"], rows)
     return 0
 
 
@@ -308,30 +291,11 @@ def _cmd_cross_bleu(args) -> int:
              for p in args.outputs}
     if len(texts) != len(args.outputs):
         raise ConfigError("output files must have distinct basenames")
-    if args.matrix:
-        if args.both:
-            raise ConfigError("--both is for pair mode; --matrix already "
-                              "has both directions")
-        names, matrix, averages = ngram.cross_bleu_matrix(texts, cfg)
-        rows = [[name] + [repr(v) for v in row]
-                for name, row in zip(names, matrix)]
-        rows += [["[average]"] + [repr(a) for a in averages]]
-        _write_rows(args.output, ["hyp\\ref"] + names, rows)
-    else:
-        if len(args.outputs) != 2:
-            raise ConfigError("pair mode needs exactly 2 output files")
-        name_a, name_b = texts
-        # One matrix call tokenizes each file once for both directions.
-        names, matrix, _ = ngram.cross_bleu_matrix(texts, cfg)
-        i, j = names.index(name_a), names.index(name_b)
-        rows = [[name_a, name_b, matrix[i][j]]]
-        if args.both:
-            rows.append([name_b, name_a, matrix[j][i]])
-        for hyp, ref, value in rows:
-            print(f"{hyp}->{ref}\t{value:.3f}")
-        if args.output:
-            _write_rows(args.output, ["hyp", "ref", "score"],
-                        [[hyp, ref, repr(value)] for hyp, ref, value in rows])
+    names, matrix, averages = ngram.cross_bleu_matrix(texts, cfg)
+    rows = [[name] + [repr(v) for v in row]
+            for name, row in zip(names, matrix)]
+    rows += [["[average]"] + [repr(a) for a in averages]]
+    _write_rows(args.output, ["hyp\\ref"] + names, rows)
     return 0
 
 
@@ -565,15 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--baseline", default=None,
                    help="second metric score TSV for the significance test")
-    p.add_argument("--tails", type=int, choices=[1, 2], default=1)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_meta_eval)
-
-    p = sub.add_parser("outliers", help="per-pair MAD outlier systems")
-    p.add_argument("--human", required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_outliers)
 
     p = sub.add_parser("pairwise",
                        help="pairwise ranking agreement with human decisions")
@@ -605,10 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross-bleu",
                        help="BLEU between system outputs (proximity)")
     p.add_argument("--outputs", nargs="+", required=True)
-    p.add_argument("--matrix", action="store_true",
-                   help="emit the full matrix plus per-system averages")
-    p.add_argument("--both", action="store_true",
-                   help="in pair mode, also report the reverse direction")
     p.add_argument("--tokenizer", choices=sorted(ngram.TOKENIZERS),
                    default="intl")
     p.add_argument("--max-order", type=int, default=4)

@@ -193,7 +193,8 @@ def write_lines(path, lines: Iterable) -> None:
 
 
 def load_token_scores(path) -> list:
-    """Read a token-score JSONL file, sorted by seg_id."""
+    """Read a token-score JSONL file, sorted by seg_id. A file without a
+    record is a ParseError."""
     segments = []
     seen = set()
     for lineno, raw in read_lines(path):
@@ -226,6 +227,8 @@ def load_token_scores(path) -> list:
         except OverflowError as exc:   # an integer beyond the float range
             raise ParseError("log-prob out of float range", path,
                              lineno) from exc
+    if not segments:
+        raise ParseError("no token-score records", path)
     segments.sort(key=lambda s: s.seg_id)
     return segments
 

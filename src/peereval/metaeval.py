@@ -494,9 +494,11 @@ class WilliamsComparison:
 
 def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
                     first_scores: Mapping[Tuple[str, str], float],
-                    second_scores: Mapping[Tuple[str, str], float],
-                    tails: int = 1) -> list:
+                    second_scores: Mapping[Tuple[str, str], float]) -> list:
     """Williams-test comparison of two metrics on every language pair.
+
+    The p is one-tailed, as in WMT: a small p says the first metric
+    correlates with the human scores better than the second.
 
     It walks ``scored_pairs`` of the three, so a pair one of them lacks is
     an error naming it. Both metric-human r come from ``correlate_pair``. A
@@ -518,8 +520,7 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
         r12 = pearson([a_scores[s] for s in first.kept],
                       [b_scores[s] for s in first.kept])
         try:
-            t, p = williams_test(first.r, second.r, r12, first.n_systems,
-                                 tails=tails)
+            t, p = williams_test(first.r, second.r, r12, first.n_systems)
         except InsufficientDataError:
             continue
         comparisons.append(WilliamsComparison(

@@ -1,5 +1,6 @@
 """The command line, run in-process through ``cli.main``."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+import test_cli_fuzz
+import test_e2e
 
 from peereval import cli, ngram, synthetic
 from peereval.data import TokenScoredSegment, write_token_scores
@@ -84,6 +87,28 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
     assert third_party_loaded(code, cwd=tmp_path) == loaded
 
 
+def leaf_commands(parser, prefix=()):
+    """The argv prefix of every subcommand that runs, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for name, child in action.choices.items()
+                    for leaf in leaf_commands(child, prefix + (name,))]
+    return [prefix]
+
+
+def test_every_subcommand_is_fuzzed_and_in_the_golden_chain():
+    leaves = leaf_commands(cli.build_parser())
+    assert {("subword", "sample"), ("toy-scorer", "score")} <= set(leaves)
+    fuzzed = [args for _, args, _ in test_cli_fuzz.CASES]
+    golden = [action for _, action, _ in test_e2e.load_script()._steps(["A"])
+              if not callable(action)]
+    for leaf in leaves:
+        assert any(tuple(args[:len(leaf)]) == leaf for args in fuzzed), \
+            f"{' '.join(leaf)}: no case in test_cli_fuzz.CASES"
+        assert any(tuple(args[:len(leaf)]) == leaf for args in golden), \
+            f"{' '.join(leaf)}: no step in the golden chain"
+
+
 HUMAN_TSV = "lang_pair\tsystem\tscore\nde-en\tA\t0.1\nde-en\tB\t0.2\n"
 SEG_TSV = "lang_pair\tsystem\tseg\tscore\nde-en\tA\t0\t0.1\n"
 JSONL = '{"seg": 0, "tokens": ["a"], "logp": [-1.0]}'
@@ -96,8 +121,9 @@ UNDECODABLE = [
     pytest.param(["meta-eval", "--human", "human.tsv", "--scores", "bad.tsv"],
                  "bad.tsv", "lang_pair\tsystem\tscore", {"human.tsv": HUMAN_TSV},
                  id="meta-eval"),
-    pytest.param(["outliers", "--human", "bad.tsv"],
-                 "bad.tsv", "lang_pair\tsystem\tscore", {}, id="outliers"),
+    pytest.param(["meta-eval", "--human", "bad.tsv", "--scores", "scores.tsv"],
+                 "bad.tsv", "lang_pair\tsystem\tscore",
+                 {"scores.tsv": HUMAN_TSV}, id="meta-eval-human"),
     pytest.param(["pairwise", "--human-seg", "bad.tsv", "--metric-seg", "m.tsv"],
                  "bad.tsv", "lang_pair\tsystem\tseg\tscore", {"m.tsv": SEG_TSV},
                  id="pairwise"),
@@ -350,6 +376,22 @@ def test_tune_thresholds_without_a_language_pair_is_an_error(tmp_path,
                      "--scores-dir", str(scores_dir)]) == 1
     assert capsys.readouterr().err == (
         f"error: {scores_dir}: no language pairs\n")
+
+
+def test_tune_thresholds_with_empty_token_score_files_is_an_error(tmp_path,
+                                                                  capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    lp_dir = tmp_path / "scores" / "de-en"
+    lp_dir.mkdir(parents=True)
+    for system in SYSTEMS:
+        (lp_dir / f"{system}.jsonl").write_text("")
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(tmp_path / "scores")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {lp_dir / 'A.jsonl'}: no token-score records\n")
 
 
 def tune_thresholds_output(tmp_path, capsys, human_pair, dir_pair):
@@ -619,10 +661,9 @@ def test_subsample_names_the_pair_without_metric_scores(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, blamed", [
     (["meta-eval", "--human", "{human}", "--scores", "{scores}"], "scores"),
-    (["outliers", "--human", "{human}"], "human"),
     (["subsample", "--human", "{human}", "--metric-seg", "{metric}",
       "--sizes", "2"], "metric"),
-], ids=["meta-eval", "outliers", "subsample"])
+], ids=["meta-eval", "subsample"])
 def test_input_without_a_language_pair_is_an_error(tmp_path, capsys, command,
                                                     blamed):
     # every file holds only its header; pairwise has its own message
@@ -808,7 +849,7 @@ def write_outputs(tmp_path, names):
 
 def test_cross_bleu_matrix_tsv(tmp_path):
     out = tmp_path / "matrix.tsv"
-    assert cli.main(["cross-bleu", "--matrix", "--max-order", "2",
+    assert cli.main(["cross-bleu", "--max-order", "2",
                      "--outputs", *write_outputs(tmp_path, ["gamma", "alpha", "beta"]),
                      "-o", str(out)]) == 0
     names, matrix, averages = ngram.cross_bleu_matrix(
@@ -821,49 +862,23 @@ def test_cross_bleu_matrix_tsv(tmp_path):
 
 
 def test_cross_bleu_pair_both_directions(tmp_path, capsys):
+    # two outputs give the matrix of both directions, on stdout without -o
     paths = write_outputs(tmp_path, ["gamma", "alpha"])
     forward = ngram.cross_bleu(CROSS_OUTPUTS["gamma"], CROSS_OUTPUTS["alpha"])
     backward = ngram.cross_bleu(CROSS_OUTPUTS["alpha"], CROSS_OUTPUTS["gamma"])
     assert forward != backward
     assert cli.main(["cross-bleu", "--outputs", *paths]) == 0
-    assert capsys.readouterr().out == f"gamma->alpha\t{forward:.3f}\n"
-    assert cli.main(["cross-bleu", "--both", "--outputs", *paths]) == 0
-    assert capsys.readouterr().out == \
-        f"gamma->alpha\t{forward:.3f}\nalpha->gamma\t{backward:.3f}\n"
-
-
-@pytest.mark.parametrize("both", [[], ["--both"]])
-def test_cross_bleu_pair_writes_output_tsv(tmp_path, capsys, both):
-    paths = write_outputs(tmp_path, ["gamma", "alpha"])
-    assert cli.main(["cross-bleu", *both, "--outputs", *paths]) == 0
-    printed = capsys.readouterr().out
-    out = tmp_path / "pair.tsv"
-    assert cli.main(["cross-bleu", *both, "--outputs", *paths,
-                     "-o", str(out)]) == 0
-    assert capsys.readouterr().out == printed
-    forward = ngram.cross_bleu(CROSS_OUTPUTS["gamma"], CROSS_OUTPUTS["alpha"])
-    rows = ["hyp\tref\tscore", f"gamma\talpha\t{forward!r}"]
-    if both:
-        backward = ngram.cross_bleu(CROSS_OUTPUTS["alpha"],
-                                    CROSS_OUTPUTS["gamma"])
-        rows.append(f"alpha\tgamma\t{backward!r}")
-    assert out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
-
-
-def test_cross_bleu_matrix_rejects_both(tmp_path, capsys):
-    paths = write_outputs(tmp_path, ["gamma", "alpha"])
-    assert cli.main(["cross-bleu", "--matrix", "--both",
-                     "--outputs", *paths]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: --both is for pair mode; --matrix "
-                            "already has both directions\n")
+    assert capsys.readouterr().out == (
+        "hyp\\ref\talpha\tgamma\n"
+        f"alpha\t100.0\t{backward!r}\n"
+        f"gamma\t{forward!r}\t100.0\n"
+        f"[average]\t{backward!r}\t{forward!r}\n")
 
 
 def test_cross_bleu_names_a_system_without_tokens(tmp_path, capsys):
     blank = tmp_path / "blank.txt"
     blank.write_text("\n\n", encoding="utf-8")
-    assert cli.main(["cross-bleu", "--matrix", "--outputs",
+    assert cli.main(["cross-bleu", "--outputs",
                      *write_outputs(tmp_path, ["alpha", "beta"]),
                      str(blank)]) == 1
     assert capsys.readouterr().err == "error: system 'blank' has no tokens\n"
@@ -1026,6 +1041,18 @@ def test_score_names_the_first_sample_file_over_other_seg_ids(
                              "mean", "--sample-mode", mode]) == 1
             assert capsys.readouterr().err == (
                 f"error: {bad} and {a} cover different segments\n")
+
+
+def test_score_on_an_empty_sample_is_an_error(tmp_path, capsys):
+    a = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0]])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for samples in ([str(empty)], [a, str(empty)]):
+        assert cli.main(["score", "--samples", *samples,
+                         "--method", "mean"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {empty}: no token-score records\n"
 
 
 def misaligned_rows(lang_pair):

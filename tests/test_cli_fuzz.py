@@ -86,7 +86,6 @@ CASES = [
      {"human.tsv": system_tsv((0, 1, 2, 3, 4), TWO_PAIRS),
       "m.tsv": system_tsv((0, 2, 1, 3, 4), TWO_PAIRS),
       "b.tsv": system_tsv((1, 0, 2, 4, 3), TWO_PAIRS)}),
-    ("outliers", ["outliers", "--human", "human.tsv"], HUMAN),
     ("pairwise",
      ["pairwise", "--human-seg", "human-seg.tsv", "--metric-seg",
       "metric-seg.tsv"], SEGMENTS),
@@ -99,10 +98,7 @@ CASES = [
      TEXT),
     ("chrf", ["chrf", "--hyp", "hyp.txt", "--ref", "ref.txt"], TEXT),
     ("cross-bleu-matrix",
-     ["cross-bleu", "--matrix", "--outputs", "hyp.txt", "ref.txt",
-      "other.txt"], TEXT),
-    ("cross-bleu-pair",
-     ["cross-bleu", "--both", "--outputs", "hyp.txt", "ref.txt"], TEXT),
+     ["cross-bleu", "--outputs", "hyp.txt", "ref.txt", "other.txt"], TEXT),
     ("subsample",
      ["subsample", "--human", "human.tsv", "--metric-seg", "metric-seg.tsv",
       "--sizes", "2,4", "--draws", "3"],

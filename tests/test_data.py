@@ -126,10 +126,14 @@ class TestTokenScoreFile:
         with pytest.raises(StructureError):
             load_token_scores(path)
 
-    def test_empty_file_gives_empty_list(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n  \n"],
+                             ids=["empty", "blank-lines"])
+    def test_file_without_records_is_an_error(self, tmp_path, text):
         path = tmp_path / "scores.jsonl"
-        path.write_text("")
-        assert load_token_scores(path) == []
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_token_scores(path)
+        assert str(err.value) == f"{path}: no token-score records"
 
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "scores.jsonl"

@@ -605,25 +605,10 @@ class TestCompareMetrics:
         m = h + rng.normal(scale=0.4, size=8)
         human = {"xa-xb": dict(zip(names, h))}
         scores = {("xa-xb", nm): m[i] for i, nm in enumerate(names)}
-        comps = compare_metrics(human, scores, scores, tails=1)
+        comps = compare_metrics(human, scores, scores)
         assert len(comps) == 1
         assert comps[0].t == 0.0
         assert comps[0].p == pytest.approx(0.5)
-
-    def test_two_tailed_doubles(self):
-        rng = np.random.default_rng(4)
-        names = [f"s{i}" for i in range(10)]
-        h = rng.normal(size=10)
-        a = h + rng.normal(scale=0.2, size=10)
-        b = h + rng.normal(scale=0.8, size=10)
-        human = {"xa-xb": dict(zip(names, h))}
-        sa = {("xa-xb", nm): a[i] for i, nm in enumerate(names)}
-        sb = {("xa-xb", nm): b[i] for i, nm in enumerate(names)}
-        one = compare_metrics(human, sa, sb, tails=1)[0]
-        two = compare_metrics(human, sa, sb, tails=2)[0]
-        assert one.t == two.t
-        if one.t > 0:
-            assert two.p == pytest.approx(2 * one.p)
 
 
 class TestPairwise:

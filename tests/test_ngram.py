@@ -70,6 +70,8 @@ def test_cross_bleu_matrix_cells_equal_bleu(tokenizer, settings):
         for j, b in enumerate(names):
             if i != j:
                 assert matrix[i][j] == ngram.bleu(OUTPUTS[a], OUTPUTS[b], cfg)
+                assert matrix[i][j] == ngram.cross_bleu(OUTPUTS[a],
+                                                        OUTPUTS[b], cfg)
         others = [matrix[i][j] for j in range(size) if j != i]
         assert averages[i] == sum(others) / (size - 1)
     # the fixture is not trivial: some cells differ from 0 and from each other
