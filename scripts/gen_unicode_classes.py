@@ -36,22 +36,28 @@ MODULE = os.path.normpath(os.path.join(
 LINE_CHARS = 48
 # code points a --check summary lists per class and direction
 SHOWN = 8
+# the first code point beyond the Basic Multilingual Plane; no run crosses it
+FIRST_ASTRAL = 0x10000
 
 
 def _category_classes() -> Tuple[str, str]:
     """Regex class bodies matching Unicode punctuation (P*) and symbols (S*).
 
     One pass over the code points collects each class as runs of
-    consecutive code points, and each run becomes one ``a-b`` range, so
-    ``sre`` tests a few hundred ranges rather than thousands of single
-    characters.
+    consecutive code points, in code-point order, and each run becomes one
+    ``a-b`` range. ``sre`` holds a class's BMP code points as a bitmap, one
+    lookup per character, but tests its astral ranges one at a time, so
+    ``peereval.ngram`` cuts each body at its first astral character and
+    tries the astral part only for astral characters. Every run ends at
+    U+FFFF, so that cut never splits a range.
     """
     runs = {"P": [], "S": []}
     for code in range(sys.maxunicode):
         class_runs = runs.get(unicodedata.category(chr(code))[0])
         if class_runs is None:
             continue
-        if class_runs and class_runs[-1][1] == code - 1:
+        if (class_runs and class_runs[-1][1] == code - 1
+                and code != FIRST_ASTRAL):
             class_runs[-1][1] = code
         else:
             class_runs.append([code, code])

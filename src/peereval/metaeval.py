@@ -79,7 +79,8 @@ def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation; raises on zero variance.
+    """Product-moment correlation; raises on non-finite input and on zero
+    variance.
 
     The result does not depend on the scale of the input: each input is
     scaled by a power of two (exact) to a largest magnitude below 1 before
@@ -93,6 +94,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise DomainError("pearson needs two equal-length vectors")
     if len(x) < 2:
         raise DomainError(f"pearson needs n >= 2, got {len(x)}")
+    # NaN would also pass the zero-variance test below and come back as r
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("pearson needs finite input")
     # Test the input itself: the rounded mean of a constant vector can differ
     # from its value and leave a nonzero centred vector
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
@@ -441,13 +445,26 @@ def scored_pairs(*tables_by_pair: Mapping[str, object]) -> list:
     return pairs
 
 
+def _require_finite(lang_pair: Optional[str], kind: str,
+                    scores: Mapping[str, float], systems) -> None:
+    prefix = f"{lang_pair}: " if lang_pair else ""
+    for system in sorted(systems):
+        if not math.isfinite(scores[system]):
+            raise DomainError(f"{prefix}{kind} score of {system} is not "
+                              f"finite: {scores[system]}")
+
+
 def correlate_pair(human_scores: Mapping[str, float],
                    metric_scores: Mapping[str, float],
                    lang_pair: str) -> CorrelationResult:
     """Outlier-filtered Pearson correlation for one language pair, the one
     rule behind ``metric_report``, ``tune_thresholds`` and
-    ``subsample_correlations``; ``r`` is None when undefined."""
+    ``subsample_correlations``; ``r`` is None when undefined. A score that
+    is not finite is a DomainError naming the pair and the system."""
+    # the MAD filter reads every human score, Pearson the kept metric scores
+    _require_finite(lang_pair, "human", human_scores, human_scores)
     kept, outliers = kept_systems(lang_pair, human_scores, metric_scores)
+    _require_finite(lang_pair, "metric", metric_scores, kept)
     h = [human_scores[s] for s in kept]
     m = [metric_scores[s] for s in kept]
     try:

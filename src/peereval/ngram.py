@@ -19,7 +19,12 @@ The ``intl`` tokenizer (also behind ``char-for-zh``) splits at Unicode
 punctuation and symbols. Those classes are a frozen table,
 ``_unicode_classes``, generated by ``scripts/gen_unicode_classes.py``, so
 tokenization follows the table's Unicode version, not the running
-interpreter's, and no process scans the code points.
+interpreter's, and no process scans the code points. The tokenizers spend
+their time in the regex engine: each class tries its astral ranges only
+for astral characters (``_guarded_class``), the spacing is built by plain
+functions and ``split``/``join`` rather than ``re.sub`` templates, and
+``char-for-zh`` spaces its CJK characters with one regex split. The regexes
+compile on first use, the CJK class only on the first ``char-for-zh`` call.
 """
 
 from __future__ import annotations
@@ -39,54 +44,90 @@ from .errors import AlignmentError, ConfigError, DomainError
 # Tokenization
 # ---------------------------------------------------------------------------
 
+# Every code point beyond the Basic Multilingual Plane.
+_ASTRAL = "\U00010000-\U0010FFFF"
+# The CJK blocks ``char-for-zh`` splits into characters, as in sacreBLEU.
+_CJK = ("\u3400-\u4DB5\u4E00-\u9FBB\uF900-\uFAD9\uFF00-\uFFEF"
+        "\U00020000-\U0002A6D6\U0002F800-\U0002FA1D")
+
+
+def _guarded_class(body: str) -> str:
+    """A regex matching exactly the code points of ``[body]``, in which a
+    BMP character never tests the astral ranges.
+
+    ``sre`` keeps the BMP part of a class as a bitmap but tests every
+    astral range one at a time, so a character outside ``[body]`` would walk
+    all of them. ``body`` is sorted by code point and no range in it crosses
+    U+FFFF (``scripts/gen_unicode_classes.py`` ends every run there), so it
+    splits at its first astral character into a BMP class and an astral
+    class, and the astral class is tried only behind one range test.
+    """
+    cut = next(i for i, ch in enumerate(body) if ch > "\uffff")
+    return f"(?:[{body[:cut]}]|(?=[{_ASTRAL}])[{body[cut:]}])"
+
+
 @functools.lru_cache(maxsize=None)
 def _intl_regexes():
     """The three regexes of ``tokenize_intl``, compiled on first use.
 
     Their punctuation and symbol classes are the frozen bodies in
     ``_unicode_classes`` (Unicode ``UNIDATA_VERSION``), written by
-    ``scripts/gen_unicode_classes.py``; nothing here reads the running
-    interpreter's Unicode database. Compiling takes a few milliseconds, so
-    it waits for the first tokenization rather than the import.
+    ``scripts/gen_unicode_classes.py`` and guarded by ``_guarded_class``;
+    nothing here reads the running interpreter's Unicode database.
+    Compiling takes a few milliseconds, so it waits for the first
+    tokenization rather than the import. The CJK class of ``char-for-zh``
+    is not here but in ``_cjk_regex``, so BLEU with ``intl`` never pays
+    for it.
     """
-    punct, symbols = _unicode_classes.PUNCT, _unicode_classes.SYMBOLS
+    punct = _guarded_class(_unicode_classes.PUNCT)
+    symbols = _guarded_class(_unicode_classes.SYMBOLS)
     return (
-        re.compile(rf"([^\d])([{punct}])"),
-        re.compile(rf"([{punct}])([^\d])"),
-        re.compile(rf"([{symbols}])"),
+        re.compile(rf"([^\d])({punct})"),
+        re.compile(rf"({punct})([^\d])"),
+        re.compile(rf"({symbols})"),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _cjk_regex():
+    """One CJK character as a group, compiled on the first ``char-for-zh``
+    call: ``sre`` fills its BMP bitmap in a Python loop (about 2 ms)."""
+    return re.compile(f"([{_CJK}])")
+
+
+# ``re.sub`` expands a template such as r"\1 \2 " in Python once per match;
+# these build the same strings directly.
+def _space_after(match: re.Match) -> str:
+    return f"{match[1]} {match[2]} "
+
+
+def _space_before(match: re.Match) -> str:
+    return f" {match[1]} {match[2]}"
+
+
+def _space_around(regex: re.Pattern, line: str) -> str:
+    r"""``regex.sub(r" \1 ", line)`` for a regex with one group: its split
+    alternates text and matches, so single spaces between the parts put
+    one on each side of every match."""
+    return " ".join(regex.split(line))
 
 
 def tokenize_intl(line: str) -> List[str]:
     """International tokenization: split on punctuation and symbols except
     digit-adjacent punctuation (decimal and thousands separators)."""
     nondigit_punct, punct_nondigit, symbol = _intl_regexes()
-    line = nondigit_punct.sub(r"\1 \2 ", line)
-    line = punct_nondigit.sub(r" \1 \2", line)
-    line = symbol.sub(r" \1 ", line)
-    return line.split()
+    line = nondigit_punct.sub(_space_after, line)
+    line = punct_nondigit.sub(_space_before, line)
+    return _space_around(symbol, line).split()
 
 
 def tokenize_whitespace(line: str) -> List[str]:
     return line.split()
 
 
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return (
-        0x3400 <= code <= 0x4DB5
-        or 0x4E00 <= code <= 0x9FBB
-        or 0xF900 <= code <= 0xFAD9
-        or 0x20000 <= code <= 0x2A6D6
-        or 0x2F800 <= code <= 0x2FA1D
-        or 0xFF00 <= code <= 0xFFEF
-    )
-
-
 def tokenize_char_zh(line: str) -> List[str]:
     """Split CJK characters individually, tokenize the rest as intl."""
-    spaced = "".join(f" {ch} " if _is_cjk(ch) else ch for ch in line)
-    return tokenize_intl(spaced)
+    return tokenize_intl(_space_around(_cjk_regex(), line))
 
 
 TOKENIZERS = {

@@ -128,6 +128,14 @@ class TestPearson:
         with pytest.raises(DomainError):
             pearson([9.002470391583753e-70] * 3, [0, 0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passed the zero-variance test and came back as r = nan
+        with pytest.raises(DomainError, match="^pearson needs finite input$"):
+            pearson([bad, 1, 2, 3], [1, 2, 3, 4])
+        with pytest.raises(DomainError, match="^pearson needs finite input$"):
+            pearson([1, 2, 3, 4], [1, 2, bad, 4])
+
     def test_scale_extremes(self):
         # sums of squares of these centred vectors overflow or underflow
         assert pearson([1e200, 2e200, 3e200], [1, 2, 3]) == 1.0
@@ -517,6 +525,36 @@ class TestMetricReport:
         metric = {("xa-xb", s): float(i) for i, s in enumerate("ABCDE")}
         with pytest.raises(InsufficientDataError,
                            match="^xc-xd: no metric score for A, B, C, D, E$"):
+            metric_report(human, metric)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_the_pair_and_system(self, bad):
+        # an error, not r = nan and not the r = None of a degenerate pair
+        human = {"A": 0.1, "B": 0.2, "C": 0.25, "D": 0.3}
+        metric = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0}
+        with pytest.raises(DomainError, match=rf"^xa-xb: metric score of C "
+                                              rf"is not finite: {bad}$"):
+            correlate_pair(human, dict(metric, C=bad), "xa-xb")
+        # an infinite human score would otherwise be dropped as an outlier
+        with pytest.raises(DomainError, match=rf"^xa-xb: human score of B "
+                                              rf"is not finite: {bad}$"):
+            correlate_pair(dict(human, B=bad), metric, "xa-xb")
+        with pytest.raises(DomainError, match=rf"^human score of B is not "
+                                              rf"finite: {bad}$"):
+            correlate_pair(dict(human, B=bad), metric, None)
+        # a metric score that Pearson does not read is not checked
+        res = correlate_pair(human, dict(metric, X=bad), "xa-xb")
+        assert res.kept == ("A", "B", "C", "D")
+
+    def test_metric_report_rejects_a_non_finite_score(self):
+        names = [f"s{i}" for i in range(5)]
+        human = {lp: dict(zip(names, range(5))) for lp in ("xa-xb", "xc-xd")}
+        metric = {(lp, s): float(i) for lp in human
+                  for i, s in enumerate(names)}
+        metric["xc-xd", "s3"] = math.nan
+        with pytest.raises(DomainError,
+                           match="^xc-xd: metric score of s3 is not finite: "
+                                 "nan$"):
             metric_report(human, metric)
 
     def test_outliers_dropped_before_correlation(self):

@@ -1,9 +1,14 @@
 """Corpus BLEU and chrF against the frozen brute-force oracle table and
 against brute-force per-order counts on random text, the tokenizers against
-their frozen characterization table, and cross-BLEU against BLEU."""
+their frozen characterization table and against a plain reference
+implementation on random text, and cross-BLEU against BLEU."""
 
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -40,6 +45,110 @@ def test_tokenizers_match_characterization_table(tokenize_oracle):
         for key, expected in case["tokens"].items():
             assert ngram.TOKENIZERS[key](case["line"]) == expected, \
                 (key, case["line"])
+
+
+# The tokenizers as plain ``re.sub`` templates over the unguarded class
+# bodies and a per-character CJK test: the reference for the guarded classes,
+# the replacement functions and the CJK split of ``ngram``.
+
+def _reference_is_cjk(ch):
+    code = ord(ch)
+    return (
+        0x3400 <= code <= 0x4DB5
+        or 0x4E00 <= code <= 0x9FBB
+        or 0xF900 <= code <= 0xFAD9
+        or 0x20000 <= code <= 0x2A6D6
+        or 0x2F800 <= code <= 0x2FA1D
+        or 0xFF00 <= code <= 0xFFEF
+    )
+
+
+def reference_tokenizers():
+    punct, symbols = _unicode_classes.PUNCT, _unicode_classes.SYMBOLS
+    nondigit_punct = re.compile(rf"([^\d])([{punct}])")
+    punct_nondigit = re.compile(rf"([{punct}])([^\d])")
+    symbol = re.compile(rf"([{symbols}])")
+
+    def intl(line):
+        line = nondigit_punct.sub(r"\1 \2 ", line)
+        line = punct_nondigit.sub(r" \1 \2", line)
+        return symbol.sub(r" \1 ", line).split()
+
+    def char_zh(line):
+        return intl("".join(f" {ch} " if _reference_is_cjk(ch) else ch
+                            for ch in line))
+
+    return {"intl": intl, "whitespace": str.split, "char-for-zh": char_zh}
+
+
+# Pools a random line draws its characters from: ASCII, digits next to "."
+# and ",", BMP and astral punctuation and symbols, CJK of both planes,
+# combining marks, whitespace, and any code point at all.
+TOKENIZER_POOLS = [
+    "abcXYZ", "0123456789", ".,.,", "  \t\u3000",
+    "«»¿¡—…‰⁂〈〉、。，！＃･", "€$+<=>^`|~©®°×÷←⌘▲☃",
+    "𐄀𐎟𑁇𖺗𞥞", "🚀😀𝄞🀄🂡𝟃𞻰",
+    "中文测试我们鿻㐀䶵豈ｆＡ", "𠀀𪛖𪚶丽𪘀",
+    "\u0300\u0301\u0308\u0327\u20dd\ufe0f",
+]
+
+
+def random_line(rng):
+    chars = []
+    for _ in range(rng.randint(0, 30)):
+        if rng.random() < 0.1:
+            chars.append(chr(rng.randrange(sys.maxunicode + 1)))
+        else:
+            chars.append(rng.choice(rng.choice(TOKENIZER_POOLS)))
+    return "".join(chars)
+
+
+def test_tokenizers_equal_the_reference_on_random_lines():
+    rng = random.Random(2104)
+    reference = reference_tokenizers()
+    assert sorted(reference) == sorted(ngram.TOKENIZERS)
+    for _ in range(4000):
+        line = random_line(rng)
+        for key, tokenize in ngram.TOKENIZERS.items():
+            assert tokenize(line) == reference[key](line), (key, line)
+
+
+@pytest.fixture(scope="module")
+def every_code_point():
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+@pytest.mark.parametrize("name", ["PUNCT", "SYMBOLS"])
+def test_guarded_class_matches_the_code_points_of_its_body(name,
+                                                           every_code_point):
+    body = getattr(_unicode_classes, name)
+    assert re.findall(ngram._guarded_class(body), every_code_point) == \
+        re.findall(f"[{body}]", every_code_point)
+
+
+def test_cjk_class_matches_the_cjk_ranges(every_code_point):
+    assert ngram._cjk_regex().findall(every_code_point) == \
+        [ch for ch in every_code_point if _reference_is_cjk(ch)]
+
+
+def test_tokenizer_regexes_compile_on_first_use():
+    # import peereval.cli compiles no tokenizer regex, and an intl BLEU
+    # (the benchmark's set-up call) does not compile the CJK class
+    code = ("from peereval import cli, ngram\n"
+            "def sizes():\n"
+            "    print(ngram._intl_regexes.cache_info().currsize,"
+            " ngram._cjk_regex.cache_info().currsize)\n"
+            "sizes()\n"
+            "ngram.bleu(['a .'], ['a .'])\n"
+            "sizes()\n"
+            "ngram.tokenize_char_zh('中文')\n"
+            "sizes()\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 0\n1 0\n1 1\n"
 
 
 # Four systems over mixed ASCII, Unicode punctuation and CJK lines, with

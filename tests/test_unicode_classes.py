@@ -51,6 +51,19 @@ def test_table_equals_the_unicode_database(generator, scanned):
                                  punct, symbols) == []
 
 
+def test_no_run_crosses_into_the_astral_planes(generator, monkeypatch):
+    # ngram cuts each body at its first astral character; a run across
+    # U+FFFF would leave a dangling "a-" on the BMP side of the cut
+    class Category:
+        @staticmethod
+        def category(ch):
+            return "So" if 0xFFF0 <= ord(ch) <= 0x1000F else "Cn"
+
+    monkeypatch.setattr(generator, "unicodedata", Category)
+    assert generator._category_classes() == (
+        "", "\ufff0-\uffff\U00010000-\U0001000f")
+
+
 def test_check_mode_passes_on_the_committed_table(generator, capsys):
     assert generator.main(["--check"]) == 0
     assert capsys.readouterr().out.endswith(
