@@ -342,15 +342,19 @@ def _cmd_subsample(args) -> int:
 
 def _parse_grid(text: str) -> list:
     if ":" in text:
+        import numpy as np
+
+        from .scoring import check_grid
+
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad grid spec {text!r}, expected lo:hi:n")
-        lo, hi = (_parse_number(float, v, "grid point") for v in parts[:2])
+        # linspace warns on a non-finite end or a step beyond the float range
+        lo, hi = check_grid(_parse_number(float, v, "grid point")
+                            for v in parts[:2])
         n = _parse_number(int, parts[2], "grid size")
         if n < 2:
             raise ConfigError(f"grid size {n} below 2")
-        import numpy as np
-
         return list(np.linspace(lo, hi, n))
     return [_parse_number(float, v, "grid point")
             for v in text.split(",") if v]
@@ -392,7 +396,7 @@ def _cmd_tune_thresholds(args) -> int:
                 outputs.append(SystemOutput(fname[:-len(".jsonl")], lang_pair,
                                             segments, tuple(token_scores)))
             datasets.append(assemble_dataset(outputs, human))
-    low, high = scoring.tune_thresholds(datasets, grid)
+        low, high = scoring.tune_thresholds(datasets, grid)
     print(f"low\t{low!r}")
     print(f"high\t{high!r}")
     return 0

@@ -159,8 +159,6 @@ class EvalDataset:
     def __post_init__(self):
         systems = tuple(sorted(self.systems, key=lambda s: s.system_name))
         object.__setattr__(self, "systems", systems)
-        if len(systems) < 2:
-            raise StructureError("an evaluation dataset needs at least 2 systems")
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,8 @@ def read_lines_with_ids(path, ids_path=None) -> list:
 
 
 def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
-    """Validate alignment across systems and attach human judgments.
+    """Validate alignment across systems and attach human judgments; which
+    systems count is left to ``metaeval.scored_systems``.
 
     Order-insensitive in ``outputs``: any permutation produces an equal
     dataset (systems are stored sorted by name).
@@ -387,13 +386,4 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
             raise StructureError(f"{lp}: system {out.system_name} given twice")
         ids_by_system[out.system_name] = [s.seg_id for s in out.segments]
     same_segments(ids_by_system, f"{lp}: ")
-    missing = sorted(
-        out.system_name
-        for out in outputs
-        if (lp, out.system_name) not in human.system_scores
-    )
-    if missing:
-        raise StructureError(
-            f"{lp}: no human system score for: " + ", ".join(missing)
-        )
     return EvalDataset(lang_pair, tuple(outputs), human)

@@ -58,24 +58,32 @@ def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
     return set(human_scores) - outliers, outliers
 
 
-def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
-                 metric_scores: Mapping[str, object]) -> Tuple[list, set]:
-    """Systems the MAD filter keeps, sorted, and the outliers it drops.
+def _prefix(lang_pair: Optional[str]) -> str:
+    return f"{lang_pair}: " if lang_pair else ""
 
-    Raises InsufficientDataError naming ``lang_pair`` when it has no human
-    scores, or with every kept system ``metric_scores`` has no entry for.
-    """
-    prefix = f"{lang_pair}: " if lang_pair else ""
-    if not human_scores:
-        raise InsufficientDataError(f"{prefix}no human scores")
-    kept, outliers = mad_outliers(human_scores)
-    kept = sorted(kept)
-    missing = [s for s in kept if s not in metric_scores]
+
+def scored_systems(lang_pair: Optional[str], systems,
+                   metric_scores: Mapping[str, object]) -> list:
+    """The one rule for which systems count: ``systems``, taken from the
+    human scores, sorted; as in WMT, a system with only metric scores is
+    left out. No system, or one without a metric score, is an
+    InsufficientDataError naming ``lang_pair``."""
+    if not systems:
+        raise InsufficientDataError(f"{_prefix(lang_pair)}no human scores")
+    systems = sorted(systems)
+    missing = [s for s in systems if s not in metric_scores]
     if missing:
         raise InsufficientDataError(
-            f"{prefix}no metric score for " + ", ".join(missing)
-        )
-    return kept, outliers
+            f"{_prefix(lang_pair)}no metric score for " + ", ".join(missing))
+    return systems
+
+
+def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
+                 metric_scores: Mapping[str, object]) -> Tuple[list, set]:
+    """The ``scored_systems`` among those the MAD filter keeps (one at
+    least, unless there are no human scores), and the outliers it drops."""
+    kept, outliers = mad_outliers(human_scores) if human_scores else ((), ())
+    return scored_systems(lang_pair, kept, metric_scores), outliers
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -447,11 +455,10 @@ def scored_pairs(*tables_by_pair: Mapping[str, object]) -> list:
 
 def _require_finite(lang_pair: Optional[str], kind: str,
                     scores: Mapping[str, float], systems) -> None:
-    prefix = f"{lang_pair}: " if lang_pair else ""
     for system in sorted(systems):
         if not math.isfinite(scores[system]):
-            raise DomainError(f"{prefix}{kind} score of {system} is not "
-                              f"finite: {scores[system]}")
+            raise DomainError(f"{_prefix(lang_pair)}{kind} score of {system} "
+                              f"is not finite: {scores[system]}")
 
 
 def correlate_pair(human_scores: Mapping[str, float],
@@ -586,35 +593,27 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     systems' human segment scores, metric significance from the two-sided
     paired t-test on per-segment metric differences, each at ``p < alpha``.
     A metric-significant decision is correct when the signs of the metric
-    and human mean differences agree. Scores must be aligned on the same
-    segments across systems, at least 2 of them. One system has no pair to
-    compare and gives an all-zero tally. Errors name ``lang_pair``; no human
-    or no metric scores at all is one.
+    and human mean differences agree. The systems are the ``scored_systems``
+    of all human-scored ones, with no MAD filter; their scores must cover
+    the same segments, at least 2. One system has no pair to compare and
+    gives an all-zero tally. Errors name ``lang_pair``.
     """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    prefix = f"{lang_pair}: " if lang_pair else ""
-    if not human_segment_scores:
-        raise InsufficientDataError(f"{prefix}no human scores")
-    if not metric_segment_scores:
-        raise InsufficientDataError(f"{prefix}no metric scores")
-    systems = sorted(metric_segment_scores)
-    if sorted(human_segment_scores) != systems:
-        raise InsufficientDataError(
-            f"{prefix}metric and human segment scores cover different systems"
-        )
+    systems = scored_systems(lang_pair, human_segment_scores,
+                             metric_segment_scores)
     lengths = {len(metric_segment_scores[s]) for s in systems}
     lengths |= {len(human_segment_scores[s]) for s in systems}
     if len(lengths) != 1:
         raise InsufficientDataError(
-            f"{prefix}segment score vectors differ in length")
+            f"{_prefix(lang_pair)}segment score vectors differ in length")
     if len(systems) < 2:
         return PairwiseTally()
     n_segments, = lengths
     if n_segments < 2:
         raise InsufficientDataError(
-            f"{prefix}pairwise comparison needs >= 2 segments, got "
-            f"{n_segments}")
+            f"{_prefix(lang_pair)}pairwise comparison needs >= 2 segments, "
+            f"got {n_segments}")
     metric = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in systems])
     human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)
@@ -651,8 +650,8 @@ def subsample_correlations(human_scores: Mapping[str, float],
     and each kept system's score is its subset mean. Each draw is scored by
     ``correlate_pair``, and the size maps to that ``CorrelationResult`` with
     r the mean over its draws, or None when some draw has no correlation
-    (constant scores, or fewer than 2 kept systems). Errors name
-    ``lang_pair``.
+    (constant scores, or fewer than 2 kept systems). A size given twice is
+    a ConfigError; the other errors name ``lang_pair``.
     """
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
@@ -660,14 +659,14 @@ def subsample_correlations(human_scores: Mapping[str, float],
     matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in kept])
     n_segments = matrix.shape[1]
-    prefix = f"{lang_pair}: " if lang_pair else ""
     result = {}
     for size in sizes:
         size = int(size)
+        if size in result:
+            raise ConfigError(f"size {size} given twice")
         if not 1 <= size <= n_segments:
-            raise DomainError(
-                f"{prefix}subset size {size} outside [1, {n_segments}]"
-            )
+            raise DomainError(f"{_prefix(lang_pair)}subset size {size} "
+                              f"outside [1, {n_segments}]")
         results = []
         for draw in range(draws):
             idx = np.random.default_rng([seed, size, draw]).choice(

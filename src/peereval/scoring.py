@@ -143,26 +143,33 @@ def system_score(segment_scores: Sequence[SegmentScore], system_name: str,
 DEFAULT_THRESHOLD_GRID = tuple(np.linspace(-3.0, 0.0, 16))
 
 
+def check_grid(grid: Sequence[float]) -> list:
+    """``grid`` as floats: >= 2 finite points, ascending in finite steps."""
+    grid = [float(g) for g in grid]
+    if len(grid) < 2:
+        raise ConfigError("grid needs at least 2 points")
+    for g in grid:   # NaN would pass the ascending check
+        if not math.isfinite(g):
+            raise ConfigError(f"grid point {g} is not finite")
+    if not all(0.0 < b - a < math.inf for a, b in zip(grid, grid[1:])):
+        raise ConfigError("grid must be strictly ascending in finite steps")
+    return grid
+
+
 def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     """Grid-search the threshold band maximizing dev-set correlation.
 
-    Every (low, high) pair with low < high from the grid, which must be
-    strictly ascending, scores each dataset's systems by the mean of their
-    thresholded segment means. ``metaeval.correlate_pair`` correlates those
-    with the human scores, and ``metaeval.average_correlations`` averages
-    the pairs: the number ``meta-eval`` reports. So a dataset that is
-    degenerate on a candidate or has fewer than 4 kept systems does not
+    Every (low, high) pair with low < high from the ``check_grid`` grid
+    scores each dataset's systems by the mean of their thresholded segment
+    means. ``metaeval.correlate_pair`` correlates those with the human
+    scores over ``metaeval.scored_systems``, and ``average_correlations``
+    averages the pairs: the number ``meta-eval`` reports. So a dataset that
+    is degenerate on a candidate or has fewer than 4 kept systems does not
     count. Ties prefer smaller high, then larger low. Returns (low, high).
     """
     from .metaeval import average_correlations, correlate_pair
 
-    if grid is None:
-        grid = DEFAULT_THRESHOLD_GRID
-    grid = [float(g) for g in grid]
-    if len(grid) < 2:
-        raise ConfigError("grid needs at least 2 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("grid must be strictly ascending")
+    grid = check_grid(DEFAULT_THRESHOLD_GRID if grid is None else grid)
 
     # mean token log-probs never change across candidates
     dev_sets = []

@@ -326,22 +326,26 @@ def test_tune_thresholds_system_without_scores_is_an_error(tmp_path, capsys):
                       [[-0.5 * (i + 1)], [-0.25]])
     assert cli.main(["tune-thresholds", "--human", str(human),
                      "--scores-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: de-en: ") and err.rstrip().endswith("E")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # named with the directory, as meta-eval names its score file
+    assert captured.err == f"error: {tmp_path}: de-en: no metric score for E\n"
 
 
 def test_tune_thresholds_names_the_pair_without_human_score(tmp_path, capsys):
     human = tmp_path / "human.tsv"
-    human.write_text(HEADER + rows("de-en", HUMAN)
-                     + rows("fr-en", HUMAN).replace("fr-en\tB\t0.1\n", ""))
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    scores_dir = tmp_path / "scores"
     for lp in ("de-en", "fr-en"):
-        (tmp_path / lp).mkdir()
-        for system in "AB":
-            write_samples(tmp_path / lp / f"{system}.jsonl", [[-0.5]])
+        (scores_dir / lp).mkdir(parents=True)
+        for system, level in zip(SYSTEMS, METRIC):
+            write_samples(scores_dir / lp / f"{system}.jsonl",
+                          [[-0.5 - level], [-0.25]])
     assert cli.main(["tune-thresholds", "--human", str(human),
-                     "--scores-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: fr-en: no human system score for: B\n")
+                     "--scores-dir", str(scores_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scores_dir}: fr-en: no human scores\n"
 
 
 @pytest.mark.parametrize("fr_en_dir", [None, "empty", "other files"])
@@ -707,6 +711,42 @@ def test_tune_thresholds_malformed_grid_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: bad {bad}\n"
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("-1,nan,0", "grid point nan is not finite"),
+    ("-1,0,inf", "grid point inf is not finite"),
+    ("-inf:0:4", "grid point -inf is not finite"),
+    ("-3:nan:4", "grid point nan is not finite"),
+    ("-1e308:1e308:3", "grid must be strictly ascending in finite steps"),
+])
+def test_tune_thresholds_non_finite_grid_is_an_error(tmp_path, capsys, grid,
+                                                     message):
+    # NaN compares false, so it would pass an ascending check, and linspace
+    # warns on an infinite end or step; a warning fails the test
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    (tmp_path / "de-en").mkdir()
+    for i, system in enumerate(SYSTEMS):
+        write_samples(tmp_path / "de-en" / f"{system}.jsonl",
+                      [[-0.5 * (i + 1)], [-0.25]])
+    assert cli.main(["tune-thresholds", "--human", str(human),
+                     "--scores-dir", str(tmp_path), f"--grid={grid}"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_subsample_repeated_size_is_an_error(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", level_scores(METRIC, 5)))
+    out = tmp_path / "curve.tsv"
+    for sizes in ("2,2", "2,4,2"):
+        assert cli.main(["subsample", "--human", str(human), "--metric-seg",
+                         str(metric), "--sizes", sizes, "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: size 2 given twice\n")
+        assert not out.exists()
+
+
 def level_scores(levels, step):
     """12 segment scores per system: its level plus a spread in [0, 1.5]."""
     return [[level + ((seg * step + k * 5) % 13) / 8 for seg in range(12)]
@@ -781,17 +821,29 @@ def test_pairwise_names_the_pair_whose_systems_differ(tmp_path, capsys):
     human = tmp_path / "human-seg.tsv"
     human.write_text(seg_header
                      + segment_rows("de-en", level_scores((0, 2.5), 7))
-                     + segment_rows("fr-en", level_scores((0, 2.5), 7)))
+                     + segment_rows("fr-en", level_scores((0, 2.5, 1), 7)))
     metric = tmp_path / "metric-seg.tsv"
     metric.write_text(seg_header
                       + segment_rows("de-en", level_scores((0, 2), 5))
-                      + segment_rows("fr-en", level_scores((0, 2, 1), 5)))
-    assert cli.main(["pairwise", "--human-seg", str(human),
-                     "--metric-seg", str(metric)]) == 1
+                      + segment_rows("fr-en", level_scores((0, 2), 5)))
+    args = ["pairwise", "--human-seg", str(human), "--metric-seg", str(metric)]
+    # a human-scored system without metric scores is named
+    assert cli.main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {metric}: fr-en: metric and human "
-                            "segment scores cover different systems\n")
+    assert captured.err == f"error: {metric}: fr-en: no metric score for C\n"
+    # a system with metric scores only is left out: fr-en compares A and B
+    human.write_text(seg_header
+                     + segment_rows("de-en", level_scores((0, 2.5), 7))
+                     + segment_rows("fr-en", level_scores((0, 2.5), 7)))
+    assert cli.main(args) == 0
+    two_systems = capsys.readouterr().out
+    metric.write_text(seg_header
+                      + segment_rows("de-en", level_scores((0, 2), 5))
+                      + segment_rows("fr-en", level_scores((0, 2, 1), 5)))
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == two_systems
+    assert "fr-en\t1\t0\t0\t0\t0\t0" in two_systems.splitlines()
 
 
 def test_pairwise_names_the_pair_without_human_scores(tmp_path, capsys):
@@ -828,7 +880,8 @@ def test_pairwise_names_the_pair_without_metric_scores(tmp_path, capsys):
                      "--metric-seg", str(metric)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {metric}: fr-en: no metric scores\n"
+    assert captured.err == \
+        f"error: {metric}: fr-en: no metric score for A, B\n"
 
 
 CROSS_OUTPUTS = {
@@ -1118,3 +1171,79 @@ def test_subsample_system_on_other_segments_is_an_error(tmp_path, capsys):
                      str(metric), "--sizes", "4"]) == 1
     assert capsys.readouterr().err == (
         f"error: {metric}: de-en: B and A cover different segments\n")
+
+
+def write_metric_inputs(root, systems):
+    """Human scores for A-E, and metric scores for ``systems`` in every
+    metric input that meta-eval, subsample, pairwise and tune-thresholds
+    read. X, if given, scores best of all on every metric."""
+    root.mkdir()
+    levels = dict(zip(SYSTEMS, METRIC), X=5.0)
+    seg_levels = dict(zip(SYSTEMS, (0, 0.5, 0.25, 1.5, 2)), X=9.0)
+    seg_header = "lang_pair\tsystem\tseg\tscore\n"
+    (root / "human.tsv").write_text(HEADER + rows("de-en", HUMAN))
+    (root / "human-seg.tsv").write_text(seg_header + segment_rows(
+        "de-en", level_scores((0, 0.25, 1, 1.25, 2.5), 7)))
+    (root / "scores.tsv").write_text(HEADER + "".join(
+        f"de-en\t{s}\t{levels[s]!r}\n" for s in systems))
+    (root / "baseline.tsv").write_text(HEADER + "".join(
+        f"de-en\t{s}\t{-levels[s] ** 2!r}\n" for s in systems))
+    (root / "metric-seg.tsv").write_text(seg_header + "".join(
+        f"de-en\t{s}\t{seg}\t{v!r}\n" for s in systems
+        for seg, v in enumerate(level_scores([seg_levels[s]], 5)[0])))
+    (root / "scores" / "de-en").mkdir(parents=True)
+    for s in systems:
+        write_samples(root / "scores" / "de-en" / f"{s}.jsonl",
+                      [[-0.5 - levels[s] / 10], [-1.5 - levels[s] / 10],
+                       [-0.25]])
+    return root
+
+
+METRIC_INPUT_COMMANDS = {
+    "meta-eval": (["meta-eval", "--human", "human.tsv", "--scores",
+                   "scores.tsv", "--baseline", "baseline.tsv", "-o", "out"],
+                  "scores.tsv"),
+    "subsample": (["subsample", "--human", "human.tsv", "--metric-seg",
+                   "metric-seg.tsv", "--sizes", "4,12", "--draws", "3",
+                   "-o", "out"], "metric-seg.tsv"),
+    "pairwise": (["pairwise", "--human-seg", "human-seg.tsv", "--metric-seg",
+                  "metric-seg.tsv", "-o", "out"], "metric-seg.tsv"),
+    "tune-thresholds": (["tune-thresholds", "--human", "human.tsv",
+                         "--scores-dir", "scores", "--grid=-2:0:5"],
+                        "scores"),
+}
+
+
+def run_in(root, args, capsys):
+    """Exit code, stdout, stderr and -o file of ``args``, whose file names
+    are relative to ``root``."""
+    names = {"human.tsv", "human-seg.tsv", "scores.tsv", "baseline.tsv",
+             "metric-seg.tsv", "scores", "out"}
+    code = cli.main([str(root / a) if a in names else a for a in args])
+    captured = capsys.readouterr()
+    out = root / "out"
+    return code, captured.out, captured.err, \
+        out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("command", sorted(METRIC_INPUT_COMMANDS))
+def test_a_system_without_human_scores_changes_nothing(tmp_path, capsys,
+                                                       command):
+    # the human scores name the systems, as in WMT, where metrics score
+    # more systems than humans judge
+    args, _ = METRIC_INPUT_COMMANDS[command]
+    without_x = run_in(write_metric_inputs(tmp_path / "a", SYSTEMS), args,
+                       capsys)
+    with_x = run_in(write_metric_inputs(tmp_path / "b", SYSTEMS + "X"), args,
+                    capsys)
+    assert without_x[0] == 0 and without_x[2] == ""
+    assert with_x == without_x
+
+
+@pytest.mark.parametrize("command", sorted(METRIC_INPUT_COMMANDS))
+def test_a_human_system_without_metric_scores_is_named(tmp_path, capsys,
+                                                       command):
+    args, blamed = METRIC_INPUT_COMMANDS[command]
+    root = write_metric_inputs(tmp_path / "inputs", SYSTEMS[:-1])
+    assert run_in(root, args, capsys) == (
+        1, "", f"error: {root / blamed}: de-en: no metric score for E\n", None)

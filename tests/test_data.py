@@ -23,16 +23,27 @@ from peereval.data import (
 )
 from peereval.errors import (
     AlignmentError,
+    ConfigError,
     DomainError,
+    InsufficientDataError,
     ParseError,
     StructureError,
 )
+from peereval.scoring import tune_thresholds
 
 
 def make_output(name, seg_texts, lang="de-en"):
     segments = tuple(SegmentPair(i, f"src {i}", t)
                      for i, t in enumerate(seg_texts))
     return SystemOutput(name, LanguagePair.parse(lang), segments)
+
+
+def scored_output(name, logps, lang="de-en"):
+    """A system with one single-token segment per log-prob."""
+    return SystemOutput(
+        name, LanguagePair.parse(lang),
+        tuple(SegmentPair(i, "", "") for i in range(len(logps))),
+        tuple(TokenScoredSegment(i, ["w"], [v]) for i, v in enumerate(logps)))
 
 
 class TestLanguagePair:
@@ -353,10 +364,23 @@ class TestAssembleDataset:
         assert str(exc.value) == "de-en: system A given twice"
 
     def test_missing_judgment_named(self):
-        outputs = [make_output(n, ["x"] * 5) for n in "ABC"]
-        human = HumanJudgments({("de-en", "A"): 0.1, ("de-en", "B"): 0.2})
-        with pytest.raises(StructureError, match="C"):
-            assemble_dataset(outputs, human)
+        # which systems count is metaeval's rule: C, without a judgment,
+        # stays in the dataset and tuning leaves it out
+        outputs = [scored_output(n, [-0.5 - i, -0.25])
+                   for i, n in enumerate("ABCDE")]
+        judged = {("de-en", n): 0.1 * i for i, n in enumerate("ABDE")}
+        ds = assemble_dataset(outputs, HumanJudgments(judged))
+        assert [out.system_name for out in ds.systems] == list("ABCDE")
+        without_c = assemble_dataset(outputs[:2] + outputs[3:],
+                                     HumanJudgments(judged))
+        grid = [-3.0, -1.0, -0.6, 0.0]
+        assert tune_thresholds([ds], grid) == \
+            tune_thresholds([without_c], grid)
+        # a pair without any judgment is named when it is correlated
+        unjudged = assemble_dataset(outputs, HumanJudgments({}))
+        with pytest.raises(InsufficientDataError,
+                           match="^de-en: no human scores$"):
+            tune_thresholds([unjudged], grid)
 
     def test_order_insensitive(self):
         outputs = [make_output(n, [f"t{i}" for i in range(4)]) for n in "ABC"]
@@ -366,10 +390,13 @@ class TestAssembleDataset:
         assert first == second
 
     def test_needs_two_systems(self):
-        outputs = [make_output("A", ["x"])]
-        human = HumanJudgments({("de-en", "A"): 0.0})
-        with pytest.raises(StructureError):
-            assemble_dataset(outputs, human)
+        # one system is a dataset, but it has no correlation: tuning over
+        # it alone finds no band, as meta-eval reports it degenerate
+        ds = assemble_dataset([scored_output("A", [-0.5, -0.25])],
+                              HumanJudgments({("de-en", "A"): 0.0}))
+        assert len(ds.systems) == 1
+        with pytest.raises(ConfigError, match="^no valid"):
+            tune_thresholds([ds], [-1.0, 0.0])
 
 
 class TestPlainText:

@@ -25,11 +25,31 @@ from peereval.metaeval import (
     pearson,
     ranksum_exact_p,
     scored_pairs,
+    scored_systems,
     subsample_correlations,
     t_sf,
     wilcoxon_ranksum,
     williams_test,
 )
+
+
+class TestScoredSystems:
+    def test_human_systems_count_sorted(self):
+        # X has metric scores only
+        assert scored_systems("de-en", {"B": 1.0, "A": 2.0},
+                              {"A": 0.0, "B": 0.0, "X": 0.0}) == ["A", "B"]
+
+    def test_systems_without_metric_scores_named(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^de-en: no metric score for A, C$"):
+            scored_systems("de-en", ["C", "B", "A"], {"B": 0.0})
+
+    def test_no_systems_named(self):
+        with pytest.raises(InsufficientDataError,
+                           match="^de-en: no human scores$"):
+            scored_systems("de-en", [], {"A": 0.0})
+        with pytest.raises(InsufficientDataError, match="^no human scores$"):
+            scored_systems(None, {}, {})
 
 
 class TestScoredPairs:
@@ -715,9 +735,19 @@ class TestPairwise:
 
     def test_no_metric_scores_rejected_naming_the_pair(self):
         with pytest.raises(InsufficientDataError,
-                           match="^fr-en: no metric scores$"):
+                           match="^fr-en: no metric score for A, B$"):
             pairwise_compare({}, {"A": [1.0, 2.0], "B": [2.0, 1.0]},
                              lang_pair="fr-en")
+
+    def test_system_without_human_scores_left_out(self):
+        base = np.linspace(0, 1, 50)
+        human = {"A": base + 1.0, "B": base}
+        metric = {"A": base + 0.5, "B": base}
+        want = pairwise_compare(metric, human, lang_pair="de-en")
+        assert want == PairwiseTally(sig_correct=1)
+        # X has metric scores only, on other segments too
+        assert pairwise_compare({**metric, "X": [9.0]}, human,
+                                lang_pair="de-en") == want
 
     def test_one_system_gives_a_zero_tally(self):
         # no system pair to compare, so not even one segment is an error
@@ -775,6 +805,18 @@ class TestSubsample:
         fwd = subsample_correlations(human, metric, [50, 100], draws=5, seed=1)
         rev = subsample_correlations(human, metric, [100, 50], draws=5, seed=1)
         assert fwd == rev
+
+    def test_repeated_size_rejected(self):
+        human, metric = self.make_fixture()
+        with pytest.raises(ConfigError, match="^size 50 given twice$"):
+            subsample_correlations(human, metric, [50, 100, 50],
+                                   lang_pair="de-en")
+
+    def test_system_without_human_score_left_out(self):
+        human, metric = self.make_fixture()
+        want = subsample_correlations(human, metric, [50], draws=3)
+        assert subsample_correlations(
+            human, {**metric, "x": np.full(200, 9.0)}, [50], draws=3) == want
 
     def test_oversize_rejected(self):
         human, metric = self.make_fixture(n_segs=50)

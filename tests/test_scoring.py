@@ -424,6 +424,16 @@ class TestTuneThresholds:
         with pytest.raises(ConfigError):
             tune_thresholds([ds], [-1.0, -1.0, 0.0])
 
+    @pytest.mark.parametrize("grid, point", [
+        ([-1.0, math.nan, 0.0], "nan"), ([-1.0, 0.0, math.inf], "inf"),
+        ([-math.inf, -1.0, 0.0], "-inf")])
+    def test_non_finite_grid_point_named(self, grid, point):
+        # NaN compares false, so it would pass the ascending check
+        ds = make_threshold_dataset(SEPARATING_MIXES)
+        with pytest.raises(ConfigError,
+                           match=f"^grid point {point} is not finite$"):
+            tune_thresholds([ds], grid)
+
 
 def test_mean_token_logprobs_order():
     segs = [seg([-1, -3], 0), seg([-5], 1)]
