@@ -76,18 +76,24 @@ def _parse_number(kind, token: str, what: str):
 
 
 @contextlib.contextmanager
-def _blame(path):
-    """Prefix an InsufficientDataError raised inside with ``path``, the
-    file at fault."""
+def _blame(path, kinds=(InsufficientDataError,)):
+    """Prefix an error of ``kinds`` raised inside with ``path``, the file or
+    directory at fault."""
     try:
         yield
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{path}: {exc}") from None
+    except kinds as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_segment_scores(path):
+def _read_segment_scores(path, named=None):
     """A segment score TSV as ``({lp: {system: scores in seg order}},
-    {lp: sorted seg ids})``; the systems of a pair cover the same segments.
+    {lp: sorted seg ids})``.
+
+    The systems of a pair that count must cover the same segments, the
+    pair's ids: every system, or with ``named`` (the human scores,
+    ``{lp: systems}``) those it names, as ``metaeval.scored_systems``
+    counts them. A pair where no system counts gets no ids, and
+    ``scored_systems`` names it.
     """
     nested = {}
     for (lp, system, seg), score in read_score_table(path,
@@ -95,10 +101,12 @@ def _read_segment_scores(path):
         nested.setdefault(lp, {}).setdefault(system, {})[seg] = score
     aligned, seg_ids = {}, {}
     for lp, per_system in nested.items():
-        order = same_segments(per_system, f"{path}: {lp}: ")
-        aligned[lp] = {system: [scores[i] for i in order]
+        counted = {system: scores for system, scores in per_system.items()
+                   if named is None or system in named.get(lp, ())}
+        if counted:
+            seg_ids[lp] = same_segments(counted, f"{path}: {lp}: ")
+        aligned[lp] = {system: [scores[i] for i in sorted(scores)]
                        for system, scores in per_system.items()}
-        seg_ids[lp] = order
     return aligned, seg_ids
 
 
@@ -228,16 +236,17 @@ def _cmd_meta_eval(args) -> int:
 def _cmd_pairwise(args) -> int:
     from . import metaeval
 
-    metric, metric_ids = _read_segment_scores(args.metric_seg)
     human, human_ids = _read_segment_scores(args.human_seg)
+    metric, metric_ids = _read_segment_scores(args.metric_seg, human)
     if not metric:
         raise AlignmentError(f"{args.metric_seg}: no segment scores")
 
     tallies = {}
-    # a pair one file lacks is pairwise_compare's error
+    # a pair one file lacks, or where no system counts, is pairwise_compare's
+    # error
     with _blame(args.metric_seg):
         for lp in metaeval.scored_pairs(metric, human):
-            if lp in metric and lp in human:
+            if lp in metric_ids and lp in human_ids:
                 same_segments({args.metric_seg: metric_ids[lp],
                                args.human_seg: human_ids[lp]}, f"{lp}: ")
             tallies[lp] = metaeval.pairwise_compare(
@@ -310,7 +319,7 @@ def _cmd_subsample(args) -> int:
     if not sizes:
         raise ConfigError("no sizes given")
     human = scores_by_pair(read_score_table(args.human, SYSTEM_KEYS))
-    metric, _ = _read_segment_scores(args.metric_seg)
+    metric, _ = _read_segment_scores(args.metric_seg, human)
 
     with _blame(args.metric_seg):
         curves = [metaeval.subsample_correlations(
@@ -380,7 +389,8 @@ def _cmd_tune_thresholds(args) -> int:
                               f"language pair {lp}")
         dirs[lp] = lp_dir
     datasets = []
-    with _blame(args.scores_dir):
+    # a pair's files that do not line up are the directory's fault too
+    with _blame(args.scores_dir, (InsufficientDataError, AlignmentError)):
         for lp in metaeval.scored_pairs(scores_by_pair(table), dirs):
             lp_dir = dirs.get(lp)
             files = [] if lp_dir is None else sorted(

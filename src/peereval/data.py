@@ -17,9 +17,9 @@ Wire formats:
     matched by name, in any order; other columns are ignored.
     ``read_score_table`` is the one reader, ``scores_by_pair`` the one split.
   * segment ids: inputs that are compared segment by segment (the samples
-    of one system, the systems of one pair, a metric file and a human
-    file, a source and a target) must cover the same ids; ``same_segments``
-    is the one check.
+    of one system, the systems of one pair that the human scores name, a
+    metric file and a human file, a source and a target) must cover the
+    same ids; ``same_segments`` is the one check.
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
 
@@ -98,15 +98,21 @@ class TokenScoredSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "logprobs", tuple(float(v) for v in self.logprobs))
-        if len(self.tokens) != len(self.logprobs):
+        logprobs = tuple(map(float, self.logprobs))
+        object.__setattr__(self, "logprobs", logprobs)
+        if len(self.tokens) != len(logprobs):
             raise StructureError(
                 f"segment {self.seg_id}: {len(self.tokens)} tokens vs "
-                f"{len(self.logprobs)} log-probs"
+                f"{len(logprobs)} log-probs"
             )
         if len(self.tokens) == 0:
             raise StructureError(f"segment {self.seg_id} is empty")
-        for v in self.logprobs:
+        # A finite sum rules out nan and inf, and a largest value <= 0 any
+        # positive one; only a bad segment pays for the loop that names the
+        # first bad value.
+        if math.isfinite(sum(logprobs)) and max(logprobs) <= 0.0:
+            return
+        for v in logprobs:
             if not math.isfinite(v):
                 raise DomainError(f"segment {self.seg_id}: non-finite log-prob {v}")
             if v > 0.0:
@@ -365,8 +371,10 @@ def read_lines_with_ids(path, ids_path=None) -> list:
 
 
 def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
-    """Validate alignment across systems and attach human judgments; which
-    systems count is left to ``metaeval.scored_systems``.
+    """Check that the systems that count, those the human judgments name
+    (as ``metaeval.scored_systems`` counts them), cover the same segments,
+    and attach the judgments; a system they do not name is kept unchecked,
+    and ``scored_systems`` leaves it out.
 
     Order-insensitive in ``outputs``: any permutation produces an equal
     dataset (systems are stored sorted by name).
@@ -385,5 +393,9 @@ def assemble_dataset(outputs: Sequence, human: HumanJudgments) -> EvalDataset:
         if out.system_name in ids_by_system:
             raise StructureError(f"{lp}: system {out.system_name} given twice")
         ids_by_system[out.system_name] = [s.seg_id for s in out.segments]
-    same_segments(ids_by_system, f"{lp}: ")
+    named = scores_by_pair(human.system_scores).get(lp, {})
+    counted = {system: ids for system, ids in ids_by_system.items()
+               if system in named}
+    if counted:
+        same_segments(counted, f"{lp}: ")
     return EvalDataset(lang_pair, tuple(outputs), human)

@@ -2,11 +2,14 @@
 
 One engine computes the statistic all three rest on: per order n, the
 clipped n-gram matches of hypothesis against reference and the n-gram
-totals, summed over the corpus. ``_ngram_counts`` keys every n-gram of a
-sequence by its n-tuple; a sequence of length L has max(L - n + 1, 0)
-n-grams of order n, so the totals follow from the lengths. BLEU feeds the
-engine tokens; chrF feeds it each segment's characters with whitespace
-removed, so its n-grams are n-tuples of characters.
+totals, summed over the corpus. ``_ngram_counts`` counts a sequence's
+n-grams in one Counter per order, each n-gram keyed by a string: the
+concatenation of its characters for chrF, which feeds the engine each
+segment with whitespace removed, and of its tokens joined by single spaces
+for BLEU. Every tokenizer ends in ``str.split``, so no token holds
+whitespace and two different token n-grams never share a key. A sequence of
+length L has max(L - n + 1, 0) n-grams of order n, so the totals follow
+from the lengths.
 
 BLEU follows the de-facto standard corpus formulation: clipped modified
 n-gram precisions accumulated over the corpus, geometric mean over the
@@ -31,9 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import _unicode_classes
@@ -141,17 +146,27 @@ TOKENIZERS = {
 # The n-gram statistics engine
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(seq: Sequence, max_order: int) -> Counter:
-    """Every n-gram of orders 1..max_order in a token list or a string."""
-    counts = Counter()
-    for n in range(1, max_order + 1):
-        counts.update(zip(*(seq[k:] for k in range(n))))
+def _ngram_counts(seq: Sequence, max_order: int) -> List[Counter]:
+    """One Counter per order 1..max_order of the n-grams of a string (its
+    characters) or a whitespace-free token list, keyed by strings.
+
+    Order 1 counts the characters or tokens; each order n + 1 appends a tail
+    to each n-gram of order n: the next character, or a space and the next
+    token.
+    """
+    grams = list(seq)
+    tails = seq if isinstance(seq, str) else [" " + token for token in seq]
+    counts = [Counter(grams)]
+    for n in range(1, max_order):
+        grams = list(map(operator.add, grams, tails[n:]))
+        counts.append(Counter(grams))
     return counts
 
 
 class _NgramStats:
     """Clipped n-gram matches, n-gram totals per order and lengths of one
-    hypothesis/reference pair, added up segment by segment."""
+    hypothesis/reference pair, added up segment by segment from the
+    per-order Counters of ``_ngram_counts``."""
 
     def __init__(self, max_order: int):
         self.matches = [0] * max_order
@@ -160,16 +175,17 @@ class _NgramStats:
         self.hyp_len = 0
         self.ref_len = 0
 
-    def add(self, hyp: Tuple[int, Counter], ref: Tuple[int, Counter]) -> None:
+    def add(self, hyp: Tuple[int, List[Counter]],
+            ref: Tuple[int, List[Counter]]) -> None:
         (hyp_n, hyp_counts), (ref_n, ref_counts) = hyp, ref
         self.hyp_len += hyp_n
         self.ref_len += ref_n
-        for n in range(len(self.matches)):
+        for n, (h, r) in enumerate(zip(hyp_counts, ref_counts)):
             self.hyp_total[n] += max(hyp_n - n, 0)
             self.ref_total[n] += max(ref_n - n, 0)
-        matches, get = self.matches, ref_counts.get
-        for ngram, count in hyp_counts.items():
-            matches[len(ngram) - 1] += min(count, get(ngram, 0))
+            # min(count in hyp, count in ref) per hypothesis n-gram, in C
+            self.matches[n] += sum(map(min, h.values(),
+                                       map(r.get, h, repeat(0))))
 
 
 def _corpus_stats(texts: Sequence[Sequence[str]], cells,

@@ -1121,13 +1121,14 @@ def test_pairwise_system_on_other_segments_is_an_error(tmp_path, capsys):
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
         f"error: {args[-1]}: de-en: B and A cover different segments\n")
-    # a misaligned pair that only the metric file has is an error too
+    # no system of a pair that only the metric file has counts, so a
+    # misaligned one is the pair without human scores
     args = pairwise_files(
         tmp_path, segment_rows("de-en", level_scores((0, 0.5, 2), 5))
         + misaligned_rows("fr-en"))
     assert cli.main(args) == 1
     assert capsys.readouterr().err == (
-        f"error: {args[-1]}: fr-en: B and A cover different segments\n")
+        f"error: {args[-1]}: fr-en: no human scores\n")
 
 
 def test_pairwise_files_on_other_segments_is_an_error(tmp_path, capsys):
@@ -1173,10 +1174,11 @@ def test_subsample_system_on_other_segments_is_an_error(tmp_path, capsys):
         f"error: {metric}: de-en: B and A cover different segments\n")
 
 
-def write_metric_inputs(root, systems):
+def write_metric_inputs(root, systems, short=""):
     """Human scores for A-E, and metric scores for ``systems`` in every
     metric input that meta-eval, subsample, pairwise and tune-thresholds
-    read. X, if given, scores best of all on every metric."""
+    read. X, if given, scores best of all on every metric. The systems in
+    ``short`` lack the last segment of each segment-level input."""
     root.mkdir()
     levels = dict(zip(SYSTEMS, METRIC), X=5.0)
     seg_levels = dict(zip(SYSTEMS, (0, 0.5, 0.25, 1.5, 2)), X=9.0)
@@ -1190,12 +1192,13 @@ def write_metric_inputs(root, systems):
         f"de-en\t{s}\t{-levels[s] ** 2!r}\n" for s in systems))
     (root / "metric-seg.tsv").write_text(seg_header + "".join(
         f"de-en\t{s}\t{seg}\t{v!r}\n" for s in systems
-        for seg, v in enumerate(level_scores([seg_levels[s]], 5)[0])))
+        for seg, v in enumerate(level_scores([seg_levels[s]], 5)[0])
+        if not (s in short and seg == 11)))
     (root / "scores" / "de-en").mkdir(parents=True)
     for s in systems:
+        samples = [[-0.5 - levels[s] / 10], [-1.5 - levels[s] / 10], [-0.25]]
         write_samples(root / "scores" / "de-en" / f"{s}.jsonl",
-                      [[-0.5 - levels[s] / 10], [-1.5 - levels[s] / 10],
-                       [-0.25]])
+                      samples[:-1] if s in short else samples)
     return root
 
 
@@ -1236,8 +1239,22 @@ def test_a_system_without_human_scores_changes_nothing(tmp_path, capsys,
                        capsys)
     with_x = run_in(write_metric_inputs(tmp_path / "b", SYSTEMS + "X"), args,
                     capsys)
+    # nor does it have to cover the segments the others cover
+    with_short_x = run_in(write_metric_inputs(tmp_path / "c", SYSTEMS + "X",
+                                              short="X"), args, capsys)
     assert without_x[0] == 0 and without_x[2] == ""
     assert with_x == without_x
+    assert with_short_x == without_x
+
+
+def test_tune_thresholds_system_on_other_segments_is_an_error(tmp_path,
+                                                              capsys):
+    # named with the directory, as pairwise and subsample name their file
+    args, blamed = METRIC_INPUT_COMMANDS["tune-thresholds"]
+    root = write_metric_inputs(tmp_path / "inputs", SYSTEMS, short="B")
+    assert run_in(root, args, capsys) == (
+        1, "", f"error: {root / blamed}: de-en: B and A cover different "
+        "segments\n", None)
 
 
 @pytest.mark.parametrize("command", sorted(METRIC_INPUT_COMMANDS))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -84,6 +85,27 @@ class TestTokenScoredSegment:
     def test_empty(self):
         with pytest.raises(StructureError):
             TokenScoredSegment(0, [], [])
+
+    def test_negative_zero_and_an_overflowing_sum_pass(self):
+        # each value is finite and <= 0 though the sum overflows to -inf
+        for logps in ([-0.0], [-0.0, -1.0], [-1e308, -1e308, -0.5]):
+            seg = TokenScoredSegment(0, ["t"] * len(logps), logps)
+            assert seg.logprobs == tuple(logps)
+        assert math.copysign(1.0, TokenScoredSegment(0, ["t"], [-0.0])
+                             .logprobs[0]) == -1.0
+
+    @pytest.mark.parametrize("logps,message", [
+        ([-1.0, 0.5, math.nan], "positive log-prob 0.5"),
+        ([-1.0, math.nan, 0.5], "non-finite log-prob nan"),
+        ([math.inf, -math.inf], "non-finite log-prob inf"),
+        ([-1e308, -math.inf], "non-finite log-prob -inf"),
+        ([-2.0, 5e-324], "positive log-prob 5e-324"),
+        ([1e308, 1e308], "positive log-prob 1e+308"),
+    ])
+    def test_first_bad_logprob_named(self, logps, message):
+        with pytest.raises(DomainError) as exc:
+            TokenScoredSegment(3, ["t"] * len(logps), logps)
+        assert str(exc.value) == f"segment 3: {message}"
 
 
 class TestSystemOutput:
@@ -353,6 +375,16 @@ class TestAssembleDataset:
         with pytest.raises(AlignmentError) as exc:
             assemble_dataset([good[0], bad, good[1]], human)
         assert str(exc.value) == "de-en: B and A cover different segments"
+
+    def test_unnamed_system_is_not_checked(self):
+        # X has no judgment, so it need not cover the segments A-C cover
+        outputs = [make_output(n, ["x"] * 10) for n in "ABC"]
+        outputs.append(make_output("X", ["x"] * 9))
+        human = HumanJudgments({("de-en", n): 0.0 for n in "ABC"})
+        ds = assemble_dataset(outputs, human)
+        assert [out.system_name for out in ds.systems] == list("ABCX")
+        # nor does any system of a pair without judgments
+        assemble_dataset(outputs, HumanJudgments({("fr-en", "A"): 0.0}))
 
     def test_system_given_twice_named(self):
         # one name over other segments must not hide behind the first

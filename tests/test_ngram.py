@@ -340,3 +340,34 @@ def test_bleu_and_chrf_equal_brute_force_counts_on_random_text():
     # most cases score strictly between 0 and 100
     assert scored["bleu", True] > scored["bleu", False]
     assert scored["chrf", True] > scored["chrf", False]
+
+
+def test_token_ngrams_whose_concatenations_coincide_do_not_match():
+    # "ab c" and "a bc" share no token n-gram, though both bigrams would be
+    # "abc" if tokens were joined without a separator
+    hyps, refs = ["ab c"], ["a bc"]
+    cfg = ngram.BleuConfig(tokenizer="whitespace", max_order=2,
+                           smoothing="exp-floor")
+    assert ngram.bleu(hyps, refs, cfg) == brute_bleu(hyps, refs, cfg)
+    assert ngram._pair_stats(hyps, refs, ngram.tokenize_whitespace,
+                             2).matches == [0, 0]
+
+
+# str.split splits at these too; they are easy to miss as whitespace
+RARE_WHITESPACE = "\x1c\x1d\x1e\x1f\x85\u2028"
+
+
+def test_tokens_hold_no_whitespace():
+    # BLEU keys an n-gram by its tokens joined by spaces, which is unique
+    # only while no token holds whitespace
+    assert all(map(str.isspace, RARE_WHITESPACE))
+    rng = random.Random(2105)
+    pool = ALPHABET + RARE_WHITESPACE
+    for _ in range(3000):
+        line = "".join(chr(rng.randrange(sys.maxunicode + 1))
+                       if rng.random() < 0.05 else rng.choice(pool)
+                       for _ in range(rng.randint(0, 30)))
+        for key, tokenize in ngram.TOKENIZERS.items():
+            for token in tokenize(line):
+                assert token and not any(map(str.isspace, token)), \
+                    (key, line)
