@@ -237,11 +237,15 @@ def load_token_scores(path) -> list:
     return segments
 
 
+# json.dumps with ensure_ascii=False builds a new encoder on every call.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_token_scores(path, segments: Iterable) -> None:
     """Write token-score JSONL; floats keep shortest round-trip precision."""
     write_lines(path, (
-        json.dumps({"seg": seg.seg_id, "tokens": list(seg.tokens),
-                    "logp": list(seg.logprobs)}, ensure_ascii=False)
+        _encode_json({"seg": seg.seg_id, "tokens": list(seg.tokens),
+                      "logp": list(seg.logprobs)})
         for seg in sorted(segments, key=lambda s: s.seg_id)
     ))
 

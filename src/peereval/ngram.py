@@ -3,13 +3,16 @@
 One engine computes the statistic all three rest on: per order n, the
 clipped n-gram matches of hypothesis against reference and the n-gram
 totals, summed over the corpus. ``_ngram_counts`` counts a sequence's
-n-grams in one Counter per order, each n-gram keyed by a string: the
+n-grams into one plain dict per order with ``collections._count_elements``,
+the C loop behind ``Counter.update``, each n-gram keyed by a string: the
 concatenation of its characters for chrF, which feeds the engine each
 segment with whitespace removed, and of its tokens joined by single spaces
 for BLEU. Every tokenizer ends in ``str.split``, so no token holds
 whitespace and two different token n-grams never share a key. A sequence of
 length L has max(L - n + 1, 0) n-grams of order n, so the totals follow
-from the lengths.
+from the lengths. Clipped matches, the sum over shared n-grams of the
+smaller count, are symmetric in hypothesis and reference, so the
+cross-BLEU matrix takes them once per unordered pair of systems.
 
 BLEU follows the de-facto standard corpus formulation: clipped modified
 n-gram precisions accumulated over the corpus, geometric mean over the
@@ -36,7 +39,7 @@ import functools
 import math
 import operator
 import re
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -146,9 +149,10 @@ TOKENIZERS = {
 # The n-gram statistics engine
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(seq: Sequence, max_order: int) -> List[Counter]:
-    """One Counter per order 1..max_order of the n-grams of a string (its
-    characters) or a whitespace-free token list, keyed by strings.
+def _ngram_counts(seq: Sequence, max_order: int) -> List[Dict[str, int]]:
+    """One dict per order 1..max_order, from each n-gram of a string (its
+    characters) or a whitespace-free token list, keyed by a string, to its
+    count; ``_count_elements`` counts each order in C.
 
     Order 1 counts the characters or tokens; each order n + 1 appends a tail
     to each n-gram of order n: the next character, or a space and the next
@@ -156,17 +160,25 @@ def _ngram_counts(seq: Sequence, max_order: int) -> List[Counter]:
     """
     grams = list(seq)
     tails = seq if isinstance(seq, str) else [" " + token for token in seq]
-    counts = [Counter(grams)]
+    counts = [{} for _ in range(max_order)]
+    _count_elements(counts[0], grams)
     for n in range(1, max_order):
         grams = list(map(operator.add, grams, tails[n:]))
-        counts.append(Counter(grams))
+        _count_elements(counts[n], grams)
     return counts
+
+
+def _clipped_matches(h_counts: List[Dict[str, int]],
+                     r_counts: List[Dict[str, int]]) -> List[int]:
+    """Per order, the sum over n-grams of min(count in h, count in r),
+    summed in C. It is symmetric in ``h_counts`` and ``r_counts``."""
+    return [sum(map(min, h.values(), map(r.get, h, repeat(0))))
+            for h, r in zip(h_counts, r_counts)]
 
 
 class _NgramStats:
     """Clipped n-gram matches, n-gram totals per order and lengths of one
-    hypothesis/reference pair, added up segment by segment from the
-    per-order Counters of ``_ngram_counts``."""
+    hypothesis/reference pair, added up segment by segment."""
 
     def __init__(self, max_order: int):
         self.matches = [0] * max_order
@@ -175,17 +187,15 @@ class _NgramStats:
         self.hyp_len = 0
         self.ref_len = 0
 
-    def add(self, hyp: Tuple[int, List[Counter]],
-            ref: Tuple[int, List[Counter]]) -> None:
-        (hyp_n, hyp_counts), (ref_n, ref_counts) = hyp, ref
+    def add(self, hyp_n: int, ref_n: int, matches: List[int]) -> None:
+        """Add one segment: the hypothesis and reference lengths and the
+        per-order clipped matches (``_clipped_matches``)."""
         self.hyp_len += hyp_n
         self.ref_len += ref_n
-        for n, (h, r) in enumerate(zip(hyp_counts, ref_counts)):
+        for n, match in enumerate(matches):
+            self.matches[n] += match
             self.hyp_total[n] += max(hyp_n - n, 0)
             self.ref_total[n] += max(ref_n - n, 0)
-            # min(count in hyp, count in ref) per hypothesis n-gram, in C
-            self.matches[n] += sum(map(min, h.values(),
-                                       map(r.get, h, repeat(0))))
 
 
 def _corpus_stats(texts: Sequence[Sequence[str]], cells,
@@ -193,13 +203,19 @@ def _corpus_stats(texts: Sequence[Sequence[str]], cells,
                   max_order: int) -> Dict[Tuple[int, int], _NgramStats]:
     """The statistics of each ``(i, j)`` cell, ``texts[i]`` as hypothesis
     against ``texts[j]`` as reference. The texts advance together: each
-    segment is split and counted once, and only its counts are kept."""
+    segment is split and counted once, and only its counts are kept. Cells
+    ``(i, j)`` and ``(j, i)`` share one ``_clipped_matches`` per segment."""
     stats = {cell: _NgramStats(max_order) for cell in cells}
+    pairs: Dict[Tuple[int, int], List[Tuple[int, int, _NgramStats]]] = {}
+    for (i, j), cell in stats.items():
+        pairs.setdefault((min(i, j), max(i, j)), []).append((i, j, cell))
     for segment in zip(*texts):
-        counted = [(len(seq), _ngram_counts(seq, max_order))
-                   for seq in map(split, segment)]
-        for (i, j), cell in stats.items():
-            cell.add(counted[i], counted[j])
+        seqs = list(map(split, segment))
+        counts = [_ngram_counts(seq, max_order) for seq in seqs]
+        for (a, b), members in pairs.items():
+            matches = _clipped_matches(counts[a], counts[b])
+            for i, j, cell in members:
+                cell.add(len(seqs[i]), len(seqs[j]), matches)
     return stats
 
 
@@ -333,6 +349,8 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
     hypothesis against system j as the reference; averages[i] is system i's
     mean over the other systems (its proximity to the field). Each output
     is tokenized and counted once, and every cell reuses those counts.
+    Clipping is symmetric, so each segment's matches are taken once per
+    unordered pair and serve both (i, j) and (j, i).
     """
     names = sorted(outputs)
     if len(names) < 2:

@@ -290,21 +290,23 @@ def random_corpus(rng):
     hyps, refs = [], []
     for _ in range(rng.randint(1, 4)):
         ref = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 24)))
-        if rng.random() < 0.7:
-            chars = list(ref)
-            for _ in range(rng.randint(0, 4)):
-                k = rng.randint(0, len(chars))
-                if rng.random() < 0.5 and k < len(chars):
-                    del chars[k]
-                else:
-                    chars.insert(k, rng.choice(ALPHABET))
-            hyp = "".join(chars)
-        else:
-            hyp = "".join(rng.choice(ALPHABET)
-                          for _ in range(rng.randint(0, 24)))
-        hyps.append(hyp)
+        hyps.append(random_hypothesis(rng, ref))
         refs.append(ref)
     return hyps, refs
+
+
+def random_hypothesis(rng, ref):
+    """An edit of ``ref`` or unrelated text."""
+    if rng.random() < 0.7:
+        chars = list(ref)
+        for _ in range(rng.randint(0, 4)):
+            k = rng.randint(0, len(chars))
+            if rng.random() < 0.5 and k < len(chars):
+                del chars[k]
+            else:
+                chars.insert(k, rng.choice(ALPHABET))
+        return "".join(chars)
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 24)))
 
 
 def outcome(score, *args):
@@ -340,6 +342,37 @@ def test_bleu_and_chrf_equal_brute_force_counts_on_random_text():
     # most cases score strictly between 0 and 100
     assert scored["bleu", True] > scored["bleu", False]
     assert scored["chrf", True] > scored["chrf", False]
+
+
+def test_cross_bleu_matrix_equals_brute_force_on_random_text():
+    # The matrix takes each unordered pair's clipped matches once for both
+    # of its cells; every other test of it compares with bleu, which shares
+    # the engine, so only counts made apart from the engine check that reuse.
+    rng = random.Random(20260411)
+    fixtures = [{"x": ["the the the cat"], "y": ["the cat"]}]
+    for _ in range(40):
+        _, refs = random_corpus(rng)
+        fixtures.append({name: [random_hypothesis(rng, ref) for ref in refs]
+                         for name in "abcd"[:rng.randint(3, 4)]})
+    scored = Counter()
+    for outputs in fixtures:
+        names = sorted(outputs)
+        for tokenizer in ngram.TOKENIZERS:
+            for settings in BLEU_SETTINGS:
+                cfg = ngram.BleuConfig(tokenizer=tokenizer, **settings)
+                _, matrix, _ = ngram.cross_bleu_matrix(outputs, cfg)
+                for i, a in enumerate(names):
+                    for j, b in enumerate(names):
+                        if i != j:
+                            want = brute_bleu(outputs[a], outputs[b], cfg)
+                            assert matrix[i][j] == want, (outputs, cfg, i, j)
+                            scored[0 < want < 100] += 1
+    # clipping binds in one direction only: three "the" against one
+    cfg = ngram.BleuConfig(max_order=1)
+    _, matrix, _ = ngram.cross_bleu_matrix(fixtures[0], cfg)
+    assert matrix == [[100.0, 50.0], [100.0 * math.exp(-1.0), 100.0]]
+    # most cells score strictly between 0 and 100
+    assert scored[True] > scored[False]
 
 
 def test_token_ngrams_whose_concatenations_coincide_do_not_match():
