@@ -10,7 +10,9 @@ directory into ``parent`` and ``change``: sibling directories whose names
 have the same length, because ``baselines`` ``peak_rss_mb`` moves with the
 checkout path. Pair k runs ``perfbench/run.py --trace 0`` at seed
 ``seed-base + k`` in both, the parent first when k is even and the change
-first when k is odd, and prints each run's values to stderr.
+first when k is odd, and prints each run's values to stderr. Every run has
+``PYTHONDONTWRITEBYTECODE=1`` in its environment, whatever the calling
+shell holds, so both sides compile ``src/`` from source in every run.
 
 Then, for every end-to-end metric of the parent's ``BENCHMARK.json``, it
 prints a Markdown row: each side's median and quartiles, in how many pairs
@@ -51,12 +53,22 @@ def export(source: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
+# Pinned in the environment of every run: no side writes bytecode, so no
+# run reads what an earlier one wrote.
+PINNED_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def bench_env(environ) -> dict:
+    """The environment of a run: ``environ`` with ``PINNED_ENV`` over it."""
+    return {**environ, **PINNED_ENV}
+
+
 def run_bench(root: str, workload: str, seed: int, seconds: int) -> dict:
     """One ``--trace 0`` run in ``root``: its last stdout line, parsed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True, env=bench_env(os.environ))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: run in {root} at seed {seed} exited "
@@ -136,10 +148,11 @@ def main(argv=None) -> int:
                     for name, value in values[side][-1].items()),
                     file=sys.stderr, flush=True)
 
+    pinned = " ".join(f"{name}={value}" for name, value in PINNED_ENV.items())
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed_base}-"
-          f"{args.seed_base + args.pairs - 1}, {args.seconds}-s runs; failed "
-          f"operations: parent {failed['parent'][0]} of {failed['parent'][1]}, "
-          f"change {failed['change'][0]} of {failed['change'][1]}")
+          f"{args.seed_base + args.pairs - 1}, {args.seconds}-s runs, "
+          f"{pinned}; failed operations: parent {failed['parent'][0]} of "
+          f"{failed['parent'][1]}, change {failed['change'][0]} of {failed['change'][1]}")
     print("| workload | metric | parent median [q1, q3] "
           "| change median [q1, q3] | change better | gain |")
     print("|---|---|---|---|---|---|")

@@ -16,7 +16,9 @@ Everything is deterministic for a fixed seed; machine-readable outputs keep
 full float precision, printed tables use 3 decimals.
 
 Each subcommand imports scoring, metaeval, model1, subword or numpy itself,
-so that a text subcommand (bleu, chrf, cross-bleu) never loads numpy.
+so that a text subcommand (bleu, chrf, cross-bleu) never loads numpy. The
+CLI's own import loads no dataclasses (records are namedtuples) and no json
+(only the JSONL reader and writer and ``meta-eval --format json`` use it).
 """
 
 from __future__ import annotations

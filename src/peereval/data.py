@@ -23,15 +23,18 @@ Wire formats:
   * system outputs / references: plain text, one segment per line, ids either
     implicit (0-based line number) or from a sidecar id file.
 
-All types are immutable after construction and safe to share across workers.
+Every record here and in the other modules is declared as a namedtuple
+subclass, ``class X(namedtuple("X", "field ...")):`` with ``__slots__ = ()``,
+and runs its checks and normalisation in ``__new__``. Records are immutable
+and safe to share across workers. ``_replace`` and ``_make`` skip
+``__new__``, so a record with checks is built through its constructor.
 Log-probabilities are natural logs (nats) throughout.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -42,20 +45,19 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class LanguagePair:
-    source: str
-    target: str
+class LanguagePair(namedtuple("LanguagePair", "source target")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("source", "target"):
-            code = getattr(self, name)
+    def __new__(cls, source: str, target: str):
+        codes = []
+        for code in (source, target):
             norm = code.strip().lower()
             if len(norm) < 2 or not norm.isalpha():
                 raise DomainError(f"bad language code {code!r}")
-            object.__setattr__(self, name, norm)
-        if self.source == self.target:
-            raise DomainError(f"source and target coincide: {self.source}")
+            codes.append(norm)
+        if codes[0] == codes[1]:
+            raise DomainError(f"source and target coincide: {codes[0]}")
+        return super().__new__(cls, *codes)
 
     @classmethod
     def parse(cls, text: str) -> "LanguagePair":
@@ -77,94 +79,82 @@ class LanguagePair:
         return "xx-yy"
 
 
-@dataclass(frozen=True)
-class SegmentPair:
-    seg_id: int
-    source_text: str
-    target_text: str
+class SegmentPair(namedtuple("SegmentPair", "seg_id source_text target_text")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seg_id < 0:
-            raise DomainError(f"negative seg_id {self.seg_id}")
+    def __new__(cls, seg_id: int, source_text: str, target_text: str):
+        if seg_id < 0:
+            raise DomainError(f"negative seg_id {seg_id}")
+        return super().__new__(cls, seg_id, source_text, target_text)
 
 
-@dataclass(frozen=True)
-class TokenScoredSegment:
+class TokenScoredSegment(namedtuple("TokenScoredSegment",
+                                    "seg_id tokens logprobs")):
     """Tokens of one hypothesis segment with their log-probabilities."""
 
-    seg_id: int
-    tokens: tuple
-    logprobs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        logprobs = tuple(map(float, self.logprobs))
-        object.__setattr__(self, "logprobs", logprobs)
-        if len(self.tokens) != len(logprobs):
+    def __new__(cls, seg_id: int, tokens, logprobs):
+        tokens = tuple(tokens)
+        logprobs = tuple(map(float, logprobs))
+        if len(tokens) != len(logprobs):
             raise StructureError(
-                f"segment {self.seg_id}: {len(self.tokens)} tokens vs "
+                f"segment {seg_id}: {len(tokens)} tokens vs "
                 f"{len(logprobs)} log-probs"
             )
-        if len(self.tokens) == 0:
-            raise StructureError(f"segment {self.seg_id} is empty")
+        if len(tokens) == 0:
+            raise StructureError(f"segment {seg_id} is empty")
         # A finite sum rules out nan and inf, and a largest value <= 0 any
         # positive one; only a bad segment pays for the loop that names the
         # first bad value.
-        if math.isfinite(sum(logprobs)) and max(logprobs) <= 0.0:
-            return
-        for v in logprobs:
-            if not math.isfinite(v):
-                raise DomainError(f"segment {self.seg_id}: non-finite log-prob {v}")
-            if v > 0.0:
-                raise DomainError(f"segment {self.seg_id}: positive log-prob {v}")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+        if not (math.isfinite(sum(logprobs)) and max(logprobs) <= 0.0):
+            for v in logprobs:
+                if not math.isfinite(v):
+                    raise DomainError(
+                        f"segment {seg_id}: non-finite log-prob {v}")
+                if v > 0.0:
+                    raise DomainError(f"segment {seg_id}: positive log-prob {v}")
+        return super().__new__(cls, seg_id, tokens, logprobs)
 
 
-@dataclass(frozen=True)
-class SystemOutput:
-    system_name: str
-    lang_pair: LanguagePair
-    segments: tuple
-    token_scores: Optional[tuple] = None
+class SystemOutput(namedtuple("SystemOutput",
+                              "system_name lang_pair segments token_scores")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        segs = tuple(sorted(self.segments, key=lambda s: s.seg_id))
-        object.__setattr__(self, "segments", segs)
-        ids = [s.seg_id for s in segs]
+    def __new__(cls, system_name: str, lang_pair: LanguagePair, segments,
+                token_scores: Optional[tuple] = None):
+        segments = tuple(sorted(segments, key=lambda s: s.seg_id))
+        ids = [s.seg_id for s in segments]
         if len(set(ids)) != len(ids):
-            raise StructureError(f"{self.system_name}: duplicate seg_id in segments")
-        if self.token_scores is not None:
-            scores = tuple(sorted(self.token_scores, key=lambda s: s.seg_id))
-            object.__setattr__(self, "token_scores", scores)
+            raise StructureError(f"{system_name}: duplicate seg_id in segments")
+        if token_scores is not None:
+            token_scores = tuple(sorted(token_scores, key=lambda s: s.seg_id))
             same_segments({"segments": ids,
-                           "token scores": [s.seg_id for s in scores]},
-                          f"{self.system_name}: ")
+                           "token scores": [s.seg_id for s in token_scores]},
+                          f"{system_name}: ")
+        return super().__new__(cls, system_name, lang_pair, segments,
+                               token_scores)
 
 
-@dataclass(frozen=True)
-class HumanJudgments:
+class HumanJudgments(namedtuple("HumanJudgments", "system_scores")):
     """System-level human scores: ``system_scores`` maps (lang_pair, system)
     to a score."""
 
-    system_scores: Mapping
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "system_scores", dict(self.system_scores))
+    def __new__(cls, system_scores: Mapping):
+        return super().__new__(cls, dict(system_scores))
 
 
-@dataclass(frozen=True)
-class EvalDataset:
+class EvalDataset(namedtuple("EvalDataset", "lang_pair systems human")):
     """Aligned system outputs for one language pair, with human judgments."""
 
-    lang_pair: LanguagePair
-    systems: tuple
-    human: HumanJudgments
+    __slots__ = ()
 
-    def __post_init__(self):
-        systems = tuple(sorted(self.systems, key=lambda s: s.system_name))
-        object.__setattr__(self, "systems", systems)
+    def __new__(cls, lang_pair: LanguagePair, systems,
+                human: HumanJudgments):
+        systems = tuple(sorted(systems, key=lambda s: s.system_name))
+        return super().__new__(cls, lang_pair, systems, human)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +189,8 @@ def write_lines(path, lines: Iterable) -> None:
 def load_token_scores(path) -> list:
     """Read a token-score JSONL file, sorted by seg_id. A file without a
     record is a ParseError."""
+    import json
+
     segments = []
     seen = set()
     for lineno, raw in read_lines(path):
@@ -237,15 +229,16 @@ def load_token_scores(path) -> list:
     return segments
 
 
-# json.dumps with ensure_ascii=False builds a new encoder on every call.
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
-
-
 def write_token_scores(path, segments: Iterable) -> None:
     """Write token-score JSONL; floats keep shortest round-trip precision."""
+    import json
+
+    # one encoder per file: json.dumps with ensure_ascii=False builds one
+    # per call
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     write_lines(path, (
-        _encode_json({"seg": seg.seg_id, "tokens": list(seg.tokens),
-                      "logp": list(seg.logprobs)})
+        encode({"seg": seg.seg_id, "tokens": list(seg.tokens),
+                "logp": list(seg.logprobs)})
         for seg in sorted(segments, key=lambda s: s.seg_id)
     ))
 

@@ -15,13 +15,11 @@ is a subset-count DP over rank sums (``ranksum_exact_p``).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import statistics
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -410,16 +408,13 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(namedtuple("CorrelationResult",
+                                   "lang_pair r kept outliers")):
     """Outlier-filtered correlation for one pair over its sorted ``kept``
     systems; ``r`` is None when the pair is degenerate (constant scores, or
     fewer than 2 kept systems)."""
 
-    lang_pair: str
-    r: Optional[float]
-    kept: tuple
-    outliers: tuple
+    __slots__ = ()
 
     @property
     def n_systems(self) -> int:
@@ -430,11 +425,9 @@ class CorrelationResult:
         return self.n_systems >= MIN_RELIABLE_SYSTEMS
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    per_pair: tuple
-    weighted_average: Optional[float]
-    group_averages: dict
+class MetricReport(namedtuple("MetricReport",
+                              "per_pair weighted_average group_averages")):
+    __slots__ = ()
 
     def result_for(self, lang_pair: str) -> Optional[CorrelationResult]:
         for res in self.per_pair:
@@ -505,15 +498,9 @@ def metric_report(human_scores_by_pair: Mapping[str, Mapping[str, float]],
                         group_averages)
 
 
-@dataclass(frozen=True)
-class WilliamsComparison:
-    lang_pair: str
-    r_first: float
-    r_second: float
-    r_between: float
-    n_systems: int
-    t: float
-    p: float
+WilliamsComparison = namedtuple(
+    "WilliamsComparison",
+    "lang_pair r_first r_second r_between n_systems t p")
 
 
 def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
@@ -556,16 +543,12 @@ def compare_metrics(human_scores_by_pair: Mapping[str, Mapping[str, float]],
 # Pairwise system comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairwiseTally:
+class PairwiseTally(namedtuple(
+        "PairwiseTally", "sig_correct sig_incorrect sig_metric_ns "
+        "ns_correct ns_incorrect ns_metric_ns", defaults=(0,) * 6)):
     """Six-way tally of pairwise ranking decisions (Human-S/NS x C/IC/NS)."""
 
-    sig_correct: int = 0
-    sig_incorrect: int = 0
-    sig_metric_ns: int = 0
-    ns_correct: int = 0
-    ns_incorrect: int = 0
-    ns_metric_ns: int = 0
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -675,6 +658,6 @@ def subsample_correlations(human_scores: Mapping[str, float],
                 human_scores, dict(zip(kept, matrix[:, idx].mean(axis=1))),
                 lang_pair))
         rs = [res.r for res in results]
-        result[size] = dataclasses.replace(
-            results[0], r=None if None in rs else float(np.mean(rs)))
+        result[size] = results[0]._replace(
+            r=None if None in rs else float(np.mean(rs)))
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,26 +33,27 @@ UNSEEN_PROB_FLOOR = 1e-12
 SAVE_MIN_PROB = 1e-9
 
 
-@dataclass(frozen=True)
-class LexicalTable:
-    """Dense translation table t(target | source), NULL source included."""
+class LexicalTable(namedtuple("LexicalTable",
+                              "source_index target_index probs")):
+    """Dense translation table t(target | source), NULL source included;
+    ``probs`` has shape (n_targets, n_sources), and its columns sum to 1."""
 
-    source_index: dict
-    target_index: dict
-    probs: np.ndarray  # shape (n_targets, n_sources), columns sum to 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if NULL_TOKEN not in self.source_index:
+    def __new__(cls, source_index: dict, target_index: dict,
+                probs: np.ndarray):
+        if NULL_TOKEN not in source_index:
             raise DomainError(f"source vocabulary lacks {NULL_TOKEN}")
-        if self.probs.shape != (len(self.target_index), len(self.source_index)):
+        if probs.shape != (len(target_index), len(source_index)):
             raise DomainError("probability table shape mismatch")
-        if not np.all(np.isfinite(self.probs)):
+        if not np.all(np.isfinite(probs)):
             raise DomainError("non-finite translation probabilities")
-        if np.any(self.probs < 0) or np.any(self.probs > 1):
+        if np.any(probs < 0) or np.any(probs > 1):
             raise DomainError("translation probabilities outside [0, 1]")
-        sums = self.probs.sum(axis=0)
+        sums = probs.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise DomainError("per-source probabilities do not sum to 1")
+        return super().__new__(cls, source_index, target_index, probs)
 
 
 def _encode_corpus(parallel):

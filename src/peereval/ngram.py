@@ -39,8 +39,7 @@ import functools
 import math
 import operator
 import re
-from collections import _count_elements
-from dataclasses import dataclass
+from collections import _count_elements, namedtuple
 from itertools import repeat
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -235,19 +234,19 @@ def _pair_stats(hypotheses: Sequence[str], references: Sequence[str],
 # BLEU
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BleuConfig:
-    max_order: int = 4
-    smoothing: str = "none"  # "none" or "exp-floor"
-    tokenizer: str = "intl"
+class BleuConfig(namedtuple("BleuConfig", "max_order smoothing tokenizer")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_order < 1:
-            raise ConfigError(f"max_order must be >= 1, got {self.max_order}")
-        if self.smoothing not in ("none", "exp-floor"):
-            raise ConfigError(f"unknown smoothing {self.smoothing!r}")
-        if self.tokenizer not in TOKENIZERS:
-            raise ConfigError(f"unknown tokenizer {self.tokenizer!r}")
+    def __new__(cls, max_order: int = 4,
+                smoothing: str = "none",  # "none" or "exp-floor"
+                tokenizer: str = "intl"):
+        if max_order < 1:
+            raise ConfigError(f"max_order must be >= 1, got {max_order}")
+        if smoothing not in ("none", "exp-floor"):
+            raise ConfigError(f"unknown smoothing {smoothing!r}")
+        if tokenizer not in TOKENIZERS:
+            raise ConfigError(f"unknown tokenizer {tokenizer!r}")
+        return super().__new__(cls, max_order, smoothing, tokenizer)
 
 
 def _bleu_score(stats: _NgramStats, cfg: BleuConfig) -> float:
@@ -292,16 +291,15 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str],
 # chrF
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChrfConfig:
-    char_order: int = 6
-    beta: float = 2.0
+class ChrfConfig(namedtuple("ChrfConfig", "char_order beta")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.char_order < 1:
-            raise ConfigError(f"char_order must be >= 1, got {self.char_order}")
-        if not 0 < self.beta < math.inf:   # also false for nan
-            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
+    def __new__(cls, char_order: int = 6, beta: float = 2.0):
+        if char_order < 1:
+            raise ConfigError(f"char_order must be >= 1, got {char_order}")
+        if not 0 < beta < math.inf:   # also false for nan
+            raise ConfigError(f"beta must be finite and > 0, got {beta}")
+        return super().__new__(cls, char_order, beta)
 
 
 _strip_whitespace = functools.partial(re.compile(r"\s+").sub, "")

@@ -9,7 +9,7 @@ tunes the threshold band on development data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -28,29 +28,27 @@ class Aggregation(str, Enum):
     NEG_STD = "negstd"
 
 
-@dataclass(frozen=True)
-class SegmentScore:
-    seg_id: int
-    value: float
+class SegmentScore(namedtuple("SegmentScore", "seg_id value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"segment {self.seg_id}: non-finite score")
+    def __new__(cls, seg_id: int, value: float):
+        if not math.isfinite(value):
+            raise DomainError(f"segment {seg_id}: non-finite score")
+        return super().__new__(cls, seg_id, value)
 
 
-@dataclass(frozen=True)
-class SystemScore:
-    system_name: str
-    lang_pair: str
-    value: float
-    method: str
-    n_segments: int
+class SystemScore(namedtuple("SystemScore",
+                             "system_name lang_pair value method n_segments")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_segments < 1:
+    def __new__(cls, system_name: str, lang_pair: str, value: float,
+                method: str, n_segments: int):
+        if n_segments < 1:
             raise DomainError("system score over zero segments")
-        if not math.isfinite(self.value):
-            raise DomainError(f"{self.system_name}: non-finite system score")
+        if not math.isfinite(value):
+            raise DomainError(f"{system_name}: non-finite system score")
+        return super().__new__(cls, system_name, lang_pair, value, method,
+                               n_segments)
 
 
 def _csr(segments: Sequence[TokenScoredSegment]):
@@ -125,7 +123,7 @@ def regularize(samples: Sequence[TokenScoredSegment], mode: str,
         sums = np.array([sum(s.logprobs) for s in samples])
         value = float(sums.mean())
         if length_normalize:
-            value /= float(np.mean([len(s) for s in samples]))
+            value /= float(np.mean([len(s.tokens) for s in samples]))
         return SegmentScore(seg_id, value)
     raise ConfigError(f"unknown regularization mode {mode!r}")
 

@@ -10,8 +10,7 @@ top-n for additive scores.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -21,13 +20,11 @@ from .data import read_lines, write_lines
 from .errors import ConfigError, CoverageError, DomainError, ParseError
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    pieces: tuple
-    score: float
+class Segmentation(namedtuple("Segmentation", "pieces score")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+    def __new__(cls, pieces, score: float):
+        return super().__new__(cls, tuple(pieces), score)
 
 
 def _logp_problem(logp: float) -> Optional[str]:
@@ -39,19 +36,17 @@ def _logp_problem(logp: float) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class UnigramSubwordModel:
+class UnigramSubwordModel(namedtuple("UnigramSubwordModel", "vocab")):
     """Subword vocabulary with unigram log-probabilities (nats).
 
     The model is immutable: ``vocab`` is a read-only mapping. So each model
     memoizes its n-best lists and sampling CDFs per word, and every
-    repeated word or draw reuses them.
+    repeated word or draw reuses them. The class has no ``__slots__``:
+    ``max_piece_len`` and the memo live in the instance ``__dict__``.
     """
 
-    vocab: Mapping
-
-    def __post_init__(self):
-        vocab = dict(self.vocab)
+    def __new__(cls, vocab: Mapping):
+        vocab = dict(vocab)
         if not vocab:
             raise DomainError("empty subword vocabulary")
         total = 0.0
@@ -64,13 +59,13 @@ class UnigramSubwordModel:
             total += math.exp(logp)
         if total > 1.0 + 1e-6:
             raise DomainError(f"vocabulary probabilities sum to {total} > 1")
-        object.__setattr__(self, "vocab", MappingProxyType(vocab))
-        object.__setattr__(self, "max_piece_len",
-                           max(len(p) for p in vocab))
+        self = super().__new__(cls, MappingProxyType(vocab))
+        self.max_piece_len = max(len(p) for p in vocab)
         # (text, n) -> n-best list; (text, n, alpha) -> (n-best, CDF), at
         # most MEMO_ENTRIES in insertion order. Not a field, so ==, hash and
         # repr ignore it.
-        object.__setattr__(self, "_memo", {})
+        self._memo = {}
+        return self
 
     def __reduce__(self):
         # a mappingproxy does not pickle; a copy rebuilds with an empty memo

@@ -9,7 +9,7 @@ checked against the known ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -21,15 +21,14 @@ def _vocabulary(n_words: int, prefix: str) -> list:
     return [f"{prefix}{i:03d}" for i in range(n_words)]
 
 
-@dataclass(frozen=True)
-class NoiseBenchmark:
-    """Parallel corpus plus noise-corrupted system outputs."""
+class NoiseBenchmark(namedtuple("NoiseBenchmark", "lang_pair sources "
+                                "references system_outputs noise_rates")):
+    """Parallel corpus plus noise-corrupted system outputs: ``sources`` and
+    ``references`` are aligned tuples of token lists, ``system_outputs``
+    maps a system name to a tuple of token lists and ``noise_rates`` to its
+    rate."""
 
-    lang_pair: LanguagePair
-    sources: tuple          # token lists
-    references: tuple       # token lists, aligned with sources
-    system_outputs: dict    # system name -> tuple of token lists
-    noise_rates: dict       # system name -> rate
+    __slots__ = ()
 
 
 def make_noise_benchmark(n_segments: int = 1000,

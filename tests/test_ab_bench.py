@@ -41,3 +41,10 @@ def test_summarize_counts_wins_and_applies_the_gain_rule():
         ("seg_per_s", (10.0, 10.0, 10.0), (11.0, 11.0, 12.0), 5, True),
         ("peak_rss_mb", (42.0, 41.0, 43.0), (41.5, 40.5, 42.5), 5, False),
     ]
+
+
+def test_every_run_pins_bytecode_writing_off():
+    bench_env = load_script().bench_env
+    assert bench_env({"PYTHONDONTWRITEBYTECODE": "", "HOME": "/h"}) == {
+        "PYTHONDONTWRITEBYTECODE": "1", "HOME": "/h"}
+    assert bench_env({}) == {"PYTHONDONTWRITEBYTECODE": "1"}

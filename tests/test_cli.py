@@ -50,25 +50,34 @@ def test_toy_scorer_to_meta_eval(tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def third_party_loaded(code, cwd=None):
-    """The non-stdlib top-level packages a fresh interpreter loads running
-    ``code``, space-separated on the last line it prints."""
+# standard-library modules that the CLI's own import leaves out: dataclasses
+# (with the inspect it pulls in) and json cost about 11 ms of cold start
+SLOW_STDLIB = ("dataclasses", "inspect", "json")
+
+
+def modules_loaded(code, cwd=None):
+    """What a fresh interpreter has loaded after running ``code``: the
+    non-stdlib top-level packages it loaded, space-separated, and the
+    ``SLOW_STDLIB`` modules in ``sys.modules``, space-separated."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             + code +
             "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            f"print(' '.join(m for m in {SLOW_STDLIB!r} if m in sys.modules))\n"
             "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=cwd,
                             env=dict(os.environ, PYTHONPATH=SRC))
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1]
+    slow, third_party = result.stdout.splitlines()[-2:]
+    return third_party, slow
 
 
 def test_cli_import_loads_only_the_standard_library():
     # each subcommand imports what it runs, so the CLI itself loads no
-    # third-party package, numpy included
-    assert third_party_loaded("import peereval.cli\n") == "peereval"
+    # third-party package, numpy included, and records are namedtuples, so
+    # it loads no dataclasses; only the JSONL reader and writer import json
+    assert modules_loaded("import peereval.cli\n") == ("peereval", "")
 
 
 @pytest.mark.parametrize("args, loaded", [
@@ -76,15 +85,22 @@ def test_cli_import_loads_only_the_standard_library():
     (["chrf", "--hyp", "a.txt", "--ref", "b.txt"], "peereval"),
     (["cross-bleu", "--outputs", "a.txt", "b.txt"], "peereval"),
     (["score", "--samples", "a.jsonl", "--method", "mean"], "numpy peereval"),
-], ids=["bleu", "chrf", "cross-bleu", "score"])
+    (["meta-eval", "--human", "human.tsv", "--scores", "scores.tsv"],
+     "numpy peereval"),
+], ids=["bleu", "chrf", "cross-bleu", "score", "meta-eval"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
     # the text subcommands run ngram and data only and never load numpy;
-    # numpy is the one dependency the others load
+    # numpy is the one dependency the others load, and no subcommand loads
+    # dataclasses
     (tmp_path / "a.txt").write_text("a b c\n")
     (tmp_path / "b.txt").write_text("a b d\n")
     (tmp_path / "a.jsonl").write_text(JSONL + "\n")
+    (tmp_path / "human.tsv").write_text(HUMAN_TSV)
+    (tmp_path / "scores.tsv").write_text(HUMAN_TSV)
     code = f"from peereval import cli\nassert cli.main({args!r}) == 0\n"
-    assert third_party_loaded(code, cwd=tmp_path) == loaded
+    third_party, slow = modules_loaded(code, cwd=tmp_path)
+    assert third_party == loaded
+    assert "dataclasses" not in slow.split()
 
 
 def leaf_commands(parser, prefix=()):

@@ -71,7 +71,7 @@ class TestLanguagePair:
 class TestTokenScoredSegment:
     def test_construct(self):
         seg = TokenScoredSegment(0, ["a", "b"], [-1.0, -2.0])
-        assert len(seg) == 2
+        assert len(seg.tokens) == 2
         assert seg.logprobs == (-1.0, -2.0)
 
     def test_length_mismatch(self):
@@ -151,7 +151,7 @@ class TestTokenScoreFile:
         path.write_text('{"seg":0,"tokens":["a","b"],"logp":[-1.0,-2.0]}\n')
         segs = load_token_scores(path)
         assert len(segs) == 1
-        assert len(segs[0]) == 2
+        assert len(segs[0].tokens) == 2
 
     def test_length_mismatch_is_structural(self, tmp_path):
         path = tmp_path / "scores.jsonl"
