@@ -579,7 +579,8 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     and human mean differences agree. The systems are the ``scored_systems``
     of all human-scored ones, with no MAD filter; their scores must cover
     the same segments, at least 2. One system has no pair to compare and
-    gives an all-zero tally. Errors name ``lang_pair``.
+    gives an all-zero tally. A segment score that is not finite is a
+    DomainError naming the system. Errors name ``lang_pair``.
     """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
@@ -601,6 +602,12 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
                        for s in systems])
     human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)
                       for s in systems])
+    for kind, scores in (("human", human), ("metric", metric)):
+        for system, row in zip(systems, scores):
+            bad = row[~np.isfinite(row)]
+            if len(bad):
+                raise DomainError(f"{_prefix(lang_pair)}{kind} segment score "
+                                  f"of {system} is not finite: {bad[0]}")
 
     cells = Counter()
     for a, b in itertools.combinations(range(len(systems)), 2):

@@ -164,7 +164,8 @@ def score_corpus(table: LexicalTable, pairs: Sequence,
 # ---------------------------------------------------------------------------
 
 def save_lexical_table(table: LexicalTable, path) -> None:
-    """Write the entries of at least SAVE_MIN_PROB."""
+    """Write the entries of at least SAVE_MIN_PROB. A written token that
+    holds a tab or a newline is a DomainError, and no file is written."""
     inv_src = {i: s for s, i in table.source_index.items()}
     inv_tgt = {i: t for t, i in table.target_index.items()}
     rows, cols = np.nonzero(table.probs >= SAVE_MIN_PROB)
@@ -172,6 +173,10 @@ def save_lexical_table(table: LexicalTable, path) -> None:
         (inv_tgt[r], inv_src[c], table.probs[r, c])
         for r, c in zip(rows.tolist(), cols.tolist())
     )
+    for tgt, src, _ in entries:
+        for token in (tgt, src):
+            if "\t" in token or "\n" in token:
+                raise DomainError(f"token {token!r} not representable in TSV")
     write_lines(path, (f"{tgt}\t{src}\t{float(prob)!r}"
                        for tgt, src, prob in entries))
 

@@ -1,18 +1,19 @@
 """Reference-based n-gram baselines: corpus BLEU, chrF, and cross-BLEU.
 
-One engine computes the statistic all three rest on: per order n, the
-clipped n-gram matches of hypothesis against reference and the n-gram
-totals, summed over the corpus. ``_ngram_counts`` counts a sequence's
-n-grams into one plain dict per order with ``collections._count_elements``,
-the C loop behind ``Counter.update``, each n-gram keyed by a string: the
-concatenation of its characters for chrF, which feeds the engine each
-segment with whitespace removed, and of its tokens joined by single spaces
-for BLEU. Every tokenizer ends in ``str.split``, so no token holds
-whitespace and two different token n-grams never share a key. A sequence of
-length L has max(L - n + 1, 0) n-grams of order n, so the totals follow
-from the lengths. Clipped matches, the sum over shared n-grams of the
-smaller count, are symmetric in hypothesis and reference, so the
-cross-BLEU matrix takes them once per unordered pair of systems.
+One engine computes the two facts all three rest on: each text's segment
+lengths, and per order n the clipped n-gram matches of two texts, summed
+over the corpus. ``_ngram_counts`` counts a sequence's n-grams into one
+plain dict per order with ``collections._count_elements``, the C loop
+behind ``Counter.update``, each n-gram keyed by a string: the concatenation
+of its characters for chrF, which feeds the engine each segment with
+whitespace removed, and of its tokens joined by single spaces for BLEU.
+Every tokenizer ends in ``str.split``, so no token holds whitespace and two
+different token n-grams never share a key. A sequence of length L has
+max(L - n + 1, 0) n-grams of order n, so ``_totals`` computes a text's
+n-gram totals once, from its lengths. Clipped matches, the sum over shared
+n-grams of the smaller count, are symmetric in hypothesis and reference, so
+they are taken once per unordered pair of texts: one pair for BLEU and
+chrF, every pair of systems for the cross-BLEU matrix.
 
 BLEU follows the de-facto standard corpus formulation: clipped modified
 n-gram precisions accumulated over the corpus, geometric mean over the
@@ -40,7 +41,7 @@ import math
 import operator
 import re
 from collections import _count_elements, namedtuple
-from itertools import repeat
+from itertools import permutations, repeat
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import _unicode_classes
@@ -175,59 +176,48 @@ def _clipped_matches(h_counts: List[Dict[str, int]],
             for h, r in zip(h_counts, r_counts)]
 
 
-class _NgramStats:
-    """Clipped n-gram matches, n-gram totals per order and lengths of one
-    hypothesis/reference pair, added up segment by segment."""
-
-    def __init__(self, max_order: int):
-        self.matches = [0] * max_order
-        self.hyp_total = [0] * max_order
-        self.ref_total = [0] * max_order
-        self.hyp_len = 0
-        self.ref_len = 0
-
-    def add(self, hyp_n: int, ref_n: int, matches: List[int]) -> None:
-        """Add one segment: the hypothesis and reference lengths and the
-        per-order clipped matches (``_clipped_matches``)."""
-        self.hyp_len += hyp_n
-        self.ref_len += ref_n
-        for n, match in enumerate(matches):
-            self.matches[n] += match
-            self.hyp_total[n] += max(hyp_n - n, 0)
-            self.ref_total[n] += max(ref_n - n, 0)
-
-
-def _corpus_stats(texts: Sequence[Sequence[str]], cells,
-                  split: Callable[[str], Sequence],
-                  max_order: int) -> Dict[Tuple[int, int], _NgramStats]:
-    """The statistics of each ``(i, j)`` cell, ``texts[i]`` as hypothesis
-    against ``texts[j]`` as reference. The texts advance together: each
-    segment is split and counted once, and only its counts are kept. Cells
-    ``(i, j)`` and ``(j, i)`` share one ``_clipped_matches`` per segment."""
-    stats = {cell: _NgramStats(max_order) for cell in cells}
-    pairs: Dict[Tuple[int, int], List[Tuple[int, int, _NgramStats]]] = {}
-    for (i, j), cell in stats.items():
-        pairs.setdefault((min(i, j), max(i, j)), []).append((i, j, cell))
+def _corpus_stats(texts: Sequence[Sequence[str]],
+                  split: Callable[[str], Sequence], max_order: int
+                  ) -> Tuple[List[List[int]],
+                             Dict[Tuple[int, int], List[int]]]:
+    """``(lengths, matches)`` of aligned texts: ``lengths[i]`` holds the
+    segment lengths of ``texts[i]``, and ``matches[a, b]``, for every
+    ``a < b``, the per-order clipped matches of ``texts[a]`` and
+    ``texts[b]`` summed over the segments. The texts advance together: each
+    segment is split and counted once, and only its counts are kept."""
+    lengths = [[] for _ in texts]
+    matches = {(a, b): [0] * max_order
+               for b in range(len(texts)) for a in range(b)}
     for segment in zip(*texts):
         seqs = list(map(split, segment))
+        for seq, text_lengths in zip(seqs, lengths):
+            text_lengths.append(len(seq))
         counts = [_ngram_counts(seq, max_order) for seq in seqs]
-        for (a, b), members in pairs.items():
-            matches = _clipped_matches(counts[a], counts[b])
-            for i, j, cell in members:
-                cell.add(len(seqs[i]), len(seqs[j]), matches)
-    return stats
+        for (a, b), summed in matches.items():
+            summed[:] = map(operator.add, summed,
+                            _clipped_matches(counts[a], counts[b]))
+    return lengths, matches
+
+
+def _totals(lengths: Sequence[int], max_order: int) -> List[int]:
+    """Per order n, the number of n-grams in segments of these lengths."""
+    return [sum(max(length - n, 0) for length in lengths)
+            for n in range(max_order)]
 
 
 def _pair_stats(hypotheses: Sequence[str], references: Sequence[str],
-                split: Callable, max_order: int) -> _NgramStats:
-    """The statistics of aligned hypotheses against references."""
+                split: Callable, max_order: int
+                ) -> Tuple[List[int], List[int], List[int]]:
+    """The hypothesis and reference segment lengths and the per-order
+    clipped matches of aligned hypotheses against references."""
     if len(hypotheses) != len(references):
         raise AlignmentError(f"{len(hypotheses)} hypotheses vs "
                              f"{len(references)} references")
     if not hypotheses:
         raise DomainError("empty corpus")
-    return _corpus_stats([hypotheses, references], [(0, 1)], split,
-                         max_order)[0, 1]
+    (hyp_lengths, ref_lengths), matches = _corpus_stats(
+        [hypotheses, references], split, max_order)
+    return hyp_lengths, ref_lengths, matches[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +239,10 @@ class BleuConfig(namedtuple("BleuConfig", "max_order smoothing tokenizer")):
         return super().__new__(cls, max_order, smoothing, tokenizer)
 
 
-def _bleu_score(stats: _NgramStats, cfg: BleuConfig) -> float:
-    """Corpus BLEU in [0, 100] from the summed segment statistics."""
-    correct, total = stats.matches, stats.hyp_total
-    hyp_len, ref_len = stats.hyp_len, stats.ref_len
+def _bleu_score(correct: List[int], total: List[int], hyp_len: int,
+                ref_len: int, cfg: BleuConfig) -> float:
+    """Corpus BLEU in [0, 100] from the per-order clipped matches and
+    hypothesis n-gram totals and the two corpus lengths in tokens."""
     if ref_len == 0:
         raise DomainError("reference corpus has no tokens")
     if hyp_len == 0:
@@ -282,9 +272,10 @@ def _bleu_score(stats: _NgramStats, cfg: BleuConfig) -> float:
 def bleu(hypotheses: Sequence[str], references: Sequence[str],
          cfg: BleuConfig = BleuConfig()) -> float:
     """Corpus BLEU in [0, 100] of hypotheses against aligned references."""
-    stats = _pair_stats(hypotheses, references, TOKENIZERS[cfg.tokenizer],
-                        cfg.max_order)
-    return _bleu_score(stats, cfg)
+    hyp_lengths, ref_lengths, matches = _pair_stats(
+        hypotheses, references, TOKENIZERS[cfg.tokenizer], cfg.max_order)
+    return _bleu_score(matches, _totals(hyp_lengths, cfg.max_order),
+                       sum(hyp_lengths), sum(ref_lengths), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +299,12 @@ _strip_whitespace = functools.partial(re.compile(r"\s+").sub, "")
 def chrf(hypotheses: Sequence[str], references: Sequence[str],
          cfg: ChrfConfig = ChrfConfig()) -> float:
     """Corpus chrF in [0, 100]: character n-gram F-beta averaged over orders."""
-    stats = _pair_stats(hypotheses, references, _strip_whitespace,
-                        cfg.char_order)
-    if stats.ref_len == 0:
+    hyp_lengths, ref_lengths, matches = _pair_stats(
+        hypotheses, references, _strip_whitespace, cfg.char_order)
+    if sum(ref_lengths) == 0:
         raise DomainError("reference corpus is empty after whitespace removal")
-    matches, hyp_totals, ref_totals = \
-        stats.matches, stats.hyp_total, stats.ref_total
+    hyp_totals = _totals(hyp_lengths, cfg.char_order)
+    ref_totals = _totals(ref_lengths, cfg.char_order)
     beta_sq = cfg.beta ** 2
     f_scores = []
     for n in range(cfg.char_order):
@@ -346,9 +337,10 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
     Returns (names, matrix, averages): matrix[i][j] scores system i as the
     hypothesis against system j as the reference; averages[i] is system i's
     mean over the other systems (its proximity to the field). Each output
-    is tokenized and counted once, and every cell reuses those counts.
-    Clipping is symmetric, so each segment's matches are taken once per
-    unordered pair and serve both (i, j) and (j, i).
+    is tokenized and counted once; its n-gram totals and length are
+    computed once from its segment lengths. Clipping is symmetric, so the
+    matches are taken once per unordered pair and serve both (i, j) and
+    (j, i).
     """
     names = sorted(outputs)
     if len(names) < 2:
@@ -361,14 +353,18 @@ def cross_bleu_matrix(outputs: Dict[str, Sequence[str]],
     if lengths == {0}:
         raise DomainError("empty corpus")
     size = len(names)
-    cells = [(i, j) for i in range(size) for j in range(size) if i != j]
-    stats = _corpus_stats([outputs[name] for name in names], cells,
-                          TOKENIZERS[cfg.tokenizer], cfg.max_order)
+    seg_lengths, matches = _corpus_stats(
+        [outputs[name] for name in names], TOKENIZERS[cfg.tokenizer],
+        cfg.max_order)
+    totals = [_totals(text_lengths, cfg.max_order)
+              for text_lengths in seg_lengths]
+    corpus_lengths = list(map(sum, seg_lengths))
     matrix = [[100.0] * size for _ in range(size)]
-    for (i, j), cell in stats.items():
-        if cell.ref_len == 0:
+    for i, j in permutations(range(size), 2):
+        if corpus_lengths[j] == 0:
             raise DomainError(f"system {names[j]!r} has no tokens")
-        matrix[i][j] = _bleu_score(cell, cfg)
+        matrix[i][j] = _bleu_score(matches[min(i, j), max(i, j)], totals[i],
+                                   corpus_lengths[i], corpus_lengths[j], cfg)
     averages = [
         sum(matrix[i][j] for j in range(size) if j != i) / (size - 1)
         for i in range(size)

@@ -758,6 +758,22 @@ class TestPairwise:
         with pytest.raises(ConfigError, match="got nan$"):
             pairwise_compare({"A": [1.0]}, {"A": [1.0]}, alpha=math.nan)
 
+    @pytest.mark.parametrize("kind", ["human", "metric"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_segment_score_rejected_naming_pair_and_system(
+            self, kind, bad):
+        # a nan used to be tallied: here it turned ns_correct into
+        # ns_incorrect
+        scores = {"a": [1.0, 2.0, 3.0], "b": [0.0, 1.0, 2.0]}
+        assert pairwise_compare(scores, scores) == PairwiseTally(ns_correct=1)
+        broken = {**scores, "a": [1.0, 2.0, bad]}
+        metric, human = (scores, broken) if kind == "human" else \
+            (broken, scores)
+        with pytest.raises(DomainError,
+                           match=f"^de-en: {kind} segment score of a is not "
+                           f"finite: {bad}$"):
+            pairwise_compare(metric, human, lang_pair="de-en")
+
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 1.0, 2.0])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         base = np.linspace(0, 1, 50)

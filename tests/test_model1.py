@@ -40,6 +40,20 @@ def test_lexical_table_round_trip(small_bench, tmp_path):
                                    atol=1e-4)
 
 
+@pytest.mark.parametrize("token", ["a\tb", "a\nb"])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_save_rejects_token_that_tsv_cannot_hold(tmp_path, token, side):
+    # the file would save but not load back
+    pair = ((token,), ("x",)) if side == "source" else (("a",), (token,))
+    table = model1.train_model1([pair, (("a",), ("x",))])
+    path = tmp_path / "table.tsv"
+    with pytest.raises(DomainError,
+                       match=f"^token {re.escape(repr(token))} not "
+                       "representable in TSV$"):
+        model1.save_lexical_table(table, path)
+    assert not path.exists()
+
+
 def test_empty_pairs_skipped(caplog):
     pair = (("s1", "s2"), ("t1", "t2"))
     with caplog.at_level(logging.WARNING, logger=model1.__name__):

@@ -345,9 +345,10 @@ def test_bleu_and_chrf_equal_brute_force_counts_on_random_text():
 
 
 def test_cross_bleu_matrix_equals_brute_force_on_random_text():
-    # The matrix takes each unordered pair's clipped matches once for both
-    # of its cells; every other test of it compares with bleu, which shares
-    # the engine, so only counts made apart from the engine check that reuse.
+    # The matrix computes each system's n-gram totals and length once and
+    # each unordered pair's clipped matches once, and every cell reads them;
+    # every other test of it compares with bleu, which shares the engine, so
+    # only counts made apart from the engine check that reuse.
     rng = random.Random(20260411)
     fixtures = [{"x": ["the the the cat"], "y": ["the cat"]}]
     for _ in range(40):
@@ -382,8 +383,26 @@ def test_token_ngrams_whose_concatenations_coincide_do_not_match():
     cfg = ngram.BleuConfig(tokenizer="whitespace", max_order=2,
                            smoothing="exp-floor")
     assert ngram.bleu(hyps, refs, cfg) == brute_bleu(hyps, refs, cfg)
-    assert ngram._pair_stats(hyps, refs, ngram.tokenize_whitespace,
-                             2).matches == [0, 0]
+    h_counts, r_counts = (ngram._ngram_counts(line.split(), 2)
+                          for line in hyps + refs)
+    assert ngram._clipped_matches(h_counts, r_counts) == [0, 0]
+
+
+def test_each_text_is_split_once(monkeypatch):
+    calls = Counter()
+
+    def counted(line):
+        calls[line] += 1
+        return line.split()
+
+    monkeypatch.setitem(ngram.TOKENIZERS, "whitespace", counted)
+    cfg = ngram.BleuConfig(tokenizer="whitespace")
+    outputs = {name: [f"{name} {k} x" for k in range(5)] for name in "abcd"}
+    ngram.cross_bleu_matrix(outputs, cfg)
+    assert sorted(calls.elements()) == sorted(sum(outputs.values(), []))
+    calls.clear()
+    ngram.bleu(outputs["a"], outputs["b"], cfg)
+    assert sorted(calls.elements()) == sorted(outputs["a"] + outputs["b"])
 
 
 # str.split splits at these too; they are easy to miss as whitespace
