@@ -18,7 +18,9 @@ Then, for every end-to-end metric of the parent's ``BENCHMARK.json``, it
 prints a Markdown row: each side's median and quartiles, in how many pairs
 the change did better (ties count for neither side), and whether that is a
 gain by the rule of the choosing-metrics guide: at least nine tenths of the
-pairs won, and medians further apart than the parent's quartiles.
+pairs won, and medians further apart than the parent's quartiles. The last
+column says whether the change's median is worse than the parent's by more
+than that metric's relative ``bound`` in the parent's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ def summarize(parent_runs, change_runs, better):
     return rows
 
 
+def worse_past_bound(parent_median, change_median, direction, bound):
+    """Whether ``change_median`` is worse than ``parent_median`` by more
+    than ``bound`` times the parent's magnitude; ``direction`` says which
+    way is better ("lower" or "higher")."""
+    sign = 1.0 if direction == "lower" else -1.0
+    return sign * (change_median - parent_median) > bound * abs(parent_median)
+
+
 def fmt(stats) -> str:
     """Median [q1, q3], each to 4 significant digits without an exponent."""
     median, q1, q3 = (f"{float(f'{v:.4g}'):g}" for v in stats)
@@ -130,8 +140,9 @@ def main(argv=None) -> int:
             export(source, roots[side])
         with open(os.path.join(roots["parent"], "BENCHMARK.json"),
                   encoding="utf-8") as fh:
-            better = {m["name"]: m["better"]
-                      for m in json.load(fh)["end_to_end"]}
+            metrics = json.load(fh)["end_to_end"]
+        better = {m["name"]: m["better"] for m in metrics}
+        bounds = {m["name"]: m["bound"] for m in metrics}
         values = {side: [] for side in SIDES}
         failed = {side: [0, 0] for side in SIDES}
         for k in range(args.pairs):
@@ -154,12 +165,16 @@ def main(argv=None) -> int:
           f"{pinned}; failed operations: parent {failed['parent'][0]} of "
           f"{failed['parent'][1]}, change {failed['change'][0]} of {failed['change'][1]}")
     print("| workload | metric | parent median [q1, q3] "
-          "| change median [q1, q3] | change better | gain |")
-    print("|---|---|---|---|---|---|")
+          "| change median [q1, q3] | change better | gain "
+          "| worse past bound |")
+    print("|---|---|---|---|---|---|---|")
     for name, p_stats, c_stats, wins, gain in summarize(
             values["parent"], values["change"], better):
+        worse = worse_past_bound(p_stats[0], c_stats[0], better[name],
+                                 bounds[name])
         print(f"| {args.workload} | `{name}` | {fmt(p_stats)} | {fmt(c_stats)} "
-              f"| {wins}/{args.pairs} | {'yes' if gain else 'no'} |")
+              f"| {wins}/{args.pairs} | {'yes' if gain else 'no'} "
+              f"| {'yes' if worse else 'no'} |")
     return 0
 
 

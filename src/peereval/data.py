@@ -27,7 +27,12 @@ Every record here and in the other modules is declared as a namedtuple
 subclass, ``class X(namedtuple("X", "field ...")):`` with ``__slots__ = ()``,
 and runs its checks and normalisation in ``__new__``. Records are immutable
 and safe to share across workers. ``_replace`` and ``_make`` skip
-``__new__``, so a record with checks is built through its constructor.
+``__new__``, so a record with checks is built through its constructor. The
+one exception is ``build_records``: a caller that holds a whole array of
+values (``model1.score_corpus``, ``scoring.aggregate_segments``) checks it
+once, with a check that implies the constructor's, and builds its records
+without running the constructor again; when the array check fails, every
+record goes through the constructor, so each error is the constructor's.
 Log-probabilities are natural logs (nats) throughout.
 """
 
@@ -114,7 +119,30 @@ class TokenScoredSegment(namedtuple("TokenScoredSegment",
                         f"segment {seg_id}: non-finite log-prob {v}")
                 if v > 0.0:
                     raise DomainError(f"segment {seg_id}: positive log-prob {v}")
+            raise DomainError(f"segment {seg_id}: log-prob sum overflows")
         return super().__new__(cls, seg_id, tokens, logprobs)
+
+
+def logprob_array_ok(values) -> bool:
+    """True when every segment cut from the float64 numpy array ``values``
+    passes the log-prob check of ``TokenScoredSegment``: every value is
+    <= 0 (so none is nan or +inf) and the whole array sums to at least
+    -1e307 (so none is -inf, and no segment's sum, at most that large,
+    overflows in any order of addition). False decides nothing: the
+    constructor then checks each segment."""
+    return not len(values) or bool(values.max() <= 0.0
+                                   and values.sum() >= -1e307)
+
+
+def build_records(cls, rows, checked: bool) -> list:
+    """``[cls(*row) for row in rows]``. When ``checked`` is true, the
+    caller has checked the values of all rows at once with a check that
+    implies the constructor's, and ``cls.__new__`` is skipped: the one
+    place where a record skips its constructor."""
+    if not checked:
+        return [cls(*row) for row in rows]
+    new = tuple.__new__
+    return [new(cls, row) for row in rows]
 
 
 class SystemOutput(namedtuple("SystemOutput",
@@ -191,6 +219,9 @@ def load_token_scores(path) -> list:
     record is a ParseError."""
     import json
 
+    # A line the scanner does not take whole goes to json.loads, so every
+    # bad line gets json.loads's error.
+    scan = json.JSONDecoder().scan_once
     segments = []
     seen = set()
     for lineno, raw in read_lines(path):
@@ -198,9 +229,15 @@ def load_token_scores(path) -> list:
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON ({exc.msg})", path, lineno) from exc
+            obj, end = scan(raw, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(raw):
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad JSON ({exc.msg})", path,
+                                 lineno) from exc
         if not isinstance(obj, dict):
             obj = {}
         seg_id, tokens, logps = obj.get("seg"), obj.get("tokens"), obj.get("logp")
@@ -230,15 +267,29 @@ def load_token_scores(path) -> list:
 
 
 def write_token_scores(path, segments: Iterable) -> None:
-    """Write token-score JSONL; floats keep shortest round-trip precision."""
-    import json
+    """Write token-score JSONL, one ``json.dumps(record,
+    ensure_ascii=False)`` line per segment in seg_id order; floats keep
+    shortest round-trip precision. A seg_id that ``load_token_scores``
+    would refuse (not an integer, negative or repeated) raises its error
+    type, naming the segment, before any line is built."""
+    from json.encoder import encode_basestring
 
-    # one encoder per file: json.dumps with ensure_ascii=False builds one
-    # per call
-    encode = json.JSONEncoder(ensure_ascii=False).encode
+    segments = list(segments)
+    seen = set()
+    for seg in segments:
+        seg_id = seg.seg_id
+        if type(seg_id) is not int:   # a bool is not an integer here
+            raise ParseError(f"seg_id {seg_id!r} is not an integer")
+        if seg_id < 0:
+            raise ParseError(f"negative seg_id {seg_id}")
+        if seg_id in seen:
+            raise StructureError(f"duplicate seg_id {seg_id}")
+        seen.add(seg_id)
+    # the line json.dumps builds, without its per-value type dispatch
     write_lines(path, (
-        encode({"seg": seg.seg_id, "tokens": list(seg.tokens),
-                "logp": list(seg.logprobs)})
+        f'{{"seg": {seg.seg_id}, '
+        f'"tokens": [{", ".join(map(encode_basestring, seg.tokens))}], '
+        f'"logp": [{", ".join(map(float.__repr__, seg.logprobs))}]}}'
         for seg in sorted(segments, key=lambda s: s.seg_id)
     ))
 

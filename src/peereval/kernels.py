@@ -25,6 +25,12 @@ The EM counts are added with ``np.add.at``, which adds in index order: the
 links (target token, source token) of the corpus are laid out pair-major
 and row-major and processed in runs of about ``BLOCK_LINKS``, so each cell
 gets the same float additions in the same order as a loop over the pairs.
+``model1_links`` builds that layout once per training: each block's table
+cells, and per distinct length the rows and starts of its tokens (of its
+pairs, for the log-likelihood). Each ``model1_em_step`` then only gathers,
+sums, divides and adds, in the same blocks and the same link order; it
+rebuilds the ``(k, L)`` index blocks, which would cost more memory to keep
+than time to rebuild.
 
 Layout conventions:
   values  : float64[n_tokens], concatenated per-segment log-probs
@@ -33,6 +39,7 @@ Segments must be nonempty (offsets strictly increasing).
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -93,54 +100,91 @@ def segment_medians(values, offsets):
 BLOCK_LINKS = 1 << 14
 
 
-def model1_em_step(tgt_flat, src_flat, tgt_off, src_off, table):
-    """One EM sweep over an integer-encoded parallel corpus.
+class Model1Links(namedtuple("Model1Links",
+                               "n_src span_len blocks tgt_groups pair_logs")):
+    """The (target token, source token) links of a parallel corpus, laid
+    out once for every EM step (``model1_links``).
 
-    ``table[y, s]`` holds the current translation probability of target id y
-    given source id s; source sentences must already include the NULL id.
-    Returns ``(new_table, loglik)`` where loglik is the corpus log-likelihood
-    under the *input* table (uniform alignment over the listed source ids).
+    ``blocks`` holds one ``(lo, hi, cells, groups)`` per run of target
+    tokens lo..hi-1: ``cells`` are the flat table cells of its links in
+    pair-major, row-major order, and ``groups`` one ``(rows, starts,
+    length)`` per distinct source length: the tokens' indices, the offsets
+    of their links in ``cells``, and the length. ``tgt_groups`` holds one
+    ``(pairs, starts, length)`` per distinct target length, and
+    ``pair_logs`` each pair's T * log(S).
     """
+
+    __slots__ = ()
+
+
+def model1_links(tgt_flat, src_flat, tgt_off, src_off, n_src):
+    """Lay out the links of an integer-encoded parallel corpus for a table
+    of ``n_src`` columns; source sentences must already include the NULL
+    id."""
     tgt_flat = np.ascontiguousarray(tgt_flat, dtype=np.int64)
     src_flat = np.ascontiguousarray(src_flat, dtype=np.int64)
     tgt_off = np.ascontiguousarray(tgt_off, dtype=np.int64)
     src_off = np.ascontiguousarray(src_off, dtype=np.int64)
-    table = np.ascontiguousarray(table, dtype=np.float64)
     tgt_len, src_len = np.diff(tgt_off), np.diff(src_off)
     # per target token: the source span of its pair
     span_start = np.repeat(src_off[:-1], tgt_len)
     span_len = np.repeat(src_len, tgt_len)
-    counts = np.zeros_like(table)
-    denom = np.empty(len(tgt_flat))
     # runs of target tokens of about BLOCK_LINKS links each, in corpus order
     link_start = np.cumsum(span_len) - span_len
     cuts = (np.flatnonzero(np.diff(link_start // BLOCK_LINKS)) + 1).tolist()
+    blocks = []
     for lo, hi in zip([0, *cuts], [*cuts, len(span_len)]):
         # the links of tokens lo..hi-1 in pair-major, row-major order; each
-        # link array is built in place, so at most three are alive
+        # link array is built in place
         lens = span_len[lo:hi]
         starts = np.cumsum(lens) - lens
         cells = np.repeat(span_start[lo:hi] - starts, lens)
         cells += np.arange(len(cells))
         cells = src_flat[cells]
-        cells += np.repeat(tgt_flat[lo:hi] * table.shape[1], lens)
-        probs = table.reshape(-1)[cells]
-        for group in groups_by_length(lens):
-            block = probs[starts[group][:, None] + np.arange(lens[group[0]])]
-            denom[lo + group] = block.sum(axis=1)
-        probs /= np.repeat(denom[lo:hi], lens)
+        cells += np.repeat(tgt_flat[lo:hi] * n_src, lens)
+        groups = [(lo + group, starts[group], int(lens[group[0]]))
+                  for group in groups_by_length(lens)]
+        blocks.append((lo, hi, cells, groups))
+    tgt_groups = [(group, tgt_off[group], int(tgt_len[group[0]]))
+                  for group in groups_by_length(tgt_len)]
+    return Model1Links(n_src, span_len, blocks, tgt_groups,
+                       tgt_len * np.log(src_len))
+
+
+def model1_em_step(links, table):
+    """One EM sweep over the corpus laid out in ``links``.
+
+    ``table[y, s]`` holds the current translation probability of target id y
+    given source id s. Returns ``(new_table, loglik)`` where loglik is the
+    corpus log-likelihood under the *input* table (uniform alignment over
+    the listed source ids).
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.shape[1] != links.n_src:
+        raise ValueError(f"table has {table.shape[1]} columns, links were "
+                         f"laid out for {links.n_src}")
+    span_len = links.span_len
+    flat = table.reshape(-1)
+    counts = np.zeros_like(table)
+    denom = np.empty(len(span_len))
+    for lo, hi, cells, groups in links.blocks:
+        probs = flat[cells]
+        for rows, starts, n in groups:
+            block = probs[starts[:, None] + np.arange(n)]
+            denom[rows] = block.sum(axis=1)
+        probs /= np.repeat(denom[lo:hi], span_len[lo:hi])
         # np.add.at adds in link order, repeated cells included
         np.add.at(counts.reshape(-1), cells, probs)
-        del cells, probs
+        del probs
     # per-pair sum of log denominators, one (pairs, T) block per length T
     log_denom = np.log(denom)
-    pair_sums = np.empty(len(tgt_len))
-    for group in groups_by_length(tgt_len):
-        block = log_denom[tgt_off[group][:, None] + np.arange(tgt_len[group[0]])]
-        pair_sums[group] = block.sum(axis=1)
+    pair_sums = np.empty(len(links.pair_logs))
+    for pairs, starts, n in links.tgt_groups:
+        block = log_denom[starts[:, None] + np.arange(n)]
+        pair_sums[pairs] = block.sum(axis=1)
     # added in pair order, as a loop over the pairs would
     loglik = 0.0
-    for term in (pair_sums - tgt_len * np.log(src_len)).tolist():
+    for term in (pair_sums - links.pair_logs).tolist():
         loglik += term
     totals = counts.sum(axis=0)
     new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)

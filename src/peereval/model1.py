@@ -17,7 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import TokenScoredSegment, read_lines, write_lines
+from .data import (
+    TokenScoredSegment,
+    build_records,
+    logprob_array_ok,
+    read_lines,
+    write_lines,
+)
 from .errors import DomainError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -93,11 +99,11 @@ def train_model1(parallel: Sequence, iterations: int = 10,
     src_flat, src_off = kernels.to_csr(src_sents, np.int64)
     tgt_flat, tgt_off = kernels.to_csr(tgt_sents, np.int64)
     n_tgt, n_src = len(target_index), len(source_index)
+    links = kernels.model1_links(tgt_flat, src_flat, tgt_off, src_off, n_src)
     table = np.full((n_tgt, n_src), 1.0 / n_tgt)
     logliks = []
     for _ in range(iterations):
-        table, ll = kernels.model1_em_step(tgt_flat, src_flat, tgt_off,
-                                           src_off, table)
+        table, ll = kernels.model1_em_step(links, table)
         logliks.append(ll)
     result = LexicalTable(source_index, target_index, table)
     if return_loglik:
@@ -153,10 +159,13 @@ def score_corpus(table: LexicalTable, pairs: Sequence,
     if seg_ids is None:
         seg_ids = range(len(pairs))
     values, offsets = score_csr(table, pairs, seg_ids)
-    logps, bounds = values.tolist(), offsets.tolist()
-    return [TokenScoredSegment(seg_id, tuple(tgt), logps[lo:hi])
-            for seg_id, (_, tgt), lo, hi
-            in zip(seg_ids, pairs, bounds[:-1], bounds[1:])]
+    logps, bounds = tuple(values.tolist()), offsets.tolist()
+    # score_csr gives each pair as many log-probs as target tokens, >= 1
+    return build_records(
+        TokenScoredSegment,
+        [(seg_id, tuple(tgt), logps[lo:hi]) for seg_id, (_, tgt), lo, hi
+         in zip(seg_ids, pairs, bounds[:-1], bounds[1:])],
+        logprob_array_ok(values))
 
 
 # ---------------------------------------------------------------------------

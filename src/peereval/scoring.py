@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import TokenScoredSegment, scores_by_pair
+from .data import TokenScoredSegment, build_records, scores_by_pair
 from .errors import ConfigError, DomainError, StructureError
 
 
@@ -72,8 +72,10 @@ def aggregate_segments(segments: Sequence[TokenScoredSegment],
             Aggregation.MIN: mins,
             Aggregation.NEG_STD: -stds,
         }[method]
-    return [SegmentScore(seg.seg_id, float(v))
-            for seg, v in zip(segments, chosen)]
+    return build_records(
+        SegmentScore,
+        [(seg.seg_id, v) for seg, v in zip(segments, chosen.tolist())],
+        bool(np.isfinite(chosen).all()))
 
 
 def mean_token_logprobs(segments: Sequence[TokenScoredSegment]) -> np.ndarray:

@@ -43,6 +43,23 @@ def test_summarize_counts_wins_and_applies_the_gain_rule():
     ]
 
 
+def test_worse_past_bound_on_made_up_runs():
+    parent = [{"wall_s": v, "seg_per_s": 100.0 / v} for v in (1.0, 1.1, 1.2)]
+    change = [{"wall_s": v, "seg_per_s": 100.0 / v} for v in (1.3, 1.4, 1.5)]
+    script = load_script()
+    rows = script.summarize(parent, change,
+                            {"wall_s": "lower", "seg_per_s": "higher"})
+    medians = {name: (p[0], c[0]) for name, p, c, _, _ in rows}
+    # wall_s 1.1 -> 1.4 is 27 % worse; seg_per_s 90.9 -> 71.4 is 21 % worse
+    assert script.worse_past_bound(*medians["wall_s"], "lower", 0.25)
+    assert not script.worse_past_bound(*medians["wall_s"], "lower", 0.3)
+    assert script.worse_past_bound(*medians["seg_per_s"], "higher", 0.2)
+    assert not script.worse_past_bound(*medians["seg_per_s"], "higher", 0.25)
+    # a better median is never worse past its bound
+    assert not script.worse_past_bound(1.4, 1.1, "lower", 0.0)
+    assert not script.worse_past_bound(71.4, 90.9, "higher", 0.0)
+
+
 def test_every_run_pins_bytecode_writing_off():
     bench_env = load_script().bench_env
     assert bench_env({"PYTHONDONTWRITEBYTECODE": "", "HOME": "/h"}) == {

@@ -296,6 +296,22 @@ def test_score_threshold_modes(tmp_path, capsys):
     assert err.startswith("error: ") and "(-0.6, -1.0)" in err
 
 
+@pytest.mark.parametrize("method", ["sum", "mean", "median", "min",
+                                    "negstd", "threshold"])
+def test_score_names_a_record_whose_sum_overflows(tmp_path, capsys, method):
+    # each log-prob is finite, but their sum is -inf
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"seg": 0, "tokens": ["a"], "logp": [-1.0]}\n'
+                    '{"seg": 1, "tokens": ["a", "b"], '
+                    '"logp": [-1e308, -1e308]}\n')
+    assert cli.main(["score", "--samples", str(path),
+                     "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}:2: segment 1: log-prob sum "
+                            "overflows\n")
+
+
 SYSTEMS = "ABCDE"
 HEADER = "lang_pair\tsystem\tscore\n"
 HUMAN = (0.0, 0.1, 0.2, 0.3, 0.4)

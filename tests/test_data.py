@@ -86,9 +86,8 @@ class TestTokenScoredSegment:
         with pytest.raises(StructureError):
             TokenScoredSegment(0, [], [])
 
-    def test_negative_zero_and_an_overflowing_sum_pass(self):
-        # each value is finite and <= 0 though the sum overflows to -inf
-        for logps in ([-0.0], [-0.0, -1.0], [-1e308, -1e308, -0.5]):
+    def test_negative_zero_passes(self):
+        for logps in ([-0.0], [-0.0, -1.0]):
             seg = TokenScoredSegment(0, ["t"] * len(logps), logps)
             assert seg.logprobs == tuple(logps)
         assert math.copysign(1.0, TokenScoredSegment(0, ["t"], [-0.0])
@@ -101,6 +100,8 @@ class TestTokenScoredSegment:
         ([-1e308, -math.inf], "non-finite log-prob -inf"),
         ([-2.0, 5e-324], "positive log-prob 5e-324"),
         ([1e308, 1e308], "positive log-prob 1e+308"),
+        # each value is finite and <= 0, but the sum overflows to -inf
+        ([-1e308, -1e308, -0.5], "log-prob sum overflows"),
     ])
     def test_first_bad_logprob_named(self, logps, message):
         with pytest.raises(DomainError) as exc:
@@ -231,6 +232,78 @@ class TestTokenScoreFile:
                         + record + "\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: ")):
             load_token_scores(path)
+
+    def test_each_line_is_what_json_dumps_writes(self, tmp_path):
+        tokens = ['say "hi"', "back\\slash", "\x00\x1f\x7f\t\n\r",
+                  "line\u2028sep\u2029", "\U0001f600\U00010348",
+                  "über", "日本語", "</a>&'", ""]
+        logps = [-0.0, -5e-324, -1e-05, -1e+16, -2.0000000000000004, -0.1,
+                 -1 / 3, -1e-300, -123456.78901234567]
+        segs = [TokenScoredSegment(2, tokens, logps),
+                TokenScoredSegment(0, tokens[:1], logps[-1:]),
+                TokenScoredSegment(7, tokens[3:5], logps[1:3])]
+        path = tmp_path / "scores.jsonl"
+        write_token_scores(path, segs)
+        expected = "".join(
+            json.dumps({"seg": seg.seg_id, "tokens": list(seg.tokens),
+                        "logp": list(seg.logprobs)}, ensure_ascii=False)
+            + "\n" for seg in sorted(segs))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("line,error,message", [
+        ('{"seg": 0, "tokens": ["a"], "logp": [-1]}'
+         '{"seg": 1, "tokens": ["a"], "logp": [-1]}',
+         ParseError, "bad JSON (Extra data)"),
+        ('{"seg": 0, "tokens": ["a"], "logp": [-1]} x',
+         ParseError, "bad JSON (Extra data)"),
+        ('\ufeff{"seg": 0, "tokens": ["a"], "logp": [-1]}', ParseError,
+         "bad JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        ('{"seg": 0, "tokens": ["a"], "logp": [NaN]}',
+         DomainError, "segment 0: non-finite log-prob nan"),
+        ('{"seg": 0, "tokens": ["a", "b"], "logp": [-1, -Infinity]}',
+         DomainError, "segment 0: non-finite log-prob -inf"),
+        # Python's whitespace, not only JSON's, is stripped
+        ('\u2003 {"seg": 0, "tokens": ["a"], "logp": [-1]}\t\u3000',
+         None, None),
+        ('{"seg": 0, "tokens": ["a"], "logp": [-1], "seg": -2}',
+         ParseError, "negative seg -2"),
+        ("5", ParseError, "record must have integer 'seg', list of strings "
+         "'tokens', list of numbers 'logp'"),
+        ('{"seg": 0, "tokens": ["a', ParseError,
+         "bad JSON (Unterminated string starting at)"),
+        ('{"seg": 0, "tokens": ["a\tb"], "logp": [-1]}', ParseError,
+         "bad JSON (Invalid control character at)"),
+    ], ids=["two-records", "extra-x", "bom", "nan", "minus-infinity",
+            "padded", "repeated-key", "bare-number", "unterminated-string",
+            "tab-in-string"])
+    def test_each_line_parses_as_json_loads_does(self, tmp_path, line, error,
+                                                 message):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        if error is None:
+            assert load_token_scores(path) == [
+                TokenScoredSegment(0, ["a"], [-1.0])]
+            return
+        with pytest.raises(error) as exc:
+            load_token_scores(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{path}:1: {message}"
+
+    @pytest.mark.parametrize("seg_ids,error,message", [
+        ([0, 1, 0], StructureError, "duplicate seg_id 0"),
+        ([0, -1], ParseError, "negative seg_id -1"),
+        ([True], ParseError, "seg_id True is not an integer"),
+        ([0, 1.0], ParseError, "seg_id 1.0 is not an integer"),
+    ], ids=["repeated", "negative", "bool", "float"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, seg_ids,
+                                                    error, message):
+        path = tmp_path / "scores.jsonl"
+        path.write_text("old\n")
+        with pytest.raises(error) as exc:
+            write_token_scores(path, [TokenScoredSegment(i, ["a"], [-1.0])
+                                      for i in seg_ids])
+        assert type(exc.value) is error and str(exc.value) == message
+        assert path.read_text() == "old\n"
 
     def test_integer_logp_is_a_number(self, tmp_path):
         path = tmp_path / "scores.jsonl"

@@ -141,6 +141,13 @@ def random_corpus(rng, n_pairs=40, n_tgt=25, n_src=20, max_len=12):
     return tgt_flat, src_flat, tgt_off, src_off, table
 
 
+def em_step(tgt_flat, src_flat, tgt_off, src_off, table):
+    """``kernels.model1_em_step`` on a layout built for this one step."""
+    links = kernels.model1_links(tgt_flat, src_flat, tgt_off, src_off,
+                                 table.shape[1])
+    return kernels.model1_em_step(links, table)
+
+
 def model1_em_step_loop(tgt_flat, src_flat, tgt_off, src_off, table):
     """Scalar loop over each (target token, source token) link of each pair."""
     counts = np.zeros_like(table)
@@ -170,7 +177,7 @@ def test_model1_em_against_loop_reference():
     # repeated ids within a sentence must each add their own count
     assert any(len(set(args[0][lo:hi])) < hi - lo
                for lo, hi in zip(args[2][:-1], args[2][1:]))
-    table, ll = kernels.model1_em_step(*args)
+    table, ll = em_step(*args)
     table_ref, ll_ref = model1_em_step_loop(*args)
     np.testing.assert_allclose(table, table_ref, rtol=1e-10, atol=1e-14)
     assert ll == pytest.approx(ll_ref, rel=1e-12)
@@ -179,7 +186,7 @@ def test_model1_em_against_loop_reference():
 def test_model1_em_columns_normalized():
     rng = np.random.default_rng(5)
     args = random_corpus(rng)
-    table, _ = kernels.model1_em_step(*args)
+    table, _ = em_step(*args)
     sums = table.sum(axis=0)
     np.testing.assert_allclose(sums, 1.0, rtol=1e-9)
 
@@ -225,10 +232,11 @@ def edge_corpus(rng, n_tgt=40, n_src=30, unused_src=3):
 
 def assert_em_bit_identical(tgt_flat, src_flat, tgt_off, src_off, table,
                             iterations=10):
+    links = kernels.model1_links(tgt_flat, src_flat, tgt_off, src_off,
+                                 table.shape[1])
     expected = table
     for _ in range(iterations):
-        table, ll = kernels.model1_em_step(tgt_flat, src_flat, tgt_off,
-                                           src_off, table)
+        table, ll = kernels.model1_em_step(links, table)
         expected, ll_ref = model1_em_step_per_pair(tgt_flat, src_flat, tgt_off,
                                                    src_off, expected)
         assert np.array_equal(table, expected)
@@ -258,3 +266,12 @@ def test_model1_em_bit_identical_across_blocks(monkeypatch):
     # a block boundary inside every pair's run of links
     monkeypatch.setattr(kernels, "BLOCK_LINKS", 5)
     assert_em_bit_identical(*args, iterations=2)
+
+
+def test_model1_em_step_rejects_a_table_of_other_width():
+    tgt_flat, src_flat, tgt_off, src_off, table = random_corpus(
+        np.random.default_rng(31))
+    links = kernels.model1_links(tgt_flat, src_flat, tgt_off, src_off,
+                                 table.shape[1])
+    with pytest.raises(ValueError, match="laid out for 20"):
+        kernels.model1_em_step(links, table[:, :-1])

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from peereval import metaeval, model1, scoring, synthetic
+from peereval import kernels, metaeval, model1, scoring, synthetic
 from peereval.data import TokenScoredSegment
 from peereval.errors import DomainError, ParseError
 
@@ -24,6 +24,30 @@ def test_loglik_never_decreases(small_bench):
     assert len(logliks) == 8
     assert all(b >= a for a, b in zip(logliks, logliks[1:]))
     assert logliks[-1] > logliks[0]
+
+
+def test_training_lays_out_its_links_once(small_bench, monkeypatch):
+    calls = {"model1_links": 0, "model1_em_step": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    model1.train_model1(list(zip(small_bench.sources,
+                                 small_bench.references)), iterations=10)
+    assert calls == {"model1_links": 1, "model1_em_step": 10}
+
+
+def test_score_corpus_falls_back_to_the_record_check(monkeypatch):
+    # a log-prob array that fails the array check gets the constructor's
+    # error, word for word
+    rng = np.random.default_rng(47)
+    table, src_vocab, tgt_vocab = random_table(rng)
+    pairs = [(["s1"], tgt_vocab[:2]), (["s2"], tgt_vocab[:1])]
+    monkeypatch.setattr(model1, "score_csr", lambda *_: (
+        np.array([-1.0, -2.0, 0.5]), np.array([0, 2, 3])))
+    with pytest.raises(DomainError, match="^segment 8: positive log-prob 0.5$"):
+        model1.score_corpus(table, pairs, [4, 8])
 
 
 def test_lexical_table_round_trip(small_bench, tmp_path):

@@ -243,6 +243,18 @@ def test_non_finite_scores_rejected(value):
         SystemScore("s", "de-en", value, "mean", 3)
 
 
+def test_aggregate_falls_back_to_the_record_check():
+    # every log-prob is finite, but the squares of the centred values
+    # overflow, so the -std of segment 1 is -inf; the record check names it
+    segs = [seg([-1.0, -2.0], 0), seg([-1e200, 0.0], 1)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError,
+                           match="^segment 1: non-finite score$"):
+            aggregate_segments(segs, "negstd")
+        sums = aggregate_segments(segs, "sum")
+    assert [s.value for s in sums] == [-3.0, -1e200]
+
+
 def test_sum_vs_mean_ranking_identical_with_equal_lengths():
     # fixed token count per segment makes sum and mean affinely related,
     # so rankings and the correlation between the two score vectors agree
