@@ -14,6 +14,10 @@ first when k is odd, and prints each run's values to stderr. Every run has
 ``PYTHONDONTWRITEBYTECODE=1`` in its environment, whatever the calling
 shell holds, so both sides compile ``src/`` from source in every run.
 
+Before the runs, it runs ``scripts/gen_e2e_golden.py --digest`` in both
+trees and prints whether the two sets of output digests match, naming
+every output whose digest differs or that only one side produces.
+
 Then, for every end-to-end metric of the parent's ``BENCHMARK.json``, it
 prints a Markdown row: each side's median and quartiles, in how many pairs
 the change did better (ties count for neither side), and whether that is a
@@ -78,6 +82,30 @@ def run_bench(root: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def golden_digests(root: str) -> dict:
+    """``{output name: sha256}`` of the golden CLI chain run in ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "scripts/gen_e2e_golden.py", "--digest"], cwd=root,
+        capture_output=True, text=True,
+        env={**bench_env(os.environ), "PYTHONPATH": os.path.join(root, "src")})
+    if proc.returncode != 0:
+        raise SystemExit(f"error: golden digests in {root} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    return parse_digests(proc.stdout)
+
+
+def parse_digests(text: str) -> dict:
+    """``<output name><TAB><sha256>`` lines as ``{name: sha256}``."""
+    return dict(line.split("\t") for line in text.splitlines() if line)
+
+
+def differing_outputs(parent: dict, change: dict) -> list:
+    """The sorted names of the outputs whose digests differ, including
+    those that only one side produces."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
+
+
 def quartiles(values):
     """(median, first quartile, third quartile) of at least two values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -138,6 +166,7 @@ def main(argv=None) -> int:
         for side, source in zip(SIDES, (args.parent, args.change)):
             roots[side] = os.path.join(work, side)
             export(source, roots[side])
+        digests = {side: golden_digests(roots[side]) for side in SIDES}
         with open(os.path.join(roots["parent"], "BENCHMARK.json"),
                   encoding="utf-8") as fh:
             metrics = json.load(fh)["end_to_end"]
@@ -164,6 +193,12 @@ def main(argv=None) -> int:
           f"{args.seed_base + args.pairs - 1}, {args.seconds}-s runs, "
           f"{pinned}; failed operations: parent {failed['parent'][0]} of "
           f"{failed['parent'][1]}, change {failed['change'][0]} of {failed['change'][1]}")
+    differ = differing_outputs(digests["parent"], digests["change"])
+    if differ:
+        print(f"golden digests differ on {len(differ)} outputs: "
+              + ", ".join(differ))
+    else:
+        print(f"golden digests match: {len(digests['parent'])} outputs")
     print("| workload | metric | parent median [q1, q3] "
           "| change median [q1, q3] | change better | gain "
           "| worse past bound |")

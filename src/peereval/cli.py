@@ -374,7 +374,7 @@ def _parse_grid(text: str) -> list:
 def _cmd_tune_thresholds(args) -> int:
     from . import metaeval, scoring
 
-    grid = _parse_grid(args.grid)
+    grid = None if args.grid is None else _parse_grid(args.grid)
     table = read_score_table(args.human, SYSTEM_KEYS)
     human = HumanJudgments(table)
     dirs = {}   # language pair -> its directory
@@ -600,8 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--human", required=True)
     p.add_argument("--scores-dir", required=True,
                    help="directory with <lang-pair>/<system>.jsonl files")
-    p.add_argument("--grid", default="-3:0:16",
-                   help="lo:hi:n for a linear grid, or comma-separated points")
+    p.add_argument("--grid",
+                   help="lo:hi:n for a linear grid, or comma-separated points "
+                        "(default -3:0:16)")
     p.set_defaults(func=_cmd_tune_thresholds)
 
     p = sub.add_parser("subword", help="unigram subword model")

@@ -206,12 +206,20 @@ def read_lines(path):
 def write_lines(path, lines: Iterable) -> None:
     """Write ``lines`` as UTF-8, each ended by LF.
 
-    Every line is built before the file is opened, so an error while
-    building them leaves no new file and does not truncate an old one.
+    Every line is built and encoded before the file is opened, so an error
+    while building them leaves no new file and does not truncate an old
+    one. A line that cannot be encoded (a lone surrogate, as from argv
+    bytes that are not UTF-8) is a DomainError naming ``path:line``.
     """
     text = "".join(f"{line}\n" for line in lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise DomainError(f"{path}:{lineno}: {text[exc.start]!r} cannot be "
+                          "encoded as UTF-8") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_token_scores(path) -> list:

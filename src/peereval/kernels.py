@@ -7,30 +7,28 @@ Model 1, in EM training and in scoring. Each has one numpy implementation,
 and none has a Python loop per segment or per sentence pair.
 
 Several results must equal a per-segment 1-D ``.sum()`` bit for bit: the
-Model-1 row masses (``table[y, source ids].sum()``), the per-pair EM
-log-likelihood terms, and through them every trained table and log-prob.
-numpy sums a contiguous run of n values with eight partial sums and
-pairwise halving; a row of a C-contiguous ``(k, n)`` block is such a run
-and sums the same way. So these sums are taken over gathered ``(k, n)``
-blocks, one per distinct length n (``groups_by_length``): one per source
-length S for the masses, one per target length T for the log-likelihood
-terms. ``np.add.reduceat`` is not used for them: it adds in sequence, which
-often differs from the pairwise sum in the last bit once n >= 8.
-``segment_stats`` uses ``reduceat`` for its sums, which are compared at a
-tolerance. The median, about 95 % of the cost of all five statistics, is a
-kernel of its own, ``segment_medians``, so only a caller that reads the
-median pays for it; it is taken per distinct length over a ``(k, L)`` block.
+Model-1 row masses (``table[y, source ids].sum()``), the EM denominators,
+and through them every trained table and log-prob. numpy sums a contiguous
+run of n values with eight partial sums and pairwise halving; a row of a
+C-contiguous ``(k, n)`` block is such a run and sums the same way. So these
+sums are taken over gathered ``(k, n)`` blocks, one per distinct source
+length n (``groups_by_length``). ``np.add.reduceat`` is not used for them:
+it adds in sequence, which often differs from the pairwise sum in the last
+bit once n >= 8. ``segment_stats`` uses ``reduceat`` for its sums, which
+are compared at a tolerance. It computes only the statistic its caller
+asks for: the median, about 95 % of the cost of all five, is taken per
+distinct length over a ``(k, L)`` block, and only the std squares the
+centred values.
 
 The EM counts are added with ``np.add.at``, which adds in index order: the
 links (target token, source token) of the corpus are laid out pair-major
 and row-major and processed in runs of about ``BLOCK_LINKS``, so each cell
 gets the same float additions in the same order as a loop over the pairs.
 ``model1_links`` builds that layout once per training: each block's table
-cells, and per distinct length the rows and starts of its tokens (of its
-pairs, for the log-likelihood). Each ``model1_em_step`` then only gathers,
-sums, divides and adds, in the same blocks and the same link order; it
-rebuilds the ``(k, L)`` index blocks, which would cost more memory to keep
-than time to rebuild.
+cells, and per distinct source length the rows and starts of its tokens.
+Each ``model1_em_step`` then only gathers, sums, divides and adds, in the
+same blocks and the same link order; it rebuilds the ``(k, L)`` index
+blocks, which would cost more memory to keep than time to rebuild.
 
 Layout conventions:
   values  : float64[n_tokens], concatenated per-segment log-probs
@@ -53,8 +51,11 @@ def to_csr(sequences, dtype):
     return values, offsets
 
 
-def _segments(values, offsets):
-    """``(values, starts, counts)`` of a checked CSR layout."""
+def segment_stats(values, offsets, stat):
+    """Per-segment ``stat`` over a CSR layout, a float64 array of length
+    n_segments: "sum", "mean", "min", "median" (equal bit for bit to
+    ``np.median`` of each segment) or "negstd" (the negated population
+    std, divisor T)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.shape[0] < 2:
@@ -62,34 +63,28 @@ def _segments(values, offsets):
     counts = np.diff(offsets)
     if np.any(counts < 1):
         raise ValueError("empty segment in offsets")
-    return values, offsets[:-1], counts
-
-
-def segment_stats(values, offsets):
-    """Per-segment (sum, mean, min, population std) over a CSR layout.
-
-    Returns four float64 arrays of length n_segments. Standard deviation uses
-    divisor T (population convention). The median is ``segment_medians``.
-    """
-    values, starts, counts = _segments(values, offsets)
+    starts = offsets[:-1]
+    if stat == "min":
+        return np.minimum.reduceat(values, starts)
+    if stat == "median":
+        medians = np.empty(len(counts))
+        for group in groups_by_length(counts):
+            block = values[starts[group][:, None] + np.arange(counts[group[0]])]
+            medians[group] = np.median(block, axis=1)
+        return medians
     sums = np.add.reduceat(values, starts)
+    if stat == "sum":
+        return sums
     means = sums / counts
-    mins = np.minimum.reduceat(values, starts)
-    centered = values - np.repeat(means, counts)
-    stds = np.sqrt(np.add.reduceat(centered * centered, starts) / counts)
-    return sums, means, mins, stds
-
-
-def segment_medians(values, offsets):
-    """Per-segment median over a CSR layout, equal bit for bit to
-    ``np.median`` of each segment: one ``(k, L)`` block per distinct length
-    L, whose row medians equal the 1-D ones."""
-    values, starts, counts = _segments(values, offsets)
-    medians = np.empty(len(counts))
-    for group in groups_by_length(counts):
-        block = values[starts[group][:, None] + np.arange(counts[group[0]])]
-        medians[group] = np.median(block, axis=1)
-    return medians
+    if stat == "mean":
+        return means
+    if stat == "negstd":
+        centered = values - np.repeat(means, counts)
+        # a square past the float range is inf, for the caller to report
+        with np.errstate(over="ignore"):
+            return -np.sqrt(np.add.reduceat(centered * centered, starts)
+                            / counts)
+    raise ValueError(f"unknown segment statistic {stat!r}")
 
 
 # (target token, source token) links per EM block: enough to amortize the
@@ -100,18 +95,16 @@ def segment_medians(values, offsets):
 BLOCK_LINKS = 1 << 14
 
 
-class Model1Links(namedtuple("Model1Links",
-                               "n_src span_len blocks tgt_groups pair_logs")):
+class Model1Links(namedtuple("Model1Links", "n_src blocks")):
     """The (target token, source token) links of a parallel corpus, laid
     out once for every EM step (``model1_links``).
 
-    ``blocks`` holds one ``(lo, hi, cells, groups)`` per run of target
-    tokens lo..hi-1: ``cells`` are the flat table cells of its links in
-    pair-major, row-major order, and ``groups`` one ``(rows, starts,
-    length)`` per distinct source length: the tokens' indices, the offsets
-    of their links in ``cells``, and the length. ``tgt_groups`` holds one
-    ``(pairs, starts, length)`` per distinct target length, and
-    ``pair_logs`` each pair's T * log(S).
+    ``blocks`` holds one ``(lens, cells, groups)`` per run of target
+    tokens: ``lens`` are the tokens' source lengths, ``cells`` the flat
+    table cells of their links in pair-major, row-major order, and
+    ``groups`` one ``(rows, starts, length)`` per distinct source length:
+    the tokens' indices in the run, the offsets of their links in
+    ``cells``, and the length.
     """
 
     __slots__ = ()
@@ -125,10 +118,10 @@ def model1_links(tgt_flat, src_flat, tgt_off, src_off, n_src):
     src_flat = np.ascontiguousarray(src_flat, dtype=np.int64)
     tgt_off = np.ascontiguousarray(tgt_off, dtype=np.int64)
     src_off = np.ascontiguousarray(src_off, dtype=np.int64)
-    tgt_len, src_len = np.diff(tgt_off), np.diff(src_off)
+    tgt_len = np.diff(tgt_off)
     # per target token: the source span of its pair
     span_start = np.repeat(src_off[:-1], tgt_len)
-    span_len = np.repeat(src_len, tgt_len)
+    span_len = np.repeat(np.diff(src_off), tgt_len)
     # runs of target tokens of about BLOCK_LINKS links each, in corpus order
     link_start = np.cumsum(span_len) - span_len
     cuts = (np.flatnonzero(np.diff(link_start // BLOCK_LINKS)) + 1).tolist()
@@ -142,53 +135,37 @@ def model1_links(tgt_flat, src_flat, tgt_off, src_off, n_src):
         cells += np.arange(len(cells))
         cells = src_flat[cells]
         cells += np.repeat(tgt_flat[lo:hi] * n_src, lens)
-        groups = [(lo + group, starts[group], int(lens[group[0]]))
+        groups = [(group, starts[group], int(lens[group[0]]))
                   for group in groups_by_length(lens)]
-        blocks.append((lo, hi, cells, groups))
-    tgt_groups = [(group, tgt_off[group], int(tgt_len[group[0]]))
-                  for group in groups_by_length(tgt_len)]
-    return Model1Links(n_src, span_len, blocks, tgt_groups,
-                       tgt_len * np.log(src_len))
+        blocks.append((lens, cells, groups))
+    return Model1Links(n_src, blocks)
 
 
 def model1_em_step(links, table):
     """One EM sweep over the corpus laid out in ``links``.
 
     ``table[y, s]`` holds the current translation probability of target id y
-    given source id s. Returns ``(new_table, loglik)`` where loglik is the
-    corpus log-likelihood under the *input* table (uniform alignment over
-    the listed source ids).
+    given source id s (uniform alignment over the listed source ids).
+    Returns the new table; a source id without counts keeps its column.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.shape[1] != links.n_src:
         raise ValueError(f"table has {table.shape[1]} columns, links were "
                          f"laid out for {links.n_src}")
-    span_len = links.span_len
     flat = table.reshape(-1)
     counts = np.zeros_like(table)
-    denom = np.empty(len(span_len))
-    for lo, hi, cells, groups in links.blocks:
+    for lens, cells, groups in links.blocks:
         probs = flat[cells]
+        denom = np.empty(len(lens))
         for rows, starts, n in groups:
             block = probs[starts[:, None] + np.arange(n)]
             denom[rows] = block.sum(axis=1)
-        probs /= np.repeat(denom[lo:hi], span_len[lo:hi])
+        probs /= np.repeat(denom, lens)
         # np.add.at adds in link order, repeated cells included
         np.add.at(counts.reshape(-1), cells, probs)
         del probs
-    # per-pair sum of log denominators, one (pairs, T) block per length T
-    log_denom = np.log(denom)
-    pair_sums = np.empty(len(links.pair_logs))
-    for pairs, starts, n in links.tgt_groups:
-        block = log_denom[starts[:, None] + np.arange(n)]
-        pair_sums[pairs] = block.sum(axis=1)
-    # added in pair order, as a loop over the pairs would
-    loglik = 0.0
-    for term in (pair_sums - links.pair_logs).tolist():
-        loglik += term
     totals = counts.sum(axis=0)
-    new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
-    return new_table, loglik
+    return np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
 
 
 def model1_mass(table, t_ids, src_flat, span_start, span_len):

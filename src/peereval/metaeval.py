@@ -302,20 +302,19 @@ def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
     return 2 * int(_ranksum_null_cdf(k, n)[low]) / math.comb(n, k)
 
 
-def williams_test(r1h: float, r2h: float, r12: float, n: int,
-                  tails: int = 1) -> Tuple[float, float]:
+def williams_test(r1h: float, r2h: float, r12: float,
+                  n: int) -> Tuple[float, float]:
     """Significance of the difference between two correlations with a shared
     variable (the human scores).
 
     Returns (t, p) with n - 3 degrees of freedom; positive t favors the
-    first correlation. ``tails`` selects one- or two-tailed p.
+    first correlation, and p is one-tailed, as in WMT: the chance of a t at
+    least this large when the two correlations are equal.
 
     Raises InsufficientDataError when n < 4, or when the 3x3 correlation
     matrix of (metric 1, metric 2, human) is not positive definite
     (det <= 0). The symmetric null r1h == r2h is exempt and gives t = 0.
     """
-    if tails not in (1, 2):
-        raise DomainError(f"tails must be 1 or 2, got {tails}")
     if n < MIN_RELIABLE_SYSTEMS:
         raise InsufficientDataError(f"need n >= 4 systems, got {n}")
     for r in (r1h, r2h, r12):
@@ -323,7 +322,7 @@ def williams_test(r1h: float, r2h: float, r12: float, n: int,
             raise DomainError(f"correlation {r} outside [-1, 1]")
     if r1h == r2h:
         # symmetric null; defined even when the matrix degenerates (r12 = 1)
-        return 0.0, 0.5 if tails == 1 else 1.0
+        return 0.0, 0.5
     det = 1.0 - r12 ** 2 - r1h ** 2 - r2h ** 2 + 2.0 * r12 * r1h * r2h
     if det <= 0.0:
         raise InsufficientDataError(
@@ -333,12 +332,7 @@ def williams_test(r1h: float, r2h: float, r12: float, n: int,
     denom = math.sqrt(2.0 * det * (n - 1) / (n - 3)
                       + rbar ** 2 * (1.0 - r12) ** 3)
     t = (r1h - r2h) * math.sqrt((n - 1) * (1.0 + r12)) / denom
-    df = n - 3
-    if tails == 1:
-        p = t_sf(t, df)
-    else:
-        p = 2.0 * t_sf(abs(t), df)
-    return t, p
+    return t, t_sf(t, n - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +543,6 @@ class PairwiseTally(namedtuple(
     """Six-way tally of pairwise ranking decisions (Human-S/NS x C/IC/NS)."""
 
     __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        return (self.sig_correct + self.sig_incorrect + self.sig_metric_ns
-                + self.ns_correct + self.ns_incorrect + self.ns_metric_ns)
 
     def __add__(self, other: "PairwiseTally") -> "PairwiseTally":
         return PairwiseTally(

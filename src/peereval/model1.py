@@ -3,8 +3,8 @@
 A self-contained statistical scorer producing genuine token-level
 log-probabilities p(y_t|x) so the scoring and meta-evaluation pipeline can
 run end to end without a neural model. Training is classic Model 1 EM with
-a NULL source token; the corpus log-likelihood is nondecreasing across
-iterations.
+a NULL source token. EM never lowers the corpus log-likelihood: the tests
+check that property, and training does not compute the log-likelihood.
 """
 
 from __future__ import annotations
@@ -85,14 +85,9 @@ def _encode_corpus(parallel):
     return source_index, target_index, src_sents, tgt_sents
 
 
-def train_model1(parallel: Sequence, iterations: int = 10,
-                 return_loglik: bool = False):
-    """EM-train a lexical table on (source tokens, target tokens) pairs.
-
-    Starts from a uniform table. With ``return_loglik`` also returns the
-    per-iteration corpus log-likelihoods (each under the table entering
-    that iteration).
-    """
+def train_model1(parallel: Sequence, iterations: int = 10) -> LexicalTable:
+    """EM-train a lexical table on (source tokens, target tokens) pairs,
+    starting from a uniform table."""
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     source_index, target_index, src_sents, tgt_sents = _encode_corpus(parallel)
@@ -101,14 +96,9 @@ def train_model1(parallel: Sequence, iterations: int = 10,
     n_tgt, n_src = len(target_index), len(source_index)
     links = kernels.model1_links(tgt_flat, src_flat, tgt_off, src_off, n_src)
     table = np.full((n_tgt, n_src), 1.0 / n_tgt)
-    logliks = []
     for _ in range(iterations):
-        table, ll = kernels.model1_em_step(links, table)
-        logliks.append(ll)
-    result = LexicalTable(source_index, target_index, table)
-    if return_loglik:
-        return result, logliks
-    return result
+        table = kernels.model1_em_step(links, table)
+    return LexicalTable(source_index, target_index, table)
 
 
 def score_csr(table: LexicalTable, pairs: Sequence, seg_ids: Sequence):

@@ -57,21 +57,13 @@ def _csr(segments: Sequence[TokenScoredSegment]):
 
 def aggregate_segments(segments: Sequence[TokenScoredSegment],
                        method: Aggregation) -> list:
-    """Batch aggregation of many segments (single kernel pass); only the
-    median runs ``kernels.segment_medians``."""
+    """One SegmentScore per segment: ``method`` over its log-probs, from a
+    single ``kernels.segment_stats`` pass that computes only that
+    statistic. A non-finite score (the std of log-probs past the float
+    range) is a DomainError naming its segment."""
     if not segments:
         return []
-    method = Aggregation(method)
-    if method is Aggregation.MEDIAN:
-        chosen = kernels.segment_medians(*_csr(segments))
-    else:
-        sums, means, mins, stds = kernels.segment_stats(*_csr(segments))
-        chosen = {
-            Aggregation.SUM: sums,
-            Aggregation.MEAN: means,
-            Aggregation.MIN: mins,
-            Aggregation.NEG_STD: -stds,
-        }[method]
+    chosen = kernels.segment_stats(*_csr(segments), Aggregation(method))
     return build_records(
         SegmentScore,
         [(seg.seg_id, v) for seg, v in zip(segments, chosen.tolist())],
@@ -82,7 +74,7 @@ def mean_token_logprobs(segments: Sequence[TokenScoredSegment]) -> np.ndarray:
     """Per-segment mean token log-prob, ordered like ``segments``."""
     if not segments:
         return np.empty(0)
-    return kernels.segment_stats(*_csr(segments))[1]
+    return kernels.segment_stats(*_csr(segments), Aggregation.MEAN)
 
 
 def threshold_value(mean_logprob, low: float, high: float):

@@ -65,3 +65,14 @@ def test_every_run_pins_bytecode_writing_off():
     assert bench_env({"PYTHONDONTWRITEBYTECODE": "", "HOME": "/h"}) == {
         "PYTHONDONTWRITEBYTECODE": "1", "HOME": "/h"}
     assert bench_env({}) == {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_golden_digests_compared_on_made_up_lines():
+    script = load_script()
+    parent = script.parse_digests("a.tsv\t01\nb:out.json\t02\nc\t03\n")
+    assert parent == {"a.tsv": "01", "b:out.json": "02", "c": "03"}
+    assert script.differing_outputs(parent, dict(parent)) == []
+    # one digest changed, one output gone, one new
+    change = script.parse_digests("c\t03\nb:out.json\t0f\nd\t04\n")
+    assert script.differing_outputs(parent, change) == [
+        "a.tsv", "b:out.json", "d"]

@@ -1,6 +1,6 @@
 """The significance tests are calibrated: when the null holds, each rejects
 at about its alpha, and the Williams test rejects more often as the gap it
-tests grows.
+tests grows and as the number of systems grows.
 
 ``test_metaeval`` checks the p-values at fixed points against
 ``stats_oracle.json``; these tests check that a p is a p-value, from seeded
@@ -73,6 +73,16 @@ def test_williams_rejects_more_often_as_the_gap_grows():
     rng = np.random.default_rng([SEED, 1])
     rates = [rate(williams_pvalues(rng, 10, r1h, 0.5, 0.6, 2000))
              for r1h in (0.3, 0.5, 0.7, 0.9)]
+    assert all(a < b for a, b in zip(rates, rates[1:])), rates
+
+
+def test_williams_rejects_more_often_as_n_grows():
+    # at rho1h - rho2h = 0.2 (0.7 against 0.5, rho12 = 0.6), n = 6, 10, 20
+    # and 40 reject at 0.097-0.130, 0.18-0.21, 0.33-0.35 and 0.58-0.61; the
+    # smallest step between neighbours on one seed was 0.065
+    rng = np.random.default_rng([SEED, 5])
+    rates = [rate(williams_pvalues(rng, n, 0.7, 0.5, 0.6, 2000))
+             for n in (6, 10, 20, 40)]
     assert all(a < b for a, b in zip(rates, rates[1:])), rates
 
 

@@ -312,6 +312,19 @@ def test_score_names_a_record_whose_sum_overflows(tmp_path, capsys, method):
                             "overflows\n")
 
 
+def test_score_keeps_the_old_output_when_a_line_is_not_utf8(tmp_path, capsys):
+    # argv bytes that are not UTF-8 reach Python as lone surrogates: the
+    # byte 0xff as "\udcff"
+    sample = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.5]])
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"old\n")
+    assert cli.main(["score", "--samples", sample, "--method", "mean",
+                     "--system", "\udcff", "-o", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {out}:2: '\\udcff' cannot be encoded as UTF-8\n")
+    assert out.read_bytes() == b"old\n"
+
+
 SYSTEMS = "ABCDE"
 HEADER = "lang_pair\tsystem\tscore\n"
 HUMAN = (0.0, 0.1, 0.2, 0.3, 0.4)
@@ -451,6 +464,23 @@ def test_tune_thresholds_language_pair_case(tmp_path, capsys, human_pair,
     want = tune_thresholds_output(tmp_path / "lower", capsys, "de-en", "de-en")
     assert tune_thresholds_output(tmp_path, capsys, human_pair,
                                   dir_pair) == want
+
+
+def test_tune_thresholds_default_grid(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    (tmp_path / "de-en").mkdir()
+    for system, level in zip(SYSTEMS, METRIC):
+        write_samples(tmp_path / "de-en" / f"{system}.jsonl",
+                      [[-0.5 - level], [-1.5 - level], [-0.25]])
+    args = ["tune-thresholds", "--human", str(human),
+            "--scores-dir", str(tmp_path)]
+    bands = []
+    for grid in ([], ["--grid=-3:0:16"], ["--grid=-2:0:5"]):
+        assert cli.main(args + grid) == 0
+        bands.append(capsys.readouterr().out)
+    # the default is -3:0:16, and another grid finds another band
+    assert bands[0] == bands[1] != bands[2]
 
 
 def test_tune_thresholds_checks_directory_names(tmp_path, capsys):

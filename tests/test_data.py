@@ -626,6 +626,17 @@ class TestLines:
             write_lines(path, lines())
         assert path.read_bytes() == b"old\n"
 
+    def test_write_lines_encodes_before_opening(self, tmp_path):
+        # a lone surrogate, as Python makes of argv bytes that are not
+        # UTF-8, cannot be written
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(str(path))}:2: '\\\\udcff' "
+                                 "cannot be encoded as UTF-8$"):
+            write_lines(path, ["a", "b\udcff", "c"])
+        assert path.read_bytes() == b"old\n"
+
     def test_unrepresentable_piece_writes_nothing(self, tmp_path):
         model = subword.UnigramSubwordModel({"a": -1.0, "a\tb": -2.0})
         path = tmp_path / "model.tsv"

@@ -41,10 +41,15 @@ def segment_stats_loop(values, offsets):
     return sums, means, medians, mins, stds
 
 
+STATS = ("sum", "mean", "median", "min", "negstd")
+
+
 def segment_kernels(values, offsets):
-    """The five statistics from the two kernels, in the loop's order."""
-    sums, means, mins, stds = kernels.segment_stats(values, offsets)
-    return sums, means, kernels.segment_medians(values, offsets), mins, stds
+    """The five statistics, one kernel call each, in the loop's order; the
+    std is the negated "negstd"."""
+    sums, means, medians, mins, negstds = (
+        kernels.segment_stats(values, offsets, stat) for stat in STATS)
+    return sums, means, medians, mins, -negstds
 
 
 def test_segment_stats_against_loop_reference():
@@ -76,7 +81,7 @@ def test_segment_median_bit_identical_to_per_segment_median():
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(lengths)
     values = -np.round(rng.exponential(1.5, size=offsets[-1]), 1)
-    medians = kernels.segment_medians(values, offsets)
+    medians = kernels.segment_stats(values, offsets, "median")
     expected = [np.median(values[lo:hi])
                 for lo, hi in zip(offsets[:-1], offsets[1:])]
     assert np.array_equal(medians, expected)
@@ -99,7 +104,7 @@ def median_calls(monkeypatch):
 def test_segment_median_one_call_per_distinct_length(median_calls):
     rng = np.random.default_rng(17)
     values, offsets = random_csr(rng, n_segments=300, max_len=10)
-    kernels.segment_medians(values, offsets)
+    kernels.segment_stats(values, offsets, "median")
     assert len(median_calls) == len(np.unique(np.diff(offsets)))
 
 
@@ -119,10 +124,14 @@ def test_only_the_median_aggregation_takes_medians(median_calls, method):
 def test_segment_stats_rejects_empty_segment():
     values = np.array([-1.0])
     offsets = np.array([0, 1, 1], dtype=np.int64)
-    with pytest.raises(ValueError):
-        kernels.segment_stats(values, offsets)
-    with pytest.raises(ValueError):
-        kernels.segment_medians(values, offsets)
+    for stat in STATS:
+        with pytest.raises(ValueError, match="empty segment"):
+            kernels.segment_stats(values, offsets, stat)
+
+
+def test_segment_stats_rejects_an_unknown_statistic():
+    with pytest.raises(ValueError, match="unknown segment statistic 'max'"):
+        kernels.segment_stats(np.array([-1.0]), np.array([0, 1]), "max")
 
 
 def random_corpus(rng, n_pairs=40, n_tgt=25, n_src=20, max_len=12):
@@ -151,7 +160,6 @@ def em_step(tgt_flat, src_flat, tgt_off, src_off, table):
 def model1_em_step_loop(tgt_flat, src_flat, tgt_off, src_off, table):
     """Scalar loop over each (target token, source token) link of each pair."""
     counts = np.zeros_like(table)
-    loglik = 0.0
     for p in range(tgt_off.shape[0] - 1):
         s_lo, s_hi = src_off[p], src_off[p + 1]
         for i in range(tgt_off[p], tgt_off[p + 1]):
@@ -159,7 +167,6 @@ def model1_em_step_loop(tgt_flat, src_flat, tgt_off, src_off, table):
             denom = 0.0
             for j in range(s_lo, s_hi):
                 denom += table[y, src_flat[j]]
-            loglik += np.log(denom) - np.log(float(s_hi - s_lo))
             for j in range(s_lo, s_hi):
                 s = src_flat[j]
                 counts[y, s] += table[y, s] / denom
@@ -168,7 +175,7 @@ def model1_em_step_loop(tgt_flat, src_flat, tgt_off, src_off, table):
         total = counts[:, s].sum()
         if total > 0.0:
             new_table[:, s] = counts[:, s] / total
-    return new_table, loglik
+    return new_table
 
 
 def test_model1_em_against_loop_reference():
@@ -177,17 +184,14 @@ def test_model1_em_against_loop_reference():
     # repeated ids within a sentence must each add their own count
     assert any(len(set(args[0][lo:hi])) < hi - lo
                for lo, hi in zip(args[2][:-1], args[2][1:]))
-    table, ll = em_step(*args)
-    table_ref, ll_ref = model1_em_step_loop(*args)
-    np.testing.assert_allclose(table, table_ref, rtol=1e-10, atol=1e-14)
-    assert ll == pytest.approx(ll_ref, rel=1e-12)
+    np.testing.assert_allclose(em_step(*args), model1_em_step_loop(*args),
+                               rtol=1e-10, atol=1e-14)
 
 
 def test_model1_em_columns_normalized():
     rng = np.random.default_rng(5)
     args = random_corpus(rng)
-    table, _ = em_step(*args)
-    sums = table.sum(axis=0)
+    sums = em_step(*args).sum(axis=0)
     np.testing.assert_allclose(sums, 1.0, rtol=1e-9)
 
 
@@ -195,17 +199,14 @@ def model1_em_step_per_pair(tgt_flat, src_flat, tgt_off, src_off, table):
     """The EM step as one numpy round per sentence pair: the definition the
     blocked kernel must reproduce bit for bit."""
     counts = np.zeros_like(table)
-    loglik = 0.0
     for p in range(len(tgt_off) - 1):
         t_ids = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
         s_ids = src_flat[src_off[p]:src_off[p + 1]]
         sub = table[np.ix_(t_ids, s_ids)]
         denom = sub.sum(axis=1)
-        loglik += float(np.log(denom).sum()) - len(t_ids) * np.log(len(s_ids))
         np.add.at(counts, (t_ids[:, None], s_ids[None, :]), sub / denom[:, None])
     totals = counts.sum(axis=0)
-    new_table = np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
-    return new_table, loglik
+    return np.where(totals > 0.0, counts / np.where(totals > 0.0, totals, 1.0), table)
 
 
 EDGE_LENGTHS = (1, 7, 8, 9, 128, 129, 150)
@@ -236,11 +237,10 @@ def assert_em_bit_identical(tgt_flat, src_flat, tgt_off, src_off, table,
                                  table.shape[1])
     expected = table
     for _ in range(iterations):
-        table, ll = kernels.model1_em_step(links, table)
-        expected, ll_ref = model1_em_step_per_pair(tgt_flat, src_flat, tgt_off,
-                                                   src_off, expected)
+        table = kernels.model1_em_step(links, table)
+        expected = model1_em_step_per_pair(tgt_flat, src_flat, tgt_off,
+                                           src_off, expected)
         assert np.array_equal(table, expected)
-        assert ll == ll_ref
     return table
 
 

@@ -247,12 +247,20 @@ def test_aggregate_falls_back_to_the_record_check():
     # every log-prob is finite, but the squares of the centred values
     # overflow, so the -std of segment 1 is -inf; the record check names it
     segs = [seg([-1.0, -2.0], 0), seg([-1e200, 0.0], 1)]
-    with np.errstate(over="ignore"):
-        with pytest.raises(DomainError,
-                           match="^segment 1: non-finite score$"):
-            aggregate_segments(segs, "negstd")
-        sums = aggregate_segments(segs, "sum")
+    with pytest.raises(DomainError, match="^segment 1: non-finite score$"):
+        aggregate_segments(segs, "negstd")
+    sums = aggregate_segments(segs, "sum")
     assert [s.value for s in sums] == [-3.0, -1e200]
+
+
+@pytest.mark.parametrize("method", ["sum", "mean", "min", "median"])
+def test_aggregate_without_the_std_squares_nothing(method):
+    # the squares of segment 1's centred values overflow; no statistic but
+    # the std takes them, so no overflow warning (an error here) is raised
+    segs = [seg([-1.0, -2.0], 0), seg([-1e200, 0.0], 1)]
+    values = [s.value for s in aggregate_segments(segs, method)]
+    assert values == {"sum": [-3.0, -1e200], "mean": [-1.5, -5e199],
+                      "min": [-2.0, -1e200], "median": [-1.5, -5e199]}[method]
 
 
 def test_sum_vs_mean_ranking_identical_with_equal_lengths():
