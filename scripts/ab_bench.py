@@ -20,7 +20,8 @@ every output whose digest differs or that only one side produces.
 
 Then, for every end-to-end metric of the parent's ``BENCHMARK.json``, it
 prints a Markdown row: each side's median and quartiles, in how many pairs
-the change did better (ties count for neither side), and whether that is a
+the change did better and in how many worse (a tie counts for neither, so
+the two counts tell ties from losses), and whether that is a
 gain by the rule of the choosing-metrics guide: at least nine tenths of the
 pairs won, and medians further apart than the parent's quartiles. The last
 column says whether the change's median is worse than the parent's by more
@@ -114,11 +115,12 @@ def quartiles(values):
 
 def summarize(parent_runs, change_runs, better):
     """One row per metric of ``better`` ({name: "lower" | "higher"}):
-    (name, parent quartiles, change quartiles, change wins, gain).
+    (name, parent quartiles, change quartiles, change wins, change losses,
+    gain).
 
     ``parent_runs[k]`` and ``change_runs[k]`` are pair k's
-    ``{metric: value}``. The change wins a pair when its value is better;
-    a tie counts for neither side. ``gain`` holds when the change wins at
+    ``{metric: value}``. The change wins a pair when its value is better
+    and loses it when it is worse; a tie counts for neither. ``gain`` holds when the change wins at
     least nine tenths of the pairs and its median is better than the
     parent's by more than the parent's interquartile range.
     """
@@ -128,10 +130,11 @@ def summarize(parent_runs, change_runs, better):
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
         p_stats, c_stats = quartiles(parent), quartiles(change)
         gain = (wins >= 0.9 * len(parent)
                 and sign * (p_stats[0] - c_stats[0]) > p_stats[2] - p_stats[1])
-        rows.append((name, p_stats, c_stats, wins, gain))
+        rows.append((name, p_stats, c_stats, wins, losses, gain))
     return rows
 
 
@@ -200,15 +203,16 @@ def main(argv=None) -> int:
     else:
         print(f"golden digests match: {len(digests['parent'])} outputs")
     print("| workload | metric | parent median [q1, q3] "
-          "| change median [q1, q3] | change better | gain "
+          "| change median [q1, q3] | change better | change worse | gain "
           "| worse past bound |")
-    print("|---|---|---|---|---|---|---|")
-    for name, p_stats, c_stats, wins, gain in summarize(
+    print("|---|---|---|---|---|---|---|---|")
+    for name, p_stats, c_stats, wins, losses, gain in summarize(
             values["parent"], values["change"], better):
         worse = worse_past_bound(p_stats[0], c_stats[0], better[name],
                                  bounds[name])
         print(f"| {args.workload} | `{name}` | {fmt(p_stats)} | {fmt(c_stats)} "
-              f"| {wins}/{args.pairs} | {'yes' if gain else 'no'} "
+              f"| {wins}/{args.pairs} | {losses}/{args.pairs} "
+              f"| {'yes' if gain else 'no'} "
               f"| {'yes' if worse else 'no'} |")
     return 0
 

@@ -16,7 +16,10 @@ Everything is deterministic for a fixed seed; machine-readable outputs keep
 full float precision, printed tables use 3 decimals.
 
 Each subcommand imports scoring, metaeval, model1, subword or numpy itself,
-so that a text subcommand (bleu, chrf, cross-bleu) never loads numpy. The
+so that only a subcommand that runs numpy loads it: the text subcommands
+(bleu, chrf, cross-bleu) and meta-eval, whose system-level statistics run
+on the standard library, never do; score, pairwise, subsample,
+tune-thresholds, subword and toy-scorer do. The
 CLI's own import loads no dataclasses (records are namedtuples) and no json
 (only the JSONL reader and writer and ``meta-eval --format json`` use it).
 """

@@ -6,23 +6,26 @@ test for the difference of two correlations sharing the human variable,
 pairwise system comparisons (rank-sum on human, paired t on metric), and
 test-set-size subsampling curves.
 
-The distributions behind the tests need numpy and the standard library only:
-the Student-t tail is the regularized incomplete beta, evaluated as a
-modified-Lentz continued fraction (``t_sf``); the normal tail is ``erfc``
-(``norm_sf``); ranks are midranks (``midranks``); and the exact rank-sum null
-is a subset-count DP over rank sums (``ranksum_exact_p``).
+The system-level half (the MAD filter, Pearson, the Fisher average and the
+Williams test) runs on the standard library alone, so importing this module
+loads no numpy. Only the segment-level functions import numpy, where they
+run: the rank-sum and paired t tests behind ``pairwise_compare`` and the
+draws of ``subsample_correlations``. The Student-t tail is the regularized
+incomplete beta, evaluated as a modified-Lentz continued fraction
+(``t_sf``); the normal tail is ``erfc`` (``norm_sf``); ranks are midranks
+(``midranks``); and the exact rank-sum null is a subset-count DP over rank
+sums (``ranksum_exact_p``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import statistics
 import warnings
 from collections import Counter, namedtuple
 from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .data import LanguagePair, scores_by_pair
 from .errors import ConfigError, DomainError, InsufficientDataError
@@ -37,6 +40,11 @@ FISHER_CLAMP = 1.0 - 1e-15
 # Minimum post-filter systems for a pair to enter weighted averages and for
 # the correlation-difference test (which needs n - 3 > 0).
 MIN_RELIABLE_SYSTEMS = 4
+
+# The Williams test treats a correlation matrix whose determinant is at most
+# this as singular: a few roundings of r near +/-1 leave a singular matrix
+# (one metric an affine copy of the other) a determinant of about 2e-16.
+SINGULAR_DET = 8 * 2.0 ** -52
 
 
 def mad_outliers(human_scores: Mapping[str, float]) -> Tuple[set, set]:
@@ -84,37 +92,73 @@ def kept_systems(lang_pair: Optional[str], human_scores: Mapping[str, float],
     return scored_systems(lang_pair, kept, metric_scores), outliers
 
 
+def _floats(v) -> list:
+    """``v`` as a list of floats; a DomainError unless it is a vector."""
+    try:
+        if getattr(v, "ndim", 1) == 1:
+            return [float(e) for e in v]
+    except TypeError:   # a scalar, or a vector of vectors
+        pass
+    raise DomainError("pearson needs two equal-length vectors")
+
+
+def _integers(values: list) -> list:
+    """Finite floats as integers, all scaled by one power of two: each float
+    is a / 2**k, so scaling by the largest 2**k is exact. inf raises
+    OverflowError and NaN ValueError."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max([d for _, d in ratios])
+    return [a * (scale // d) for a, d in ratios]
+
+
+def _over_sqrt(num: int, den: int) -> float:
+    """num / sqrt(den), for integers with den > 0 and num**2 <= den,
+    correctly rounded."""
+    if not num:
+        return 0.0
+    square = num * num
+    # t = floor(|num| / sqrt(den) * 2**p), exact in integers, has at least
+    # 64 bits, ...
+    p = 64 + max(0, (den.bit_length() - square.bit_length()) // 2 + 1)
+    q, rem = divmod(square << 2 * p, den)
+    t = math.isqrt(q)
+    if rem or t * t != q:
+        # ... and when the root is inexact a sticky bit below t's last bit
+        # makes the one rounding of t / 2**p round as the root would
+        t, p = 2 * t + 1, p + 1
+    r = t / (1 << p)
+    return r if num > 0 else -r
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Product-moment correlation; raises on non-finite input and on zero
     variance.
 
-    The result does not depend on the scale of the input: each input is
-    scaled by a power of two (exact) to a largest magnitude below 1 before
-    the mean, and each centred vector is divided by its largest magnitude
-    before the sums of squares, so values near the float64 range limits
-    neither overflow nor underflow.
+    Standard library only, and exact: each input becomes integers by one
+    power-of-two scaling (``_integers``, so r does not depend on the scale
+    of the input, and values near the float64 range limits neither overflow
+    nor underflow); n**2 times the centred sums of squares and of products
+    are integer sums, and r is their ratio, rounded once (``_over_sqrt``).
+    So r is the correctly rounded correlation of the input, the same on
+    every machine and for a list, a tuple or a numpy array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
+    x, y = _floats(x), _floats(y)
+    if len(x) != len(y):
         raise DomainError("pearson needs two equal-length vectors")
-    if len(x) < 2:
-        raise DomainError(f"pearson needs n >= 2, got {len(x)}")
-    # NaN would also pass the zero-variance test below and come back as r
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DomainError("pearson needs finite input")
-    # Test the input itself: the rounded mean of a constant vector can differ
-    # from its value and leave a nonzero centred vector
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    n = len(x)
+    if n < 2:
+        raise DomainError(f"pearson needs n >= 2, got {n}")
+    try:
+        x, y = _integers(x), _integers(y)
+    except (OverflowError, ValueError):   # inf, NaN
+        raise DomainError("pearson needs finite input") from None
+    sum_x, sum_y = sum(x), sum(y)
+    sxx = n * sum(map(operator.mul, x, x)) - sum_x * sum_x
+    syy = n * sum(map(operator.mul, y, y)) - sum_y * sum_y
+    if not sxx or not syy:
         raise DomainError("undefined correlation: zero variance input")
-    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
-    xc = x - x.mean()
-    yc = y - y.mean()
-    xc /= np.abs(xc).max()
-    yc /= np.abs(yc).max()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    return float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
+    sxy = n * sum(map(operator.mul, x, y)) - sum_x * sum_y
+    return _over_sqrt(sxy, sxx * syy)
 
 
 def fisher_weighted_average(results: Sequence[Tuple[float, float]]) -> float:
@@ -245,14 +289,16 @@ def norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def midranks(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """1-based ranks with ties sharing the mean of their ranks, and the
-    size of each run of equal values (in sorted order).
+def midranks(values):
+    """Of a float array: the 1-based ranks, ties sharing the mean of their
+    ranks, and the size of each run of equal values (in sorted order).
 
     A stable argsort orders the values; runs start where a sorted value
     differs from its predecessor, and the run over sorted positions
     [i, j) gets the rank (i + j + 1) / 2.
     """
+    import numpy as np
+
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -263,7 +309,7 @@ def midranks(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ranks, run_lengths
 
 
-def _ranksum_null_cdf(k: int, n: int) -> np.ndarray:
+def _ranksum_null_cdf(k: int, n: int):
     """cdf[s]: how many k-subsets of the ranks 1..n sum to at most s, for s
     up to the mean k (n + 1) / 2 (the null is symmetric about it).
 
@@ -272,6 +318,8 @@ def _ranksum_null_cdf(k: int, n: int) -> np.ndarray:
     count[j, s], for all j and s at once in int64 (C(50, 25) is about
     1.3e14, far inside).
     """
+    import numpy as np
+
     top = k * (n + 1) // 2
     count = np.zeros((k + 1, top + 1), dtype=np.int64)
     count[0, 0] = 1
@@ -312,8 +360,9 @@ def williams_test(r1h: float, r2h: float, r12: float,
     least this large when the two correlations are equal.
 
     Raises InsufficientDataError when n < 4, or when the 3x3 correlation
-    matrix of (metric 1, metric 2, human) is not positive definite
-    (det <= 0). The symmetric null r1h == r2h is exempt and gives t = 0.
+    matrix of (metric 1, metric 2, human) is singular or not positive
+    definite (det <= ``SINGULAR_DET``, so the last bit of the three r does
+    not decide). The symmetric null r1h == r2h is exempt and gives t = 0.
     """
     if n < MIN_RELIABLE_SYSTEMS:
         raise InsufficientDataError(f"need n >= 4 systems, got {n}")
@@ -324,7 +373,7 @@ def williams_test(r1h: float, r2h: float, r12: float,
         # symmetric null; defined even when the matrix degenerates (r12 = 1)
         return 0.0, 0.5
     det = 1.0 - r12 ** 2 - r1h ** 2 - r2h ** 2 + 2.0 * r12 * r1h * r2h
-    if det <= 0.0:
+    if det <= SINGULAR_DET:
         raise InsufficientDataError(
             f"degenerate correlation matrix (determinant {det:.3g})"
         )
@@ -352,6 +401,8 @@ def wilcoxon_ranksum(x: Sequence[float], y: Sequence[float]) -> Tuple[float, flo
     (``ranksum_exact_p``); otherwise the tie-corrected normal approximation
     without continuity correction (``norm_sf``). Any NaN gives (nan, nan).
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) == 0 or len(y) == 0:
@@ -383,6 +434,8 @@ def paired_ttest(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     Degenerate cases: identical vectors give (0, 1); a constant nonzero
     difference gives (+/-inf, 0).
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or len(x) < 2:
@@ -571,6 +624,8 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     gives an all-zero tally. A segment score that is not finite is a
     DomainError naming the system. Errors name ``lang_pair``.
     """
+    import numpy as np
+
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     systems = scored_systems(lang_pair, human_segment_scores,
@@ -632,6 +687,8 @@ def subsample_correlations(human_scores: Mapping[str, float],
     (constant scores, or fewer than 2 kept systems). A size given twice is
     a ConfigError; the other errors name ``lang_pair``.
     """
+    import numpy as np
+
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")

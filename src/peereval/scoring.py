@@ -148,16 +148,43 @@ def check_grid(grid: Sequence[float]) -> list:
     return grid
 
 
+def _thresholded_shares(means: Sequence[np.ndarray]):
+    """A function of (low, high) giving, for each array of segment means,
+    the mean of its ``threshold_value``s: NaN for an empty array.
+
+    The means are laid out once, as one flat array, so a band is one
+    ``threshold_value`` call and one ``np.add.reduceat``. The thresholded
+    values are -1, 0 and +1, so each sum is exact and each share is
+    bit-identical to the mean of its own thresholded array.
+    """
+    counts = np.array([len(m) for m in means])
+    flat = np.concatenate(means)
+    # reduceat sums from each start to the next one; the start of an empty
+    # array would take the element found there, so only the others get one
+    nonempty = counts > 0
+    starts = (np.cumsum(counts) - counts)[nonempty]
+
+    def shares(low: float, high: float) -> list:
+        sums = np.zeros(len(counts), dtype=np.int64)
+        sums[nonempty] = np.add.reduceat(threshold_value(flat, low, high),
+                                         starts)
+        with np.errstate(invalid="ignore"):   # 0 / 0 is NaN
+            return (sums / counts).tolist()
+    return shares
+
+
 def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     """Grid-search the threshold band maximizing dev-set correlation.
 
     Every (low, high) pair with low < high from the ``check_grid`` grid
     scores each dataset's systems by the mean of their thresholded segment
-    means. ``metaeval.correlate_pair`` correlates those with the human
-    scores over ``metaeval.scored_systems``, and ``average_correlations``
-    averages the pairs: the number ``meta-eval`` reports. So a dataset that
-    is degenerate on a candidate or has fewer than 4 kept systems does not
-    count. Ties prefer smaller high, then larger low. Returns (low, high).
+    means (``_thresholded_shares``). ``metaeval.correlate_pair`` correlates
+    those with the human scores over ``metaeval.scored_systems``, and
+    ``average_correlations`` averages the pairs: the number ``meta-eval``
+    reports. So a dataset that is degenerate on a candidate or has fewer
+    than 4 kept systems does not count, and a counted system without
+    segments is the error ``correlate_pair`` gives for its NaN score. Ties
+    prefer smaller high, then larger low. Returns (low, high).
     """
     from .metaeval import average_correlations, correlate_pair
 
@@ -167,21 +194,21 @@ def tune_thresholds(datasets, grid: Optional[Sequence[float]] = None):
     dev_sets = []
     for ds in datasets:
         lp = str(ds.lang_pair)
-        means = {}
+        means = []
         for out in ds.systems:
             if out.token_scores is None:
                 raise ConfigError(f"{out.system_name}: no token scores loaded")
-            means[out.system_name] = mean_token_logprobs(out.token_scores)
+            means.append(mean_token_logprobs(out.token_scores))
         human = scores_by_pair(ds.human.system_scores).get(lp, {})
-        dev_sets.append((lp, human, means))
+        dev_sets.append((lp, human, [out.system_name for out in ds.systems],
+                         _thresholded_shares(means)))
 
     best = None
     for j, high in enumerate(grid):
         for low in grid[:j]:
             results = [correlate_pair(
-                human, {s: threshold_value(m, low, high).mean()
-                        for s, m in means.items()}, lp)
-                       for lp, human, means in dev_sets]
+                human, dict(zip(names, shares(low, high))), lp)
+                       for lp, human, names, shares in dev_sets]
             score = average_correlations(results)
             if score is None:
                 continue

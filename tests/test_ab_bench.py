@@ -20,6 +20,7 @@ def test_summarize_counts_wins_and_applies_the_gain_rule():
         "wall_s": [1.0, 1.2, 1.1, 1.3, 1.0],
         "seg_per_s": [10.0] * 5,
         "peak_rss_mb": [40.0, 41.0, 42.0, 43.0, 44.0],
+        "peer_r_all": [0.9] * 5,
     }
     change = {
         # far better, but a tie leaves 4 of 5 pairs won
@@ -28,18 +29,21 @@ def test_summarize_counts_wins_and_applies_the_gain_rule():
         "seg_per_s": [11.0, 12.0, 11.0, 11.0, 13.0],
         # every pair won by less than the parent's interquartile range
         "peak_rss_mb": [39.5, 40.5, 41.5, 42.5, 43.5],
+        # ties in three pairs, losses in the other two
+        "peer_r_all": [0.9, 0.8, 0.9, 0.7, 0.9],
     }
     better = {"wall_s": "lower", "seg_per_s": "higher",
-              "peak_rss_mb": "lower"}
+              "peak_rss_mb": "lower", "peer_r_all": "higher"}
 
     def runs(side):
         return [{name: side[name][k] for name in side} for k in range(5)]
 
     rows = load_script().summarize(runs(parent), runs(change), better)
     assert rows == [
-        ("wall_s", (1.1, 1.0, 1.2), (0.9, 0.85, 0.9), 4, False),
-        ("seg_per_s", (10.0, 10.0, 10.0), (11.0, 11.0, 12.0), 5, True),
-        ("peak_rss_mb", (42.0, 41.0, 43.0), (41.5, 40.5, 42.5), 5, False),
+        ("wall_s", (1.1, 1.0, 1.2), (0.9, 0.85, 0.9), 4, 0, False),
+        ("seg_per_s", (10.0, 10.0, 10.0), (11.0, 11.0, 12.0), 5, 0, True),
+        ("peak_rss_mb", (42.0, 41.0, 43.0), (41.5, 40.5, 42.5), 5, 0, False),
+        ("peer_r_all", (0.9, 0.9, 0.9), (0.9, 0.8, 0.9), 0, 2, False),
     ]
 
 
@@ -49,7 +53,7 @@ def test_worse_past_bound_on_made_up_runs():
     script = load_script()
     rows = script.summarize(parent, change,
                             {"wall_s": "lower", "seg_per_s": "higher"})
-    medians = {name: (p[0], c[0]) for name, p, c, _, _ in rows}
+    medians = {name: (p[0], c[0]) for name, p, c, *_ in rows}
     # wall_s 1.1 -> 1.4 is 27 % worse; seg_per_s 90.9 -> 71.4 is 21 % worse
     assert script.worse_past_bound(*medians["wall_s"], "lower", 0.25)
     assert not script.worse_past_bound(*medians["wall_s"], "lower", 0.3)

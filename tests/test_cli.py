@@ -80,23 +80,40 @@ def test_cli_import_loads_only_the_standard_library():
     assert modules_loaded("import peereval.cli\n") == ("peereval", "")
 
 
+def test_metaeval_import_loads_only_the_standard_library():
+    # only the segment-level tests import numpy, where they run
+    assert modules_loaded("import peereval.metaeval\n")[0] == "peereval"
+
+
 @pytest.mark.parametrize("args, loaded", [
     (["bleu", "--hyp", "a.txt", "--ref", "b.txt"], "peereval"),
     (["chrf", "--hyp", "a.txt", "--ref", "b.txt"], "peereval"),
     (["cross-bleu", "--outputs", "a.txt", "b.txt"], "peereval"),
     (["score", "--samples", "a.jsonl", "--method", "mean"], "numpy peereval"),
     (["meta-eval", "--human", "human.tsv", "--scores", "scores.tsv"],
+     "peereval"),
+    (["pairwise", "--human-seg", "seg.tsv", "--metric-seg", "seg.tsv"],
      "numpy peereval"),
-], ids=["bleu", "chrf", "cross-bleu", "score", "meta-eval"])
+    (["tune-thresholds", "--human", "five.tsv", "--scores-dir", "s"],
+     "numpy peereval"),
+], ids=["bleu", "chrf", "cross-bleu", "score", "meta-eval", "pairwise",
+        "tune-thresholds"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
-    # the text subcommands run ngram and data only and never load numpy;
-    # numpy is the one dependency the others load, and no subcommand loads
-    # dataclasses
+    # the text subcommands and meta-eval (system-level statistics) never
+    # load numpy; numpy is the one dependency the others load, and no
+    # subcommand loads dataclasses
     (tmp_path / "a.txt").write_text("a b c\n")
     (tmp_path / "b.txt").write_text("a b d\n")
     (tmp_path / "a.jsonl").write_text(JSONL + "\n")
     (tmp_path / "human.tsv").write_text(HUMAN_TSV)
     (tmp_path / "scores.tsv").write_text(HUMAN_TSV)
+    (tmp_path / "seg.tsv").write_text(
+        SEG_TSV + "de-en\tA\t1\t0.3\nde-en\tB\t0\t0.2\nde-en\tB\t1\t0.1\n")
+    (tmp_path / "five.tsv").write_text(HEADER + rows("de-en", HUMAN))
+    (tmp_path / "s" / "de-en").mkdir(parents=True)
+    for system, level in zip(SYSTEMS, METRIC):
+        write_samples(tmp_path / "s" / "de-en" / f"{system}.jsonl",
+                      [[-0.5 - level], [-1.5 - level], [-0.25]])
     code = f"from peereval import cli\nassert cli.main({args!r}) == 0\n"
     third_party, slow = modules_loaded(code, cwd=tmp_path)
     assert third_party == loaded
@@ -572,7 +589,9 @@ def test_meta_eval_names_the_pair_without_human_scores(tmp_path, capsys):
 
 def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
     # fr-en's baseline is an affine copy of its metric: a singular
-    # correlation matrix, though rounding makes the two r differ
+    # correlation matrix. Scaled by +3 both r are equal, the symmetric null
+    # (t = 0, p = 0.5); scaled by -3 the r differ in sign, and the pair
+    # gets no Williams row
     fr_metric = (0.05, 0.2, 0.1, 0.35, 0.4)
     human = tmp_path / "human.tsv"
     human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN))
@@ -587,11 +606,11 @@ def test_meta_eval_skips_a_singular_williams_pair(tmp_path, capsys):
     assert lines[0] == \
         "lang_pair\tr\tn_systems\toutliers\tbaseline_r\twilliams_p"
     assert re.fullmatch(r"de-en\t0\.900\t5\t-\t0\.800\t0\.\d{3}", lines[1])
-    assert lines[2] == "fr-en\t0.881\t5\t-\t-\t-"
+    assert lines[2] == "fr-en\t0.881\t5\t-\t0.881\t0.500"
     # with no Williams row at all, the baseline columns still show
     human.write_text(HEADER + rows("fr-en", HUMAN))
     scores.write_text(HEADER + rows("fr-en", fr_metric))
-    baseline.write_text(HEADER + rows("fr-en", [3 * m + 0.7 for m in fr_metric]))
+    baseline.write_text(HEADER + rows("fr-en", [-3 * m + 0.7 for m in fr_metric]))
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "--baseline", str(baseline)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [

@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from peereval.errors import ConfigError, DomainError, InsufficientDataError
 from peereval.metaeval import (
     GROUPS,
+    SINGULAR_DET,
     CorrelationResult,
     PairwiseTally,
     average_correlations,
@@ -155,6 +158,36 @@ class TestPearson:
             pearson([bad, 1, 2, 3], [1, 2, 3, 4])
         with pytest.raises(DomainError, match="^pearson needs finite input$"):
             pearson([1, 2, 3, 4], [1, 2, bad, 4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_correctly_rounded_against_an_exact_reference(self, seed):
+        # the exact r: Fraction means and sums, the square root in 50-digit
+        # decimal arithmetic; pearson rounds once, so it is the float of it
+        def exact(x, y):
+            x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+            mx, my = sum(x) / len(x), sum(y) / len(y)
+            sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+            sxx = sum((a - mx) ** 2 for a in x)
+            syy = sum((b - my) ** 2 for b in y)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+
+                def dec(q):
+                    return decimal.Decimal(q.numerator) / q.denominator
+                return float(dec(sxy) / dec(sxx * syy).sqrt())
+
+        rng = np.random.default_rng([seed, 21])
+        for n in range(2, 41):
+            for _ in range(5):
+                x = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
+                # from unrelated to nearly linear
+                y = (rng.uniform(-3, 3) * x / np.abs(x).max()
+                     + rng.normal(size=n)) * 10.0 ** rng.uniform(-150, 150)
+                r = exact(x.tolist(), y.tolist())
+                got = pearson(x.tolist(), y.tolist())
+                assert got == r, (n, got, r)
+                assert pearson(tuple(x.tolist()), tuple(y.tolist())) == got
+                assert pearson(x, y) == got
 
     def test_scale_extremes(self):
         # sums of squares of these centred vectors overflow or underflow
@@ -345,6 +378,17 @@ class TestWilliams:
         # |r12| < 1 but still not positive definite: det = -0.0025
         with pytest.raises(InsufficientDataError):
             williams_test(0.95, 0.75, 0.5, 12)
+
+    def test_singular_matrix_whatever_the_last_bit(self):
+        # a -3x affine copy whose r12 rounds to one ulp inside -1 leaves a
+        # determinant of about 2e-16, not 0; that is singular too
+        r = 0.8814089405208615
+        r12 = -1.0 + 2.0 ** -53
+        assert 0.0 < 1 - r12 ** 2 - 2 * r ** 2 - 2 * r12 * r * r <= SINGULAR_DET
+        with pytest.raises(InsufficientDataError, match="degenerate"):
+            williams_test(r, -r, r12, 5)
+        # the symmetric null is still defined at r12 = 1
+        assert williams_test(r, r, 1.0, 5) == (0.0, 0.5)
 
     def test_p_monotone_in_t(self):
         r2h, r12 = 0.75, 0.7
@@ -647,18 +691,54 @@ class TestCompareMetrics:
         m = [0.05, 0.2, 0.1, 0.35, 0.4]
         b = [scale * v + 0.7 for v in m]   # an affine copy of m
         r1h, r2h, r12 = pearson(m, h), pearson(b, h), pearson(m, b)
-        # premises: the two r differ (rounding, or the sign), so the
-        # symmetric null does not cover the singular matrix
-        assert r1h != r2h and abs(r12) == 1.0
-        with pytest.raises(InsufficientDataError, match="degenerate"):
-            williams_test(r1h, r2h, r12, 5)
         human = {lp: dict(zip(names, h)) for lp in ("xa-xb", "xc-xd")}
         first = {(lp, s): v for lp in human for s, v in zip(names, m)}
         second = {("xa-xb", s): v for s, v in zip(names, b)}
         second.update({("xc-xd", s): v for s, v in
                        zip(names, [0.1, 0.0, 0.2, 0.4, 0.3])})
         comps = compare_metrics(human, first, second)
+        if scale > 0:
+            # premise: the two r are equal, the symmetric null, which
+            # gives t = 0 and p = 0.5 as identical metrics do
+            assert r1h == r2h
+            assert williams_test(r1h, r2h, r12, 5) == (0.0, 0.5)
+            assert [(c.lang_pair, c.t, c.p) for c in comps[:1]] == [
+                ("xa-xb", 0.0, 0.5)]
+            assert [c.lang_pair for c in comps] == ["xa-xb", "xc-xd"]
+            return
+        # premises: the two r differ in sign, so the symmetric null does
+        # not cover the singular matrix, and |r12| is within the tolerance
+        # of 1
+        assert r1h == -r2h != 0.0
+        assert 1.0 - abs(r12) <= SINGULAR_DET
+        with pytest.raises(InsufficientDataError, match="degenerate"):
+            williams_test(r1h, r2h, r12, 5)
         assert [c.lang_pair for c in comps] == ["xc-xd"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_affine_copy_never_gets_a_williams_row(self, seed):
+        # a negative-scale copy is always skipped; a positive-scale one is
+        # skipped too, or is the symmetric null when rounding leaves its r
+        # equal to the original's
+        rng = np.random.default_rng([seed, 31])
+        for _ in range(200):
+            n = int(rng.integers(4, 12))
+            names = [f"S{i}" for i in range(n)]
+            h = rng.normal(size=n)
+            m = h + rng.normal(scale=rng.uniform(0.1, 2.0), size=n)
+            scale = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            shift = rng.uniform(-10.0, 10.0)
+            human = {"xa-xb": dict(zip(names, h.tolist()))}
+            first = {("xa-xb", s): float(v) for s, v in zip(names, m)}
+            second = {("xa-xb", s): float(scale * v + shift)
+                      for s, v in zip(names, m)}
+            comps = compare_metrics(human, first, second)
+            if scale < 0 or not comps:
+                assert comps == []
+            else:
+                (comp,) = comps
+                assert (comp.r_first, comp.t, comp.p) == \
+                    (comp.r_second, 0.0, 0.5)
 
     def test_equal_metrics_tie(self):
         rng = np.random.default_rng(3)

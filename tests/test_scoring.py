@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peereval.data import (
+    EvalDataset,
     HumanJudgments,
     LanguagePair,
     SegmentPair,
@@ -16,7 +17,7 @@ from peereval.data import (
     scores_by_pair,
 )
 from peereval.errors import ConfigError, DomainError, StructureError
-from peereval.metaeval import metric_report, pearson
+from peereval.metaeval import correlate_pair, metric_report, pearson
 from peereval.scoring import (
     DEFAULT_THRESHOLD_GRID,
     Aggregation,
@@ -344,6 +345,37 @@ def random_dev_sets(seed):
     return datasets
 
 
+def system_output(name, lang_pair, means):
+    """A system whose segment j is one token of log-prob ``means[j]``."""
+    return SystemOutput(
+        name, lang_pair, tuple(SegmentPair(j, "", "") for j in range(len(means))),
+        tuple(TokenScoredSegment(j, ["w"], [m]) for j, m in enumerate(means)))
+
+
+def more_dev_sets(seed):
+    """``random_dev_sets(seed)`` with an unjudged system of its own segment
+    count in the last dev set, and one more dev set whose segment means sit
+    near -1.2 or near -0.2: constant, so degenerate, on a band that puts
+    both levels on the same side, and not on a band between them."""
+    rng = np.random.default_rng([seed, 16])
+    datasets = random_dev_sets(seed)
+    last = datasets[-1]
+    n_segments = len(last.systems[0].segments) + int(rng.integers(1, 5))
+    unjudged = system_output("U", last.lang_pair,
+                             rng.uniform(-2.5, -0.1, n_segments).tolist())
+    datasets[-1] = assemble_dataset(last.systems + (unjudged,), last.human)
+    lp = LanguagePair.parse("xd-yy")
+    outputs, scores = [], {}
+    for i in range(int(rng.integers(5, 8))):
+        high = rng.random(12) < rng.uniform(0.1, 0.9)
+        means = np.where(high, rng.uniform(-0.35, -0.05, 12),
+                         rng.uniform(-1.4, -1.0, 12))
+        outputs.append(system_output(f"S{i}", lp, means.tolist()))
+        scores[("xd-yy", f"S{i}")] = float(high.mean() + rng.normal(0, 0.1))
+    datasets.append(assemble_dataset(outputs, HumanJudgments(scores)))
+    return datasets
+
+
 def brute_force_band(datasets, grid):
     """Argmax over the grid of meta-eval's weighted average of the
     thresholded system means; ties prefer smaller high, then larger low."""
@@ -431,6 +463,44 @@ class TestTuneThresholds:
                 tune_thresholds(datasets, grid)
         else:
             assert tune_thresholds(datasets, grid) == want
+
+    @pytest.mark.filterwarnings("ignore:correlation")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force_over_more_shapes(self, seed):
+        datasets = more_dev_sets(seed)
+        grid = list(np.linspace(-3.0, 0.0, 7))
+        # premises: an unjudged system with its own segment count, and a dev
+        # set degenerate on some bands only
+        unjudged = datasets[-2].systems[-1]
+        assert unjudged.system_name == "U"
+        assert len(unjudged.segments) > len(datasets[-2].systems[0].segments)
+        extra = datasets[-1]
+        human = scores_by_pair(extra.human.system_scores)["xd-yy"]
+
+        def r_on(low, high):
+            return correlate_pair(human, {
+                out.system_name: float(np.mean(threshold_value(
+                    mean_token_logprobs(out.token_scores), low, high)))
+                for out in extra.systems}, "xd-yy").r
+        assert r_on(-3.0, 0.0) is None and r_on(-3.0, -0.5) is not None
+        assert tune_thresholds(datasets, grid) == \
+            brute_force_band(datasets, grid)
+
+    def test_system_without_segments(self):
+        ds = make_threshold_dataset(SEPARATING_MIXES)
+        grid = [-3.0, -1.0, -0.6, 0.0]
+        empty = system_output("U", ds.lang_pair, [])
+        with_empty = EvalDataset(ds.lang_pair, ds.systems + (empty,),
+                                 ds.human)
+        # unjudged, it is left out like any unjudged system
+        with pytest.warns(UserWarning, match="clamped"):
+            assert tune_thresholds([with_empty], grid) == (-1.0, -0.6)
+        # judged, its score is NaN, the error correlate_pair names
+        judged = with_empty._replace(human=HumanJudgments(
+            {**ds.human.system_scores, ("xa-xb", "U"): 0.0}))
+        with pytest.raises(DomainError, match="^xa-xb: metric score of U is "
+                                              "not finite: nan$"):
+            tune_thresholds([judged], grid)
 
     def test_grid_validation(self):
         ds = make_threshold_dataset({
