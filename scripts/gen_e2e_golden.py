@@ -8,10 +8,10 @@ The chain runs ``peereval.cli.main`` in-process on the files of
     EM iterations;
   - ``toy-scorer score`` of two systems, one of them with tokens the table
     has never seen, and of the other again with an ``--ids`` sidecar;
-  - ``score`` with each of the six ``--method``s; token-mode regularization
-    over one system scored by both tables (two samples with the same
-    tokens); segment-mode regularization over the two scored systems as two
-    samples, and over one sample;
+  - ``score`` with each of the six ``--method``s; per-token averaging over
+    one system scored by both tables (two samples with the same tokens);
+    whole-segment averaging over the two scored systems as two samples
+    (their tokens differ), and the same methods over one sample;
   - ``toy-scorer score`` and ``score --lang-pair xa-xb`` (mean and median)
     of all six systems, the rows joined into two system score TSVs;
   - ``meta-eval`` (tsv and json, the median TSV as ``--baseline``) against
@@ -260,8 +260,7 @@ def _steps(systems):
         band = BAND if method == "threshold" else []
         steps.append((f"score-segment-{method}",
                       ["score", "--samples", "toy-score-a.jsonl",
-                       "toy-score-b.jsonl", "--sample-mode", "segment",
-                       "--method", method, *band], []))
+                       "toy-score-b.jsonl", "--method", method, *band], []))
     for method in METHODS:
         band = BAND if method == "threshold" else []
         steps.append((f"score-token-{method}",
@@ -271,8 +270,7 @@ def _steps(systems):
         band = BAND if method == "threshold" else []
         steps.append((f"score-segment1-{method}",
                       ["score", "--samples", "toy-score-b.jsonl",
-                       "--sample-mode", "segment", "--method", method, *band],
-                      []))
+                       "--method", method, *band], []))
     for system in systems:
         out = _system_path(system)
         steps.append((f"toy-score-{system}",

@@ -2,7 +2,9 @@
 
 Subcommands wire ingestion -> scoring -> meta-evaluation:
 
-  score            token-score files -> system score TSV
+  score            token-score files -> system score TSV; K samples are
+                   averaged per token, or per segment (sum, mean and
+                   threshold only) when some segment's tokens differ
   meta-eval        metric scores vs human judgments, per-pair + group report
   pairwise         pairwise ranking agreement tally
   bleu / chrf      corpus metrics over plain-text files
@@ -46,6 +48,7 @@ from .data import (
     read_score_table,
     same_segments,
     scores_by_pair,
+    tsv_line,
     write_lines,
     write_token_scores,
 )
@@ -64,8 +67,7 @@ def _read_text(path) -> list:
 
 def _write_rows(path, header, rows):
     """A TSV to ``path``, or to stdout when ``path`` is None."""
-    lines = ["\t".join(header)] + ["\t".join(str(c) for c in row)
-                                   for row in rows]
+    lines = [tsv_line(row) for row in (header, *rows)]
     if path is None:
         print("\n".join(lines))
     else:
@@ -127,26 +129,27 @@ def _cmd_score(args) -> int:
 
     lang_pair = str(LanguagePair.parse(args.lang_pair))
     method = args.method
-    if args.sample_mode == "segment" and method not in SEGMENT_MODE_METHODS:
-        raise ConfigError("--sample-mode segment supports "
-                          f"{', '.join(SEGMENT_MODE_METHODS)}; got {method}")
     # each file is sorted by seg_id and has no repeated id
     samples = [load_token_scores(p) for p in args.samples]
     seg_ids = same_segments({path: [s.seg_id for s in sample]
                              for path, sample in zip(args.samples, samples)})
-
-    if args.sample_mode == "segment" and len(samples) > 1:
+    groups = list(zip(*samples))
+    differ = next(((g[0].seg_id, path) for g in groups for path, s in
+                   zip(args.samples, g) if s.tokens != g[0].tokens), None)
+    if differ is None:
+        merged = samples[0] if len(samples) == 1 else [
+            scoring.regularize(group, "token") for group in groups]
+        values = [s.value for s in scoring.aggregate_segments(
+            merged, "mean" if method == "threshold" else method)]
+    elif method in SEGMENT_MODE_METHODS:
         values = [scoring.regularize(group, "segment",
                                      length_normalize=method != "sum").value
-                  for group in zip(*samples)]
+                  for group in groups]
     else:
-        merged = samples[0] if len(samples) == 1 else [
-            scoring.regularize(group, "token") for group in zip(*samples)]
-        if method == "threshold":
-            values = scoring.mean_token_logprobs(merged)
-        else:
-            values = [s.value for s in scoring.aggregate_segments(
-                merged, scoring.Aggregation(method))]
+        raise ConfigError(
+            f"segment {differ[0]}: {args.samples[0]} and {differ[1]} tokenize "
+            "it differently, so whole segments are averaged, which supports "
+            f"{', '.join(SEGMENT_MODE_METHODS)}; got {method}")
     if method == "threshold":
         values = scoring.threshold_value(values, args.low, args.high)
     sys_score = scoring.system_score(
@@ -522,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="aggregate token scores into a system score")
     p.add_argument("--samples", nargs="+", required=True,
-                   help="token-score JSONL files, one per regularization sample")
+                   help="token-score JSONL files, one per regularization "
+                        "sample, averaged per token, or per segment (sum, "
+                        "mean, threshold) when some segment's tokens differ")
     p.add_argument("--method", required=True,
                    choices=["sum", "mean", "median", "min", "negstd",
                             "threshold"])
@@ -530,12 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower confidence threshold (default -1.0)")
     p.add_argument("--high", type=float, default=-0.6,
                    help="upper confidence threshold (default -0.6)")
-    p.add_argument("--sample-mode", choices=["token", "segment"],
-                   default="token",
-                   help="token: average per-token log-probs over samples "
-                        "with the same tokens (any method); segment: average "
-                        "segment log-probs (methods: "
-                        + ", ".join(SEGMENT_MODE_METHODS) + ")")
     p.add_argument("--system", default="system")
     p.add_argument("--lang-pair", default="xx-yy",
                    help="written in lower case (DE-EN as de-en)")

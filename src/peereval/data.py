@@ -16,6 +16,8 @@ Wire formats:
     ``score`` (system level), plus ``seg`` (segment level). Columns are
     matched by name, in any order; other columns are ignored.
     ``read_score_table`` is the one reader, ``scores_by_pair`` the one split.
+    Every TSV file the package writes is built by ``tsv_line``, which
+    refuses a field that holds a tab, LF or CR.
   * segment ids: inputs that are compared segment by segment (the samples
     of one system, the systems of one pair that the human scores name, a
     metric file and a human file, a source and a target) must cover the
@@ -220,6 +222,17 @@ def write_lines(path, lines: Iterable) -> None:
                           "encoded as UTF-8") from None
     with open(path, "wb") as fh:
         fh.write(data)
+
+
+def tsv_line(fields: Iterable, what: str = "field") -> str:
+    """The ``str`` of each of ``fields``, joined by tabs: a TSV line that
+    ``read_lines`` and a split at tabs give back as these fields. A field
+    holding a tab, LF or CR is a DomainError naming it as ``what``."""
+    fields = [str(f) for f in fields]
+    for field in fields:
+        if "\t" in field or "\n" in field or "\r" in field:
+            raise DomainError(f"{what} {field!r} not representable in TSV")
+    return "\t".join(fields)
 
 
 def load_token_scores(path) -> list:

@@ -684,14 +684,18 @@ def subsample_correlations(human_scores: Mapping[str, float],
     and each kept system's score is its subset mean. Each draw is scored by
     ``correlate_pair``, and the size maps to that ``CorrelationResult`` with
     r the mean over its draws, or None when some draw has no correlation
-    (constant scores, or fewer than 2 kept systems). A size given twice is
-    a ConfigError; the other errors name ``lang_pair``.
+    (constant scores, or fewer than 2 kept systems). The kept systems'
+    segment scores must be as long as each other. A size given twice is a
+    ConfigError; the other errors name ``lang_pair``.
     """
     import numpy as np
 
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
+    if len({len(metric_segment_scores[s]) for s in kept}) > 1:
+        raise InsufficientDataError(
+            f"{_prefix(lang_pair)}segment score vectors differ in length")
     matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
                        for s in kept])
     n_segments = matrix.shape[1]

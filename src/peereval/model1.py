@@ -22,6 +22,7 @@ from .data import (
     build_records,
     logprob_array_ok,
     read_lines,
+    tsv_line,
     write_lines,
 )
 from .errors import DomainError, ParseError
@@ -164,7 +165,7 @@ def score_corpus(table: LexicalTable, pairs: Sequence,
 
 def save_lexical_table(table: LexicalTable, path) -> None:
     """Write the entries of at least SAVE_MIN_PROB. A written token that
-    holds a tab or a newline is a DomainError, and no file is written."""
+    holds a tab or a line break is a DomainError, and no file is written."""
     inv_src = {i: s for s, i in table.source_index.items()}
     inv_tgt = {i: t for t, i in table.target_index.items()}
     rows, cols = np.nonzero(table.probs >= SAVE_MIN_PROB)
@@ -172,11 +173,7 @@ def save_lexical_table(table: LexicalTable, path) -> None:
         (inv_tgt[r], inv_src[c], table.probs[r, c])
         for r, c in zip(rows.tolist(), cols.tolist())
     )
-    for tgt, src, _ in entries:
-        for token in (tgt, src):
-            if "\t" in token or "\n" in token:
-                raise DomainError(f"token {token!r} not representable in TSV")
-    write_lines(path, (f"{tgt}\t{src}\t{float(prob)!r}"
+    write_lines(path, (tsv_line((tgt, src, repr(float(prob))), "token")
                        for tgt, src, prob in entries))
 
 

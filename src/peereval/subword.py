@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import read_lines, write_lines
+from .data import read_lines, tsv_line, write_lines
 from .errors import ConfigError, CoverageError, DomainError, ParseError
 
 
@@ -285,10 +285,9 @@ def train_unigram(corpus: Sequence[str], vocab_size: int, rounds: int = 10,
 # ---------------------------------------------------------------------------
 
 def save_unigram_model(model: UnigramSubwordModel, path) -> None:
-    for piece in model.vocab:
-        if "\t" in piece or "\n" in piece:
-            raise DomainError(f"piece {piece!r} not representable in TSV")
-    write_lines(path, (f"{piece}\t{model.vocab[piece]!r}"
+    """A piece that holds a tab or a line break is a DomainError, and no
+    file is written."""
+    write_lines(path, (tsv_line((piece, repr(model.vocab[piece])), "piece")
                        for piece in sorted(model.vocab)))
 
 

@@ -13,7 +13,12 @@ import test_cli_fuzz
 import test_e2e
 
 from peereval import cli, ngram, synthetic
-from peereval.data import TokenScoredSegment, write_token_scores
+from peereval.data import (
+    SYSTEM_KEYS,
+    TokenScoredSegment,
+    read_score_table,
+    write_token_scores,
+)
 
 
 def test_toy_scorer_to_meta_eval(tmp_path):
@@ -302,10 +307,11 @@ def test_score_threshold_modes(tmp_path, capsys):
     assert cli.main(["score", "--samples", a, b,
                      "--method", "threshold"]) == 0
     assert system_score_of(capsys) == ["0.0", "4"]
-    # segment mode: mean sum / mean length gives -1/3, -4/3, -1 (boundary),
+    # a and c tokenize every segment differently, so whole segments are
+    # averaged: mean sum / mean length gives -1/3, -4/3, -1 (boundary),
     # -1.5 -> +1, -1, 0, -1
-    assert cli.main(["score", "--samples", a, c, "--method", "threshold",
-                     "--sample-mode", "segment"]) == 0
+    assert cli.main(["score", "--samples", a, c,
+                     "--method", "threshold"]) == 0
     assert system_score_of(capsys) == ["-0.25", "4"]
     assert cli.main(["score", "--samples", a, "--method", "threshold",
                      "--low", "-0.6", "--high", "-1.0"]) == 1
@@ -1140,23 +1146,91 @@ def test_bad_numeric_argument_is_one_error_line(tmp_path, capsys, command,
     assert re.fullmatch(f"error: [^\n]* got {re.escape(got)}\n", captured.err)
 
 
-def test_score_segment_mode_checks_the_method_for_any_sample_count(
-        tmp_path, capsys):
-    a = write_samples(tmp_path / "a.jsonl", [[-0.25, -0.5], [-2.0], [-0.75]])
-    b = write_samples(tmp_path / "b.jsonl", [[-0.5], [-1.0, -1.0], [-1.5]])
-    for samples in ([a], [a, b]):
-        assert cli.main(["score", "--samples", *samples, "--method", "median",
-                         "--sample-mode", "segment"]) == 1
-        assert capsys.readouterr().err == (
-            "error: --sample-mode segment supports sum, mean, threshold; "
-            "got median\n")
-    # one sample: segment mode scores as token mode does
-    for method in ("sum", "mean", "threshold"):
-        assert cli.main(["score", "--samples", a, "--method", method]) == 0
-        token_mode = capsys.readouterr().out
-        assert cli.main(["score", "--samples", a, "--method", method,
-                         "--sample-mode", "segment"]) == 0
-        assert capsys.readouterr().out == token_mode
+def other_token_samples(tmp_path):
+    """Samples a and b with the same tokens; d tokenizes segment 2 unlike
+    them, c every segment."""
+    return (write_samples(tmp_path / "a.jsonl",
+                          [[-0.25, -0.25], [-2.0], [-0.75, -0.75], [-0.5]]),
+            write_samples(tmp_path / "b.jsonl",
+                          [[-1.75, -1.75], [-0.5], [-0.25, -0.25], [-1.5]]),
+            write_samples(tmp_path / "c.jsonl",
+                          [[-0.5], [-1.0, -1.0], [-1.5], [-2.0, -2.0]]),
+            write_samples(tmp_path / "d.jsonl",
+                          [[-1.75, -1.75], [-0.5], [-0.25], [-1.5]]))
+
+
+# per segment, regularize(group, "segment", length_normalize=method != "sum")
+@pytest.mark.parametrize("files, method, score", [
+    ("ac", "sum", "-1.5625"),
+    ("ac", "mean", "-1.0416666666666665"),
+    ("ac", "threshold", "-0.25"),
+    ("ad", "sum", "-1.28125"),
+    ("ad", "mean", "-0.9583333333333334"),
+    ("ad", "threshold", "0.0"),
+    ("abd", "sum", "-1.3541666666666667"),
+    ("abd", "mean", "-0.9666666666666668"),
+    ("abd", "threshold", "-0.25"),
+])
+def test_score_averages_whole_segments_when_tokens_differ(
+        tmp_path, capsys, files, method, score):
+    paths = dict(zip("abcd", other_token_samples(tmp_path)))
+    assert cli.main(["score", "--samples", *(paths[f] for f in files),
+                     "--method", method]) == 0
+    assert capsys.readouterr().out == (
+        "system\tlang_pair\tscore\tn_segments\n"
+        f"system\txx-yy\t{score}\t4\n")
+
+
+def test_score_whole_segment_averaging_checks_the_method(tmp_path, capsys):
+    a, b, c, d = other_token_samples(tmp_path)
+    for samples, seg_id, other in (([a, c], 0, c), ([a, d], 2, d),
+                                   ([a, b, d], 2, d), ([b, a, c], 0, c)):
+        for method in ("median", "min", "negstd"):
+            assert cli.main(["score", "--samples", *samples,
+                             "--method", method]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: segment {seg_id}: {samples[0]} and {other} tokenize "
+                "it differently, so whole segments are averaged, which "
+                f"supports sum, mean, threshold; got {method}\n")
+    # one sample, or samples with the same tokens, take any method
+    for samples in ([a], [c], [a, b], [a, b, a]):
+        for method in ("median", "min", "negstd"):
+            assert cli.main(["score", "--samples", *samples,
+                             "--method", method]) == 0
+            capsys.readouterr()
+
+
+# aggregate_segments over regularize(group, "token"), or over e alone
+SAME_TOKEN_SCORES = {
+    1: {"sum": -3.2916666666666665, "mean": -1.0625,
+        "median": -0.8541666666666666, "min": -2.1666666666666665,
+        "negstd": -0.8179476447852179, "threshold": -0.6666666666666666},
+    2: {"sum": -3.0625, "mean": -0.9895833333333334,
+        "median": -0.8854166666666666, "min": -1.5416666666666667,
+        "negstd": -0.38896023310151095, "threshold": -0.3333333333333333},
+    3: {"sum": -2.9861111111111107, "mean": -0.9652777777777777,
+        "median": -0.923611111111111, "min": -1.402777777777778,
+        "negstd": -0.3241995260299167, "threshold": -0.3333333333333333},
+}
+
+
+@pytest.mark.parametrize("method", ["sum", "mean", "median", "min",
+                                    "negstd", "threshold"])
+def test_score_averages_per_token_when_tokens_agree(tmp_path, capsys,
+                                                     method):
+    e = write_samples(tmp_path / "e.jsonl", [
+        [-0.25, -1.5, -0.5], [-2.0, -0.125], [-0.75, -3.0, -0.5, -1.25]])
+    f = write_samples(tmp_path / "f.jsonl", [
+        [-1.0, -0.5, -0.75], [-0.25, -1.5], [-0.5, -2.0, -0.25, -1.75]])
+    for samples in ([e], [e, f], [e, f, f]):
+        assert cli.main(["score", "--samples", *samples,
+                         "--method", method]) == 0
+        score, n_segments = system_score_of(capsys)
+        assert n_segments == "3"
+        assert float(score) == pytest.approx(
+            SAME_TOKEN_SCORES[len(samples)][method], rel=1e-12, abs=0)
 
 
 def test_score_names_the_first_sample_file_over_other_seg_ids(
@@ -1169,12 +1243,56 @@ def test_score_names_the_first_sample_file_over_other_seg_ids(
     d = str(tmp_path / "d.jsonl")
     write_token_scores(d, [TokenScoredSegment(i, ["t0"], [-1.0])
                            for i in (0, 1)])
-    for mode in ("token", "segment"):
-        for samples, bad in (([a, b, c], c), ([a, c, d], c), ([a, d], d)):
-            assert cli.main(["score", "--samples", *samples, "--method",
-                             "mean", "--sample-mode", mode]) == 1
+    # e tokenizes segment 0 unlike a: seg ids are checked before tokens
+    e = write_samples(tmp_path / "e.jsonl", [[-0.5, -0.5], [-1.0], [-1.5]])
+    for samples, bad in (([a, b, c], c), ([a, c, d], c), ([a, d], d),
+                         ([a, e, c], c), ([a, e, d], d)):
+        for method in ("mean", "median"):
+            assert cli.main(["score", "--samples", *samples,
+                             "--method", method]) == 1
             assert capsys.readouterr().err == (
                 f"error: {bad} and {a} cover different segments\n")
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_score_refuses_a_system_name_its_tsv_cannot_hold(tmp_path, capsys,
+                                                         name, to_file):
+    a = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0]])
+    out = tmp_path / "out.tsv"
+    output = ["-o", str(out)] if to_file else []
+    assert cli.main(["score", "--samples", a, "--method", "mean",
+                     "--system", name, *output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field {name!r} not representable in TSV\n"
+    assert not out.exists()
+
+
+def test_score_table_of_any_system_name_reads_back(tmp_path):
+    # spaces, other control characters and backslashes are names a score
+    # TSV holds
+    a = write_samples(tmp_path / "a.jsonl", [[-0.5], [-1.0]])
+    for name in ("a b", "ü\x0bv", "x\\ty"):
+        out = tmp_path / "out.tsv"
+        assert cli.main(["score", "--samples", a, "--method", "mean",
+                         "--system", name, "-o", str(out)]) == 0
+        (row,) = read_score_table(out, SYSTEM_KEYS).items()
+        assert row == (("xx-yy", name), -0.75)
+
+
+def test_cross_bleu_refuses_a_basename_its_tsv_cannot_hold(tmp_path,
+                                                           capsys):
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "a\tb.txt"
+    for path in (good, bad):
+        path.write_text("the cat sat\n")
+    out = tmp_path / "out.tsv"
+    assert cli.main(["cross-bleu", "--outputs", str(good), str(bad),
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: field 'a\\tb' not representable in TSV\n"
+    assert not out.exists()
 
 
 def test_score_on_an_empty_sample_is_an_error(tmp_path, capsys):

@@ -41,9 +41,9 @@ def segment_tsv(step, pairs=(("de-en", SYSTEMS, 6),)):
                 for seg in range(n_segments)])
 
 
-def jsonl(shift):
+def jsonl(shift, token="u"):
     return "".join(
-        f'{{"seg": {seg}, "tokens": ["t{seg}", "u"], '
+        f'{{"seg": {seg}, "tokens": ["t{seg}", "{token}"], '
         f'"logp": [{-0.25 * (seg + 1) - shift!r}, {-1.5 - shift!r}]}}\n'
         for seg in range(4))
 
@@ -69,9 +69,8 @@ CASES = [
     ("score", ["score", "--samples", "a.jsonl", "--method", "mean"],
      {"a.jsonl": jsonl(0)}),
     ("score-threshold-segment",
-     ["score", "--samples", "a.jsonl", "b.jsonl", "--method", "threshold",
-      "--sample-mode", "segment"],
-     {"a.jsonl": jsonl(0), "b.jsonl": jsonl(0.125)}),
+     ["score", "--samples", "a.jsonl", "b.jsonl", "--method", "threshold"],
+     {"a.jsonl": jsonl(0), "b.jsonl": jsonl(0.125, "v")}),
     ("score-median-token",
      ["score", "--samples", "a.jsonl", "b.jsonl", "--method", "median"],
      {"a.jsonl": jsonl(0), "b.jsonl": jsonl(0.125)}),

@@ -19,6 +19,7 @@ from peereval.data import (
     read_score_table,
     same_segments,
     scores_by_pair,
+    tsv_line,
     write_lines,
     write_token_scores,
 )
@@ -636,6 +637,28 @@ class TestLines:
                                  "cannot be encoded as UTF-8$"):
             write_lines(path, ["a", "b\udcff", "c"])
         assert path.read_bytes() == b"old\n"
+
+    def test_tsv_line_joins_fields_that_read_back(self, tmp_path):
+        fields = ["ü", "", 3, -0.5, "a b\x0b", "x\\ty"]
+        line = tsv_line(fields)
+        assert line == "ü\t\t3\t-0.5\ta b\x0b\tx\\ty"
+        path = tmp_path / "out.tsv"
+        write_lines(path, [line])
+        assert read_lines_with_ids(path)[0][1].split("\t") == \
+            [str(f) for f in fields]
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "\r", "b\n"])
+    def test_tsv_line_refuses_a_field_it_cannot_hold(self, tmp_path, bad):
+        with pytest.raises(DomainError,
+                           match=f"^field {re.escape(repr(bad))} not "
+                                 "representable in TSV$"):
+            tsv_line(["a", bad, "c"])
+        with pytest.raises(DomainError, match=f"^piece {re.escape(repr(bad))}"):
+            tsv_line([bad], "piece")
+        path = tmp_path / "out.tsv"
+        with pytest.raises(DomainError):
+            write_lines(path, (tsv_line(row) for row in (["a"], [bad])))
+        assert not path.exists()
 
     def test_unrepresentable_piece_writes_nothing(self, tmp_path):
         model = subword.UnigramSubwordModel({"a": -1.0, "a\tb": -2.0})

@@ -918,6 +918,20 @@ class TestSubsample:
         assert subsample_correlations(
             human, {**metric, "x": np.full(200, 9.0)}, [50], draws=3) == want
 
+    def test_kept_systems_of_other_lengths_rejected(self):
+        human = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4, "e": 0.5}
+        metric = {"a": [1, 2, 3], "b": [1, 2], "c": [2, 3, 4],
+                  "d": [3, 4, 5], "e": [4, 5, 6]}
+        with pytest.raises(InsufficientDataError,
+                           match="^de-en: segment score vectors differ in "
+                                 "length$"):
+            subsample_correlations(human, metric, [1], lang_pair="de-en")
+        # a system without a human score is not kept, so its length is free
+        metric["b"] = [2, 3, 4]
+        assert subsample_correlations(
+            human, {**metric, "x": [1.0]}, [2], draws=2) == \
+            subsample_correlations(human, metric, [2], draws=2)
+
     def test_oversize_rejected(self):
         human, metric = self.make_fixture(n_segs=50)
         with pytest.raises(DomainError, match="^de-en: subset size 51"):
