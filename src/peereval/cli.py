@@ -66,8 +66,17 @@ def _read_text(path) -> list:
 
 
 def _write_rows(path, header, rows):
-    """A TSV to ``path``, or to stdout when ``path`` is None."""
-    lines = [tsv_line(row) for row in (header, *rows)]
+    """A TSV to ``path``, or to stdout when ``path`` is None. A field the
+    TSV cannot hold is a DomainError naming ``path:line`` of its row, as
+    ``write_lines`` names a line it cannot encode."""
+    lines = []
+    try:
+        for row in (header, *rows):
+            lines.append(tsv_line(row))
+    except DomainError as exc:
+        if path is None:
+            raise
+        raise DomainError(f"{path}:{len(lines) + 1}: {exc}") from None
     if path is None:
         print("\n".join(lines))
     else:

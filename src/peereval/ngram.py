@@ -171,9 +171,27 @@ def _ngram_counts(seq: Sequence, max_order: int) -> List[Dict[str, int]]:
 def _clipped_matches(h_counts: List[Dict[str, int]],
                      r_counts: List[Dict[str, int]]) -> List[int]:
     """Per order, the sum over n-grams of min(count in h, count in r),
-    summed in C. It is symmetric in ``h_counts`` and ``r_counts``."""
-    return [sum(map(min, h.values(), map(r.get, h, repeat(0))))
-            for h, r in zip(h_counts, r_counts)]
+    summed in C. It is symmetric in ``h_counts`` and ``r_counts``.
+
+    Each side's length is the sum of its order-1 counts, so its number of
+    n-grams at order index n is max(length - n, 0). A side with that many
+    keys repeats no n-gram there: every shared n-gram clips to 1 and the
+    sum is the size of the key intersection. Otherwise min(a, b) =
+    (a + b - |a - b|) / 2, summed over the keys of h.
+    """
+    h_length = sum(h_counts[0].values())
+    r_length = sum(r_counts[0].values())
+    matches = []
+    for n, (h, r) in enumerate(zip(h_counts, r_counts)):
+        h_total = max(h_length - n, 0)
+        if len(h) == h_total or len(r) == max(r_length - n, 0):
+            matches.append(len(h.keys() & r.keys()))
+        else:
+            r_values = list(map(r.get, h, repeat(0)))
+            differences = map(abs, map(operator.sub, h.values(), r_values))
+            matches.append(
+                (h_total + sum(r_values) - sum(differences)) // 2)
+    return matches
 
 
 def _corpus_stats(texts: Sequence[Sequence[str]],

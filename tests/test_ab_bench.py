@@ -1,15 +1,24 @@
-"""The summary of ``scripts/ab_bench.py``, on made-up runs: no benchmark
-runs here."""
+"""The summary of ``scripts/ab_bench.py`` and the parts it shares through
+``scripts/bench_common.py``, on made-up runs: no benchmark runs here."""
 
 import importlib.util
 import os
+import sys
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                      "scripts", "ab_bench.py")
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "scripts")
+SCRIPT = os.path.join(SCRIPTS, "ab_bench.py")
+# the run environment and the digest check, shared with bench_record.py
+COMMON = os.path.join(SCRIPTS, "bench_common.py")
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
+def load_script(path=SCRIPT):
+    """The script at ``path`` as a module; it imports ``bench_common`` from
+    its own directory, as it does when run."""
+    if SCRIPTS not in sys.path:
+        sys.path.insert(0, SCRIPTS)
+    name = os.path.splitext(os.path.basename(path))[0]
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -65,14 +74,14 @@ def test_worse_past_bound_on_made_up_runs():
 
 
 def test_every_run_pins_bytecode_writing_off():
-    bench_env = load_script().bench_env
+    bench_env = load_script(COMMON).bench_env
     assert bench_env({"PYTHONDONTWRITEBYTECODE": "", "HOME": "/h"}) == {
         "PYTHONDONTWRITEBYTECODE": "1", "HOME": "/h"}
     assert bench_env({}) == {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_golden_digests_compared_on_made_up_lines():
-    script = load_script()
+    script = load_script(COMMON)
     parent = script.parse_digests("a.tsv\t01\nb:out.json\t02\nc\t03\n")
     assert parent == {"a.tsv": "01", "b:out.json": "02", "c": "03"}
     assert script.differing_outputs(parent, dict(parent)) == []

@@ -1265,7 +1265,10 @@ def test_score_refuses_a_system_name_its_tsv_cannot_hold(tmp_path, capsys,
                      "--system", name, *output]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: field {name!r} not representable in TSV\n"
+    # the row, line 2 of the output file, is named with the file
+    where = f"{out}:2: " if to_file else ""
+    assert captured.err == \
+        f"error: {where}field {name!r} not representable in TSV\n"
     assert not out.exists()
 
 
@@ -1290,8 +1293,9 @@ def test_cross_bleu_refuses_a_basename_its_tsv_cannot_hold(tmp_path,
     out = tmp_path / "out.tsv"
     assert cli.main(["cross-bleu", "--outputs", str(good), str(bad),
                      "-o", str(out)]) == 1
+    # the basename is a column of the header, line 1
     assert capsys.readouterr().err == \
-        "error: field 'a\\tb' not representable in TSV\n"
+        f"error: {out}:1: field 'a\\tb' not representable in TSV\n"
     assert not out.exists()
 
 

@@ -36,8 +36,8 @@ def assert_same_output(name, got, want):
 
 
 @pytest.fixture(scope="module")
-def chain_outputs(tmp_path_factory):
-    return load_script().run_chain(tmp_path_factory.mktemp("e2e"))
+def chain_outputs(golden_chain):
+    return golden_chain[1]
 
 
 @pytest.fixture(scope="module")

@@ -42,11 +42,10 @@ SEEDS = range(5)
 
 
 @pytest.fixture(scope="module")
-def chain(tmp_path_factory):
+def chain(golden_chain):
     """(directory the golden chain ran in, its systems, the checked steps,
     their outputs there)."""
-    workdir = tmp_path_factory.mktemp("chain")
-    outputs = GOLDEN.run_chain(workdir)
+    workdir, outputs = golden_chain
     systems = sorted(path.stem for path in (
         workdir / GOLDEN.SCORES_DIR / GOLDEN.LANG_PAIR).iterdir())
     per_system = {f"score-{method}-{system}" for method in ("mean", "median")

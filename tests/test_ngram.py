@@ -388,6 +388,42 @@ def test_token_ngrams_whose_concatenations_coincide_do_not_match():
     assert ngram._clipped_matches(h_counts, r_counts) == [0, 0]
 
 
+def test_clipped_matches_equal_counter_intersection_on_random_sequences():
+    # Few distinct symbols, so that each way of summing an order runs many
+    # times: the key intersection, when one side repeats no n-gram at that
+    # order, and min(a, b) = (a + b - |a - b|) / 2, when both do.
+    rng = random.Random(20261021)
+    cases = Counter()
+    for _ in range(600):
+        max_order = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            symbols = "ab" if rng.random() < 0.5 else "abcd"
+            seqs = ["".join(rng.choice(symbols)
+                            for _ in range(rng.randint(0, 12)))
+                    for _ in range(2)]
+        else:
+            symbols = ("x", "yz") if rng.random() < 0.5 else ("x", "yz", "w")
+            seqs = [[rng.choice(symbols) for _ in range(rng.randint(0, 8))]
+                    for _ in range(2)]
+        want = []
+        for n in range(1, max_order + 1):
+            h, r = (Counter(tuple(seq[i:i + n])
+                            for i in range(len(seq) - n + 1)) for seq in seqs)
+            want.append(sum((h & r).values()))
+            repeats = [sum(c.values()) > len(c) for c in (h, r)]
+            cases["both repeat" if all(repeats) else "one does not"] += 1
+        cases["shorter than the top order"] += min(map(len, seqs)) < max_order
+        cases["empty"] += min(map(len, seqs)) == 0
+        h_counts, r_counts = (ngram._ngram_counts(seq, max_order)
+                              for seq in seqs)
+        assert ngram._clipped_matches(h_counts, r_counts) == want, seqs
+        assert ngram._clipped_matches(r_counts, h_counts) == want, seqs
+    assert cases["both repeat"] > 300, cases
+    assert cases["one does not"] > 300, cases
+    assert cases["shorter than the top order"] > 100, cases
+    assert cases["empty"] > 20, cases
+
+
 def test_each_text_is_split_once(monkeypatch):
     calls = Counter()
 
