@@ -11,9 +11,15 @@ Every tokenizer ends in ``str.split``, so no token holds whitespace and two
 different token n-grams never share a key. A sequence of length L has
 max(L - n + 1, 0) n-grams of order n, so ``_totals`` computes a text's
 n-gram totals once, from its lengths. Clipped matches, the sum over shared
-n-grams of the smaller count, are symmetric in hypothesis and reference, so
-they are taken once per unordered pair of texts: one pair for BLEU and
-chrF, every pair of systems for the cross-BLEU matrix.
+n-grams of the smaller count, are summed per order in C, with no Python
+step per n-gram: where one side repeats no n-gram of that order (its dict
+has a key per n-gram), each shared n-gram clips to 1 and the sum is the
+size of the key intersection; elsewhere min(a, b) = (a + b - |a - b|) / 2
+makes it sums of counts and of absolute differences. The counts are
+integers, so the sums are exact. Clipped matches are symmetric in
+hypothesis and reference, so they are taken once per unordered pair of
+texts: one pair for BLEU and chrF, every pair of systems for the
+cross-BLEU matrix.
 
 BLEU follows the de-facto standard corpus formulation: clipped modified
 n-gram precisions accumulated over the corpus, geometric mean over the
