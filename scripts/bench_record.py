@@ -2,7 +2,7 @@
 """Record the benchmark of one version of the repository in a BENCH file.
 
     python3 scripts/bench_record.py HEAD --seeds 1-5 --seconds 20 \\
-        -o BENCH_33.json
+        -o BENCH_<n>.json
 
 TREE is a git revision of this repository or a directory holding a copy of
 it. It is exported where ``ab_bench.py`` exports its change side
@@ -11,7 +11,7 @@ comparison. Every workload of the tree's ``BENCHMARK.json`` runs
 ``perfbench/run.py --trace 0`` at each seed, then once with ``--trace 1``
 at the first seed; every run has ``PINNED_ENV`` in its environment. Then
 ``scripts/gen_e2e_golden.py --digest`` runs in the tree. Five seeds of 20-s
-runs take about 8 minutes.
+runs take about 7 minutes on a 2-core host.
 
 The JSON file holds the revision and whether the tree differs from it; the
 Python and numpy versions, ``os.cpu_count()`` and the pinned environment;
