@@ -19,11 +19,11 @@ full float precision, printed tables use 3 decimals.
 
 Each subcommand imports scoring, metaeval, model1, subword or numpy itself,
 so that only a subcommand that runs numpy loads it: the text subcommands
-(bleu, chrf, cross-bleu) and meta-eval, whose system-level statistics run
-on the standard library, never do; score, pairwise, subsample,
-tune-thresholds, subword and toy-scorer do. The
-CLI's own import loads no dataclasses (records are namedtuples) and no json
-(only the JSONL reader and writer and ``meta-eval --format json`` use it).
+(bleu, chrf, cross-bleu), meta-eval and pairwise, whose statistics run on
+the standard library, never do; score, subsample, tune-thresholds, subword
+and toy-scorer do. The CLI's own import loads no dataclasses (records are
+namedtuples) and no json (only the JSONL reader and writer and
+``meta-eval --format json`` use it).
 """
 
 from __future__ import annotations

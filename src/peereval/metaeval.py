@@ -6,19 +6,20 @@ test for the difference of two correlations sharing the human variable,
 pairwise system comparisons (rank-sum on human, paired t on metric), and
 test-set-size subsampling curves.
 
-The system-level half (the MAD filter, Pearson, the Fisher average and the
-Williams test) runs on the standard library alone, so importing this module
-loads no numpy. Only the segment-level functions import numpy, where they
-run: the rank-sum and paired t tests behind ``pairwise_compare`` and the
-draws of ``subsample_correlations``. The Student-t tail is the regularized
+Everything but the seeded draws of ``subsample_correlations`` runs on the
+standard library: the MAD filter, Pearson, the Fisher average, the Williams
+test, and the rank-sum and paired t tests behind ``pairwise_compare``. So
+importing this module loads no numpy, and only ``subsample_correlations``
+imports it, where it runs. The Student-t tail is the regularized
 incomplete beta, evaluated as a modified-Lentz continued fraction
-(``t_sf``); the normal tail is ``erfc`` (``norm_sf``); ranks are midranks
-(``midranks``); and the exact rank-sum null is a subset-count DP over rank
-sums (``ranksum_exact_p``).
+(``t_sf``); the normal tail is ``erfc`` (``norm_sf``); ranks are midranks,
+taken from a tally of the values (``midranks``); and the exact rank-sum
+null counts k-subsets of the ranks in Python integers (``ranksum_exact_p``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -289,45 +290,50 @@ def norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def midranks(values):
-    """Of a float array: the 1-based ranks, ties sharing the mean of their
-    ranks, and the size of each run of equal values (in sorted order).
+def midranks(counts: Mapping[float, int]) -> Dict[float, float]:
+    """Of a tally {value: how often it occurs}: each value's 1-based
+    midrank, the mean of the ranks its run of equal values takes in sorted
+    order.
 
-    A stable argsort orders the values; runs start where a sorted value
-    differs from its predecessor, and the run over sorted positions
-    [i, j) gets the rank (i + j + 1) / 2.
+    A value with ``below`` smaller values and a run of ``run`` takes the
+    ranks below + 1 .. below + run, so its midrank is (below + end + 1) / 2
+    with end = below + run: a ratio of integers, exact in floats. Only the
+    distinct values are sorted; ``midranks(Counter(values))`` ranks a
+    sample, and the rank-sum test ranks two from their merged tallies.
     """
-    import numpy as np
-
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    run_lengths = np.diff(np.r_[starts, len(values)])
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat((2 * starts + run_lengths + 1) / 2.0,
-                             run_lengths)
-    return ranks, run_lengths
+    values = sorted(counts)
+    runs = list(map(counts.__getitem__, values))
+    twice = map(operator.add, itertools.accumulate(runs),
+                itertools.accumulate(runs, initial=1))
+    return dict(zip(values, map(operator.truediv, twice,
+                                itertools.repeat(2))))
 
 
-def _ranksum_null_cdf(k: int, n: int):
+@functools.lru_cache(maxsize=32)
+def _ranksum_null_cdf(k: int, n: int) -> tuple:
     """cdf[s]: how many k-subsets of the ranks 1..n sum to at most s, for s
     up to the mean k (n + 1) / 2 (the null is symmetric about it).
 
-    A subset-count DP: count[j, s] is the number of j-subsets of the ranks
-    added so far that sum to s. Adding rank r adds count[j - 1, s - r] to
-    count[j, s], for all j and s at once in int64 (C(50, 25) is about
-    1.3e14, far inside).
+    A k-subset's sum less the least sum k (k + 1) / 2 counts the partitions
+    that fit in a k by (n - k) box, so the counts are the coefficients of
+    the Gaussian binomial, the product over i = 1..k of
+    (1 - q^(n-k+i)) / (1 - q^i). Each factor is one pass over the
+    coefficients up to the mean, in Python integers (exact at any n):
+    dividing by 1 - q^i is a running sum along every i-th coefficient, and
+    multiplying by 1 - q^(n-k+i) subtracts the coefficients shifted up by
+    n - k + i. Neither step reads a higher coefficient, so dropping those
+    changes none below. Cached: every pair of a ``pairwise_compare`` call
+    has the same (k, n).
     """
-    import numpy as np
-
-    top = k * (n + 1) // 2
-    count = np.zeros((k + 1, top + 1), dtype=np.int64)
-    count[0, 0] = 1
-    for rank in range(1, min(n, top) + 1):
-        # numpy copies the overlapping right-hand side first, so every
-        # count on the right is from before this rank was added
-        count[1:, rank:] += count[:-1, :top + 1 - rank]
-    return np.cumsum(count[k])
+    least = k * (k + 1) // 2
+    top = k * (n + 1) // 2 - least
+    coef = [1] + [0] * top
+    for i in range(1, k + 1):
+        for start in range(i):
+            coef[start::i] = itertools.accumulate(coef[start::i])
+        shift = n - k + i
+        coef[shift:] = map(operator.sub, coef[shift:], coef[:top + 1 - shift])
+    return (0,) * least + tuple(itertools.accumulate(coef))
 
 
 def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
@@ -335,10 +341,10 @@ def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
     size ``n1`` against ``n2`` others.
 
     Under the null every n1-subset of the ranks 1..n is equally likely; the
-    counts come from the subset-count DP in ``_ranksum_null_cdf``, run on
-    the smaller sample, whose rank sum lies as far from its mean as w does
-    from n1 (n + 1) / 2. The null is symmetric, so p is twice the share of
-    sums at or below mean - |deviation|; it is 1 when w is the mean.
+    counts of rank sums come from ``_ranksum_null_cdf``, run on the smaller
+    sample, whose rank sum lies as far from its mean as w does from
+    n1 (n + 1) / 2. The null is symmetric, so p is twice the share of sums
+    at or below mean - |deviation|; it is 1 when w is the mean.
     """
     n = n1 + n2
     k = min(n1, n2)
@@ -347,7 +353,7 @@ def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
     if dev2 == 0:
         return 1.0
     low = (k * (n + 1) - dev2) // 2
-    return 2 * int(_ranksum_null_cdf(k, n)[low]) / math.comb(n, k)
+    return 2 * _ranksum_null_cdf(k, n)[low] / math.comb(n, k)
 
 
 def williams_test(r1h: float, r2h: float, r12: float,
@@ -393,6 +399,34 @@ def williams_test(r1h: float, r2h: float, r12: float,
 EXACT_RANKSUM_MAX_N = 25
 
 
+def _ranksum(x_counts: Counter, y_counts: Counter, n1: int,
+             n2: int) -> Tuple[float, float]:
+    """``wilcoxon_ranksum`` of two samples of sizes n1 and n2, without NaN,
+    given as tallies {value: how often it occurs}."""
+    counts = dict(x_counts)
+    for value, m in y_counts.items():
+        counts[value] = counts.get(value, 0) + m
+    ranks = midranks(counts)
+    # products and sums of half-integers far below 2**52: W is exact
+    w = sum(map(operator.mul, x_counts.values(),
+                map(ranks.__getitem__, x_counts)))
+
+    n = n1 + n2
+    if len(counts) == n and n1 <= EXACT_RANKSUM_MAX_N \
+            and n2 <= EXACT_RANKSUM_MAX_N:
+        return w, ranksum_exact_p(int(w), n1, n2)
+
+    mean_w = n1 * (n + 1) / 2.0
+    # the sum over runs of m**3 - m, the m summing to n
+    tie_term = (sum(map(pow, counts.values(), itertools.repeat(3))) - n) \
+        / (n * (n - 1))
+    var_w = n1 * n2 / 12.0 * ((n + 1) - tie_term)
+    if var_w <= 0.0:
+        return w, 1.0  # all observations identical
+    z = (w - mean_w) / math.sqrt(var_w)
+    return w, 2.0 * norm_sf(abs(z))
+
+
 def wilcoxon_ranksum(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     """Two-sided Wilcoxon rank-sum test.
 
@@ -401,54 +435,52 @@ def wilcoxon_ranksum(x: Sequence[float], y: Sequence[float]) -> Tuple[float, flo
     (``ranksum_exact_p``); otherwise the tie-corrected normal approximation
     without continuity correction (``norm_sf``). Any NaN gives (nan, nan).
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) == 0 or len(y) == 0:
+    x, y = list(map(float, x)), list(map(float, y))
+    if not x or not y:
         raise DomainError("rank-sum test needs nonempty samples")
-    n1, n2 = len(x), len(y)
-    combined = np.concatenate([x, y])
-    if np.isnan(combined).any():
+    if any(map(math.isnan, x + y)):
         return math.nan, math.nan
-    ranks, tie_counts = midranks(combined)
-    w = float(ranks[:n1].sum())
+    return _ranksum(Counter(x), Counter(y), len(x), len(y))
 
-    n = n1 + n2
-    has_ties = len(tie_counts) != n
-    if not has_ties and n1 <= EXACT_RANKSUM_MAX_N and n2 <= EXACT_RANKSUM_MAX_N:
-        return w, ranksum_exact_p(int(w), n1, n2)
 
-    mean_w = n1 * (n + 1) / 2.0
-    tie_term = float(((tie_counts ** 3 - tie_counts).sum()) / (n * (n - 1)))
-    var_w = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-    if var_w <= 0.0:
-        return w, 1.0  # all observations identical
-    z = (w - mean_w) / math.sqrt(var_w)
-    return w, 2.0 * norm_sf(abs(z))
+def _mean(values: list) -> float:
+    """The mean of floats from their ``math.fsum``; nan when the sum is
+    past the float range (or is inf - inf)."""
+    try:
+        return math.fsum(values) / len(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _paired_t(x: list, y: list) -> Tuple[float, float]:
+    """``paired_ttest`` of two equal-length lists of at least 2 floats,
+    without NaN."""
+    d = list(map(operator.sub, x, y))
+    n = len(d)
+    if d.count(d[0]) == n:   # constant, as min(d) == max(d)
+        return (0.0, 1.0) if d[0] == 0.0 else (math.copysign(math.inf, d[0]),
+                                               0.0)
+    mean = _mean(d)
+    # t = mean / (sd / sqrt(n)) with sd = |d - mean| / sqrt(n - 1); dist
+    # takes the norm without overflow or underflow, and is not 0 here
+    t = mean / math.dist(d, [mean] * n) * math.sqrt(n * (n - 1))
+    return t, 2.0 * t_sf(abs(t), n - 1)
 
 
 def paired_ttest(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     """Two-sided paired t-test on per-segment differences.
 
-    Degenerate cases: identical vectors give (0, 1); a constant nonzero
-    difference gives (+/-inf, 0).
+    Degenerate cases, decided on the differences themselves before any sum:
+    identical vectors give (0, 1); a constant nonzero difference gives
+    (+/-inf, 0). Any NaN, or differences whose sum is past the float range,
+    give (nan, nan).
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or len(x) < 2:
+    x, y = list(map(float, x)), list(map(float, y))
+    if len(x) != len(y) or len(x) < 2:
         raise DomainError("paired t-test needs equal-length samples, n >= 2")
-    d = x - y
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean), 0.0
-    t = mean / (sd / math.sqrt(len(d)))
-    return t, 2.0 * t_sf(abs(t), len(d) - 1)
+    if any(map(math.isnan, x + y)):
+        return math.nan, math.nan
+    return _paired_t(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +650,17 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     systems' human segment scores, metric significance from the two-sided
     paired t-test on per-segment metric differences, each at ``p < alpha``.
     A metric-significant decision is correct when the signs of the metric
-    and human mean differences agree. The systems are the ``scored_systems``
+    and human mean differences agree; each mean is rounded once from its
+    ``math.fsum``, so two systems with the same exact mean tie. The systems are the ``scored_systems``
     of all human-scored ones, with no MAD filter; their scores must cover
     the same segments, at least 2. One system has no pair to compare and
     gives an all-zero tally. A segment score that is not finite is a
     DomainError naming the system. Errors name ``lang_pair``.
-    """
-    import numpy as np
 
+    Each system's scores are converted, checked, tallied (human) and
+    averaged once per call; a pair then costs one paired t-test and one
+    rank-sum test over the merged tallies.
+    """
     if not 0 < alpha < 1:   # also false for nan
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     systems = scored_systems(lang_pair, human_segment_scores,
@@ -642,30 +677,39 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
         raise InsufficientDataError(
             f"{_prefix(lang_pair)}pairwise comparison needs >= 2 segments, "
             f"got {n_segments}")
-    metric = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
-                       for s in systems])
-    human = np.stack([np.asarray(human_segment_scores[s], dtype=np.float64)
-                      for s in systems])
-    for kind, scores in (("human", human), ("metric", metric)):
-        for system, row in zip(systems, scores):
-            bad = row[~np.isfinite(row)]
-            if len(bad):
-                raise DomainError(f"{_prefix(lang_pair)}{kind} segment score "
-                                  f"of {system} is not finite: {bad[0]}")
+    human = [_finite_floats(lang_pair, "human", s, human_segment_scores[s])
+             for s in systems]
+    metric = [_finite_floats(lang_pair, "metric", s, metric_segment_scores[s])
+              for s in systems]
+    # (human tally, human mean, metric scores, metric mean) per system
+    rows = [(Counter(h), _mean(h), m, _mean(m)) for h, m in zip(human, metric)]
 
     cells = Counter()
-    for a, b in itertools.combinations(range(len(systems)), 2):
-        _, human_p = wilcoxon_ranksum(human[a], human[b])
-        _, metric_p = paired_ttest(metric[a], metric[b])
+    for (h_a, mean_a, m_a, metric_a), (h_b, mean_b, m_b, metric_b) in \
+            itertools.combinations(rows, 2):
+        _, human_p = _ranksum(h_a, h_b, n_segments, n_segments)
+        _, metric_p = _paired_t(m_a, m_b)
         if not metric_p < alpha:
             verdict = "metric_ns"
-        elif (np.sign(human[a].mean() - human[b].mean())
-              == np.sign(metric[a].mean() - metric[b].mean())):
+        elif ((mean_a > mean_b) - (mean_a < mean_b)
+              == (metric_a > metric_b) - (metric_a < metric_b)):
             verdict = "correct"
         else:
             verdict = "incorrect"
         cells[("sig_" if human_p < alpha else "ns_") + verdict] += 1
     return PairwiseTally(**cells)
+
+
+def _finite_floats(lang_pair: Optional[str], kind: str, system: str,
+                   scores: Sequence[float]) -> list:
+    """``scores`` as a list of floats; a DomainError naming the system and
+    its first score that is not finite."""
+    row = list(map(float, scores))
+    if not all(map(math.isfinite, row)):
+        bad = next(v for v in row if not math.isfinite(v))
+        raise DomainError(f"{_prefix(lang_pair)}{kind} segment score of "
+                          f"{system} is not finite: {bad}")
+    return row
 
 
 # ---------------------------------------------------------------------------

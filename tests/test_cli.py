@@ -63,11 +63,16 @@ SLOW_STDLIB = ("dataclasses", "inspect", "json")
 def modules_loaded(code, cwd=None):
     """What a fresh interpreter has loaded after running ``code``: the
     non-stdlib top-level packages it loaded, space-separated, and the
-    ``SLOW_STDLIB`` modules in ``sys.modules``, space-separated."""
+    ``SLOW_STDLIB`` modules in ``sys.modules``, space-separated.
+
+    numpy's Cython-built extensions (``numpy.random``) also enter
+    ``cython_runtime`` and ``_cython_<version>`` in ``sys.modules``; they
+    are not packages and are left out."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             + code +
-            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before\n"
+            "          if not m.startswith(('cython_runtime', '_cython_'))}\n"
             f"print(' '.join(m for m in {SLOW_STDLIB!r} if m in sys.modules))\n"
             "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -86,7 +91,7 @@ def test_cli_import_loads_only_the_standard_library():
 
 
 def test_metaeval_import_loads_only_the_standard_library():
-    # only the segment-level tests import numpy, where they run
+    # only subsample_correlations imports numpy, where it runs
     assert modules_loaded("import peereval.metaeval\n")[0] == "peereval"
 
 
@@ -98,15 +103,32 @@ def test_metaeval_import_loads_only_the_standard_library():
     (["meta-eval", "--human", "human.tsv", "--scores", "scores.tsv"],
      "peereval"),
     (["pairwise", "--human-seg", "seg.tsv", "--metric-seg", "seg.tsv"],
-     "numpy peereval"),
+     "peereval"),
+    # 3 untied segments per system: the exact rank-sum null
+    (["pairwise", "--human-seg", "untied.tsv", "--metric-seg", "seg3.tsv"],
+     "peereval"),
     (["tune-thresholds", "--human", "five.tsv", "--scores-dir", "s"],
      "numpy peereval"),
+    (["subsample", "--human", "human.tsv", "--metric-seg", "seg.tsv",
+      "--sizes", "1"], "numpy peereval"),
+    (["subword", "train", "--corpus", "a.txt", "--vocab-size", "5",
+      "-o", "new-model.tsv"], "numpy peereval"),
+    (["subword", "nbest", "--model", "model.tsv", "--text", "abc"],
+     "numpy peereval"),
+    (["subword", "sample", "--model", "model.tsv", "--input", "a.txt",
+      "--k", "2", "-o", "sample"], "numpy peereval"),
+    (["toy-scorer", "train", "--source", "a.txt", "--target", "b.txt",
+      "-o", "new-table.tsv"], "numpy peereval"),
+    (["toy-scorer", "score", "--model", "table.tsv", "--source", "a.txt",
+      "--target", "b.txt", "-o", "out.jsonl"], "numpy peereval"),
 ], ids=["bleu", "chrf", "cross-bleu", "score", "meta-eval", "pairwise",
-        "tune-thresholds"])
+        "pairwise-exact", "tune-thresholds", "subsample", "subword-train",
+        "subword-nbest", "subword-sample", "toy-scorer-train",
+        "toy-scorer-score"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
-    # the text subcommands and meta-eval (system-level statistics) never
-    # load numpy; numpy is the one dependency the others load, and no
-    # subcommand loads dataclasses
+    # the text subcommands, meta-eval (system-level statistics) and
+    # pairwise (rank-sum and paired t tests) never load numpy; numpy is the
+    # one dependency the others load, and no subcommand loads dataclasses
     (tmp_path / "a.txt").write_text("a b c\n")
     (tmp_path / "b.txt").write_text("a b d\n")
     (tmp_path / "a.jsonl").write_text(JSONL + "\n")
@@ -114,11 +136,25 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
     (tmp_path / "scores.tsv").write_text(HUMAN_TSV)
     (tmp_path / "seg.tsv").write_text(
         SEG_TSV + "de-en\tA\t1\t0.3\nde-en\tB\t0\t0.2\nde-en\tB\t1\t0.1\n")
+    (tmp_path / "untied.tsv").write_text(SEG_TSV.split("\n")[0] + "\n" + "".join(
+        f"de-en\t{s}\t{seg}\t{k + 2 * seg}\n"
+        for k, s in enumerate("AB") for seg in range(3)))
+    (tmp_path / "seg3.tsv").write_text(SEG_TSV.split("\n")[0] + "\n" + "".join(
+        f"de-en\t{s}\t{seg}\t{(k + 1) * seg / 8}\n"
+        for k, s in enumerate("AB") for seg in range(3)))
     (tmp_path / "five.tsv").write_text(HEADER + rows("de-en", HUMAN))
     (tmp_path / "s" / "de-en").mkdir(parents=True)
     for system, level in zip(SYSTEMS, METRIC):
         write_samples(tmp_path / "s" / "de-en" / f"{system}.jsonl",
                       [[-0.5 - level], [-1.5 - level], [-0.25]])
+    # the models that nbest, sample and score read, trained in this process
+    assert cli.main(["subword", "train", "--corpus", str(tmp_path / "a.txt"),
+                     "--vocab-size", "5", "-o",
+                     str(tmp_path / "model.tsv")]) == 0
+    assert cli.main(["toy-scorer", "train", "--source",
+                     str(tmp_path / "a.txt"), "--target",
+                     str(tmp_path / "b.txt"), "-o",
+                     str(tmp_path / "table.tsv")]) == 0
     code = f"from peereval import cli\nassert cli.main({args!r}) == 0\n"
     third_party, slow = modules_loaded(code, cwd=tmp_path)
     assert third_party == loaded

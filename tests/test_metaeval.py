@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -314,12 +315,12 @@ class TestDistributions:
         rng = np.random.default_rng(11)
         for _ in range(30):
             values = rng.integers(0, 5, size=rng.integers(1, 15)) / 4.0
-            ranks, runs = midranks(values)
+            ranks = midranks(Counter(values.tolist()))
             less = (values[None, :] < values[:, None]).sum(axis=1)
             equal = (values[None, :] == values[:, None]).sum(axis=1)
-            assert ranks.tolist() == (1 + less + (equal - 1) / 2).tolist()
-            _, counts = np.unique(values, return_counts=True)
-            assert runs.tolist() == counts.tolist()
+            assert [ranks[v] for v in values.tolist()] == \
+                (1 + less + (equal - 1) / 2).tolist()
+            assert sorted(ranks) == np.unique(values).tolist()
 
     def test_ranksum_exact_p_matches_enumeration(self):
         # every split of the ranks 1..n, counted by brute force
@@ -474,6 +475,24 @@ class TestPairedT:
         t, p = paired_ttest([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
         assert math.isinf(t) and t > 0
         assert p == 0.0
+
+    def test_constant_non_dyadic_difference_is_decided_before_any_sum(self):
+        # the mean of [0.1] * 3 rounds to 0.10000000000000002, so a sample
+        # sd taken from it is not 0: the numpy code gave t = 1.02e16
+        assert math.isfinite(numpy_paired_ttest([0.1] * 3, [0.0] * 3)[0])
+        assert paired_ttest([0.1] * 3, [0.0] * 3) == (math.inf, 0.0)
+        rng = np.random.default_rng(34)
+        for n in range(2, 51):
+            for _ in range(4):
+                # a decimal constant, and one over a constant base, so that
+                # every difference is the same float
+                c = round(float(rng.uniform(-5.0, 5.0)), 3) or 0.1
+                base = float(rng.normal())
+                for x, y in (([c] * n, [0.0] * n),
+                             ([base + c] * n, [base] * n)):
+                    d = x[0] - y[0]
+                    assert paired_ttest(x, y) == \
+                        (math.copysign(math.inf, d), 0.0)
 
 
 class TestMetricReport:
@@ -864,6 +883,188 @@ class TestPairwise:
         with pytest.raises(ConfigError, match=f"got {alpha}$"):
             pairwise_compare({"A": base + 1.0, "B": base},
                              {"A": base + 1.0, "B": base}, alpha=alpha)
+
+
+class TestPairwiseMeans:
+    def test_equal_human_means_tie(self):
+        # B's human scores are A's reversed: the same exact mean, which
+        # fsum rounds alike, so a metric that prefers B is incorrect.
+        # numpy's pairwise sums of the two orders differ in the last bit,
+        # and agreed with the metric
+        human = [3 / 7, 2 / 3, 0.0, 4 / 5, 2 / 5, 2 / 5, 3 / 5, 1 / 8, 4 / 5,
+                 0.0, 1 / 8, 1 / 5]
+        humans = {"A": human, "B": human[::-1]}
+        assert np.mean(human) < np.mean(human[::-1])
+        base = np.linspace(0.0, 1.0, len(human))
+        metric = {"A": base, "B": base + 1.0}
+        assert pairwise_compare(metric, humans) == \
+            PairwiseTally(ns_incorrect=1)
+        assert numpy_pairwise_tally(metric, humans) == \
+            PairwiseTally(ns_correct=1)
+
+
+# ---------------------------------------------------------------------------
+# The numpy code that the rank-sum and paired t tests replaced, as references
+# ---------------------------------------------------------------------------
+
+def numpy_midranks(values):
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    run_lengths = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((2 * starts + run_lengths + 1) / 2.0,
+                             run_lengths)
+    return ranks, run_lengths
+
+
+def numpy_ranksum_exact_p(w, n1, n2):
+    n = n1 + n2
+    k = min(n1, n2)
+    dev2 = abs(2 * w - n1 * (n + 1))
+    if dev2 == 0:
+        return 1.0
+    top = k * (n + 1) // 2
+    count = np.zeros((k + 1, top + 1), dtype=np.int64)
+    count[0, 0] = 1
+    for rank in range(1, min(n, top) + 1):
+        count[1:, rank:] += count[:-1, :top + 1 - rank]
+    low = (k * (n + 1) - dev2) // 2
+    return 2 * int(np.cumsum(count[k])[low]) / math.comb(n, k)
+
+
+def numpy_wilcoxon_ranksum(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n1, n2 = len(x), len(y)
+    ranks, tie_counts = numpy_midranks(np.concatenate([x, y]))
+    w = float(ranks[:n1].sum())
+    n = n1 + n2
+    if len(tie_counts) == n and n1 <= 25 and n2 <= 25:
+        return w, numpy_ranksum_exact_p(int(w), n1, n2)
+    mean_w = n1 * (n + 1) / 2.0
+    tie_term = float(((tie_counts ** 3 - tie_counts).sum()) / (n * (n - 1)))
+    var_w = n1 * n2 / 12.0 * ((n + 1) - tie_term)
+    if var_w <= 0.0:
+        return w, 1.0
+    z = (w - mean_w) / math.sqrt(var_w)
+    return w, 2.0 * norm_sf(abs(z))
+
+
+def numpy_paired_ttest(x, y):
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    mean = float(d.mean())
+    sd = float(d.std(ddof=1))
+    if sd == 0.0:
+        if mean == 0.0:
+            return 0.0, 1.0
+        return math.copysign(math.inf, mean), 0.0
+    t = mean / (sd / math.sqrt(len(d)))
+    return t, 2.0 * t_sf(abs(t), len(d) - 1)
+
+
+def numpy_pairwise_tally(metric, human, alpha=0.05):
+    systems = sorted(human)
+    m = np.stack([np.asarray(metric[s], dtype=np.float64) for s in systems])
+    h = np.stack([np.asarray(human[s], dtype=np.float64) for s in systems])
+    cells = Counter()
+    for a, b in itertools.combinations(range(len(systems)), 2):
+        _, human_p = numpy_wilcoxon_ranksum(h[a], h[b])
+        _, metric_p = numpy_paired_ttest(m[a], m[b])
+        if not metric_p < alpha:
+            verdict = "metric_ns"
+        elif (np.sign(h[a].mean() - h[b].mean())
+              == np.sign(m[a].mean() - m[b].mean())):
+            verdict = "correct"
+        else:
+            verdict = "incorrect"
+        cells[("sig_" if human_p < alpha else "ns_") + verdict] += 1
+    return PairwiseTally(**cells)
+
+
+EPS = 2.0 ** -52
+
+
+class TestAgainstNumpyReference:
+    def test_midranks(self):
+        rng = np.random.default_rng(340)
+        for _ in range(1000):
+            n = int(rng.integers(2, 401))
+            values = (rng.integers(0, rng.integers(1, 40), size=n) / 8.0
+                      if rng.random() < 0.5 else rng.normal(size=n))
+            ranks = midranks(Counter(values.tolist()))
+            want, _ = numpy_midranks(values)
+            assert [ranks[v] for v in values.tolist()] == want.tolist()
+
+    def test_ranksum(self):
+        # a third untied with both n <= 25 (the exact null), a third tied
+        # on a grid and a third untied past 25 (the normal route)
+        rng = np.random.default_rng(341)
+        routes = Counter()
+        for i in range(1200):
+            if i % 3 == 0:
+                n1, n2 = (int(v) for v in rng.integers(2, 26, size=2))
+                x, y = rng.normal(size=n1), rng.normal(0.5, size=n2)
+            elif i % 3 == 1:
+                n1, n2 = (int(v) for v in rng.integers(2, 401, size=2))
+                top = int(rng.integers(2, 12))
+                x = rng.integers(0, top, size=n1) / 4.0
+                y = rng.integers(0, top, size=n2) / 4.0 + rng.integers(2) / 4
+            else:
+                n1, n2 = (int(v) for v in rng.integers(26, 401, size=2))
+                x, y = rng.normal(size=n1), rng.normal(0.2, size=n2)
+            untied = len(np.unique(np.r_[x, y])) == n1 + n2
+            routes[untied, max(n1, n2) <= 25] += 1
+            w, p = wilcoxon_ranksum(x, y)
+            want_w, want_p = numpy_wilcoxon_ranksum(x, y)
+            assert w == want_w
+            assert p == pytest.approx(want_p, rel=1e-12, abs=0)
+        assert routes[True, True] == routes[True, False] == 400
+
+    def test_paired_t(self):
+        # Both sides take d = x - y alike. numpy's pairwise sums put its
+        # mean within about log2(n) <= 9 ulps of sum |d| / n of the exact
+        # one, and its sd within a few ulps; fsum and dist are within one.
+        # Since sum |d| / n <= |mean| + sd, t = mean sqrt(n) / sd differs
+        # by at most about 16 eps (|t| + sqrt(n)). p = 2 P(T > |t|) moves
+        # by the t tail's hazard (at most |t| + 1) times that, plus a few
+        # eps times t**2 from the continued fraction, which 64 eps
+        # (|t| + 1) (|t| + sqrt(n)) covers. Near-constant differences
+        # (sd far below |mean|) fall outside: there numpy's mean error is
+        # not small against the sd.
+        rng = np.random.default_rng(342)
+        for _ in range(1000):
+            n = int(rng.integers(2, 401))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            y = rng.normal(size=n) * scale
+            shift = rng.uniform(-6, 6) / math.sqrt(n)
+            x = y + (rng.normal(size=n) + shift) * scale
+            d = x - y
+            assert d.std() > 1e-3 * abs(d.mean())   # not near-constant
+            t, p = paired_ttest(x, y)
+            want_t, want_p = numpy_paired_ttest(x, y)
+            spread = abs(want_t) + math.sqrt(n)
+            assert abs(t - want_t) <= 16 * EPS * spread
+            assert abs(p - want_p) <= \
+                64 * EPS * (abs(want_t) + 1) * spread * want_p
+
+    def test_pairwise_tallies(self):
+        # human scores continuous, or tied on a grid of eighths where every
+        # mean is exact on both sides (TestPairwiseMeans has the tie that
+        # numpy's sums can split)
+        rng = np.random.default_rng(343)
+        for i in range(200):
+            k = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 61))
+            quality = rng.normal(size=k)
+            human = {f"s{j}": (np.round(8 * (q + rng.normal(size=n))) / 8
+                               if i % 2 else q + rng.normal(size=n))
+                     for j, q in enumerate(quality)}
+            # a system-level error too, so that the metric can disagree
+            metric = {s: q + rng.normal(scale=0.5) + rng.normal(size=n)
+                      for s, q in zip(human, quality)}
+            assert pairwise_compare(metric, human) == \
+                numpy_pairwise_tally(metric, human)
 
 
 class TestSubsample:
