@@ -476,6 +476,11 @@ class TestPairedT:
         assert math.isinf(t) and t > 0
         assert p == 0.0
 
+    def test_sum_past_the_float_range_gives_nan(self):
+        # finite differences whose fsum overflows: no t, and no exception
+        t, p = paired_ttest([1.7e308, 1.7e308, 1.6e308], [0.0, 0.0, 0.0])
+        assert math.isnan(t) and math.isnan(p)
+
     def test_constant_non_dyadic_difference_is_decided_before_any_sum(self):
         # the mean of [0.1] * 3 rounds to 0.10000000000000002, so a sample
         # sd taken from it is not 0: the numpy code gave t = 1.02e16
@@ -876,6 +881,14 @@ class TestPairwise:
                            match=f"^de-en: {kind} segment score of a is not "
                            f"finite: {bad}$"):
             pairwise_compare(metric, human, lang_pair="de-en")
+
+    def test_scores_near_the_float_max_are_tallied(self):
+        # their means' sums overflow: a metric without a t is not
+        # significant, and nothing raises
+        big = [1.7e308, 1.7e308, 1.6e308]
+        assert pairwise_compare({"A": big, "B": [0.0, 0.0, 0.0]},
+                                {"A": big, "B": [0.0, 1.0, 2.0]}) == \
+            PairwiseTally(sig_metric_ns=1)
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 1.0, 2.0])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
