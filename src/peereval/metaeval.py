@@ -651,11 +651,12 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     paired t-test on per-segment metric differences, each at ``p < alpha``.
     A metric-significant decision is correct when the signs of the metric
     and human mean differences agree; each mean is rounded once from its
-    ``math.fsum``, so two systems with the same exact mean tie. The systems are the ``scored_systems``
-    of all human-scored ones, with no MAD filter; their scores must cover
-    the same segments, at least 2. One system has no pair to compare and
-    gives an all-zero tally. A segment score that is not finite is a
-    DomainError naming the system. Errors name ``lang_pair``.
+    ``math.fsum``, so two systems with the same exact mean tie. The systems
+    are the ``scored_systems`` of all human-scored ones, with no MAD
+    filter; their scores must cover the same segments, at least 2. One
+    system has no pair to compare and gives an all-zero tally. A segment
+    score that is not finite is a DomainError naming the system. Errors
+    name ``lang_pair``.
 
     Each system's scores are converted, checked, tallied (human) and
     averaged once per call; a pair then costs one paired t-test and one

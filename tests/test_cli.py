@@ -136,10 +136,11 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
     (tmp_path / "scores.tsv").write_text(HUMAN_TSV)
     (tmp_path / "seg.tsv").write_text(
         SEG_TSV + "de-en\tA\t1\t0.3\nde-en\tB\t0\t0.2\nde-en\tB\t1\t0.1\n")
-    (tmp_path / "untied.tsv").write_text(SEG_TSV.split("\n")[0] + "\n" + "".join(
+    seg_header = SEG_TSV.split("\n")[0] + "\n"
+    (tmp_path / "untied.tsv").write_text(seg_header + "".join(
         f"de-en\t{s}\t{seg}\t{k + 2 * seg}\n"
         for k, s in enumerate("AB") for seg in range(3)))
-    (tmp_path / "seg3.tsv").write_text(SEG_TSV.split("\n")[0] + "\n" + "".join(
+    (tmp_path / "seg3.tsv").write_text(seg_header + "".join(
         f"de-en\t{s}\t{seg}\t{(k + 1) * seg / 8}\n"
         for k, s in enumerate("AB") for seg in range(3)))
     (tmp_path / "five.tsv").write_text(HEADER + rows("de-en", HUMAN))
