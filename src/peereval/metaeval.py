@@ -19,7 +19,6 @@ null counts k-subsets of the ranks in Python integers (``ranksum_exact_p``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -309,7 +308,6 @@ def midranks(counts: Mapping[float, int]) -> Dict[float, float]:
                                 itertools.repeat(2))))
 
 
-@functools.lru_cache(maxsize=32)
 def _ranksum_null_cdf(k: int, n: int) -> tuple:
     """cdf[s]: how many k-subsets of the ranks 1..n sum to at most s, for s
     up to the mean k (n + 1) / 2 (the null is symmetric about it).
@@ -322,8 +320,7 @@ def _ranksum_null_cdf(k: int, n: int) -> tuple:
     dividing by 1 - q^i is a running sum along every i-th coefficient, and
     multiplying by 1 - q^(n-k+i) subtracts the coefficients shifted up by
     n - k + i. Neither step reads a higher coefficient, so dropping those
-    changes none below. Cached: every pair of a ``pairwise_compare`` call
-    has the same (k, n).
+    changes none below.
     """
     least = k * (k + 1) // 2
     top = k * (n + 1) // 2 - least
