@@ -59,13 +59,13 @@ import os
 import tempfile
 
 from peereval import cli, synthetic
+from peereval.cli import SEGMENT_MODE_METHODS
 from peereval.data import write_lines
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                       "e2e_golden.json")
 
 METHODS = ("sum", "mean", "median", "min", "negstd", "threshold")
-SEGMENT_MODE_METHODS = ("sum", "mean", "threshold")
 # a band inside the spread of the segment means, so that the threshold
 # score mixes -1, 0 and +1 segments
 BAND = ["--low", "-5.0", "--high", "-2.0"]

@@ -30,7 +30,6 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import scipy.stats as st
 
 mp.mp.dps = 50

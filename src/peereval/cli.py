@@ -270,17 +270,12 @@ def _cmd_pairwise(args) -> int:
                 metric.get(lp, {}), human.get(lp, {}), alpha=args.alpha,
                 lang_pair=lp)
 
-    def tally_row(name, tally):
-        return [name, tally.sig_correct, tally.sig_incorrect,
-                tally.sig_metric_ns, tally.ns_correct, tally.ns_incorrect,
-                tally.ns_metric_ns]
-
-    rows = [tally_row(lp, tally) for lp, tally in tallies.items()]
+    rows = [[lp, *tally] for lp, tally in tallies.items()]
     for group, members in metaeval.group_members(list(tallies)).items():
         if members:
             combined = sum((tallies[lp] for lp in members),
                            metaeval.PairwiseTally())
-            rows.append(tally_row(f"[{group}]", combined))
+            rows.append([f"[{group}]", *combined])
     _write_rows(args.output,
                 ["pair", "human_s_correct", "human_s_incorrect",
                  "human_s_metric_ns", "human_ns_correct",

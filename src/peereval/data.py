@@ -27,12 +27,12 @@ Wire formats:
 
 Every record here and in the other modules is declared as a namedtuple
 subclass, ``class X(namedtuple("X", "field ...")):`` with ``__slots__ = ()``,
-and runs its checks and normalisation in ``__new__``. Records are immutable
-and safe to share across workers. ``_replace`` and ``_make`` skip
-``__new__``, so a record with checks is built through its constructor. The
-one exception is ``build_records``: a caller that holds a whole array of
-values (``model1.score_corpus``, ``scoring.aggregate_segments``) checks it
-once, with a check that implies the constructor's, and builds its records
+and runs its checks and normalisation in ``__new__``. Records are
+immutable. ``_replace`` and ``_make`` skip ``__new__``, so a record with
+checks is built through its constructor. The one exception is
+``build_records``: a caller that holds a whole array of values
+(``model1.score_corpus``, ``scoring.aggregate_segments``) checks it once,
+with a check that implies the constructor's, and builds its records
 without running the constructor again; when the array check fails, every
 record goes through the constructor, so each error is the constructor's.
 Log-probabilities are natural logs (nats) throughout.

@@ -14,7 +14,10 @@ imports it, where it runs. The Student-t tail is the regularized
 incomplete beta, evaluated as a modified-Lentz continued fraction
 (``t_sf``); the normal tail is ``erfc`` (``norm_sf``); ranks are midranks,
 taken from a tally of the values (``midranks``); and the exact rank-sum
-null counts k-subsets of the ranks in Python integers (``ranksum_exact_p``).
+null counts k-subsets of the ranks in Python integers, up to the rank sum
+it is asked about (``ranksum_exact_p``). ``pairwise_compare`` and
+``subsample_correlations`` read segment scores through one rule
+(``_segment_rows``): one length, every score finite.
 """
 
 from __future__ import annotations
@@ -222,26 +225,24 @@ _BETACF_TINY = 1e-300
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction of the incomplete beta function B_x(a, b),
     evaluated by the modified Lentz method (Numerical Recipes ``betacf``).
-    It converges fast for x < (a + 1) / (a + b + 2)."""
-    def guard(v):
-        return v if abs(v) >= _BETACF_TINY else _BETACF_TINY
-
+    It converges fast for x < (a + 1) / (a + b + 2). Every |d| and |c|
+    below ``_BETACF_TINY`` (and NaN) is set to it."""
+    tiny = _BETACF_TINY
     c = 1.0
-    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
     h = d
     for m in range(1, _BETACF_MAX_STEPS + 1):
         m2 = 2 * m
         # even step, then odd step of the fraction
-        aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
-        d = 1.0 / guard(1.0 + aa * d)
-        c = guard(1.0 + aa / c)
-        h *= d * c
-        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
-        d = 1.0 / guard(1.0 + aa * d)
-        c = guard(1.0 + aa / c)
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _BETACF_EPS:
+        for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                   -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < _BETACF_EPS:
             return h
     raise DomainError(f"incomplete beta did not converge at a={a}, b={b}, "
                       f"x={x}")
@@ -308,40 +309,25 @@ def midranks(counts: Mapping[float, int]) -> Dict[float, float]:
                                 itertools.repeat(2))))
 
 
-def _ranksum_null_cdf(k: int, n: int) -> tuple:
-    """cdf[s]: how many k-subsets of the ranks 1..n sum to at most s, for s
-    up to the mean k (n + 1) / 2 (the null is symmetric about it).
+def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
+    """Two-sided exact p of the rank sum ``w`` of an untied first sample of
+    size ``n1`` against ``n2`` others.
+
+    Under the null every n1-subset of the ranks 1..n is equally likely. The
+    smaller sample, of size k, has a rank sum as far from its mean
+    k (n + 1) / 2 as w is from n1 (n + 1) / 2; the null is symmetric, so p
+    is twice the share of k-subsets whose sum is at most mean - |deviation|,
+    and 1 when w is the mean.
 
     A k-subset's sum less the least sum k (k + 1) / 2 counts the partitions
     that fit in a k by (n - k) box, so the counts are the coefficients of
     the Gaussian binomial, the product over i = 1..k of
     (1 - q^(n-k+i)) / (1 - q^i). Each factor is one pass over the
-    coefficients up to the mean, in Python integers (exact at any n):
+    coefficients up to the cutoff, in Python integers (exact at any n):
     dividing by 1 - q^i is a running sum along every i-th coefficient, and
     multiplying by 1 - q^(n-k+i) subtracts the coefficients shifted up by
     n - k + i. Neither step reads a higher coefficient, so dropping those
     changes none below.
-    """
-    least = k * (k + 1) // 2
-    top = k * (n + 1) // 2 - least
-    coef = [1] + [0] * top
-    for i in range(1, k + 1):
-        for start in range(i):
-            coef[start::i] = itertools.accumulate(coef[start::i])
-        shift = n - k + i
-        coef[shift:] = map(operator.sub, coef[shift:], coef[:top + 1 - shift])
-    return (0,) * least + tuple(itertools.accumulate(coef))
-
-
-def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
-    """Two-sided exact p of the rank sum ``w`` of an untied first sample of
-    size ``n1`` against ``n2`` others.
-
-    Under the null every n1-subset of the ranks 1..n is equally likely; the
-    counts of rank sums come from ``_ranksum_null_cdf``, run on the smaller
-    sample, whose rank sum lies as far from its mean as w does from
-    n1 (n + 1) / 2. The null is symmetric, so p is twice the share of sums
-    at or below mean - |deviation|; it is 1 when w is the mean.
     """
     n = n1 + n2
     k = min(n1, n2)
@@ -349,8 +335,15 @@ def ranksum_exact_p(w: int, n1: int, n2: int) -> float:
     dev2 = abs(2 * w - n1 * (n + 1))
     if dev2 == 0:
         return 1.0
-    low = (k * (n + 1) - dev2) // 2
-    return 2 * _ranksum_null_cdf(k, n)[low] / math.comb(n, k)
+    # the cutoff less the least sum; below 0 only for a w no sample has
+    top = (k * (n + 1) - dev2) // 2 - k * (k + 1) // 2
+    coef = [1] + [0] * top if top >= 0 else []
+    for i in range(1, k + 1):
+        for start in range(i):
+            coef[start::i] = itertools.accumulate(coef[start::i])
+        shift = n - k + i
+        coef[shift:] = map(operator.sub, coef[shift:], coef[:top + 1 - shift])
+    return 2 * sum(coef) / math.comb(n, k)
 
 
 def williams_test(r1h: float, r2h: float, r12: float,
@@ -627,14 +620,28 @@ class PairwiseTally(namedtuple(
     __slots__ = ()
 
     def __add__(self, other: "PairwiseTally") -> "PairwiseTally":
-        return PairwiseTally(
-            self.sig_correct + other.sig_correct,
-            self.sig_incorrect + other.sig_incorrect,
-            self.sig_metric_ns + other.sig_metric_ns,
-            self.ns_correct + other.ns_correct,
-            self.ns_incorrect + other.ns_incorrect,
-            self.ns_metric_ns + other.ns_metric_ns,
-        )
+        return PairwiseTally(*map(operator.add, self, other))
+
+
+def _segment_rows(lang_pair: Optional[str], systems: Sequence[str],
+                  **scores: Mapping[str, Sequence[float]]) -> list:
+    """The one rule for a pair's segment-level input: for each
+    ``kind=scores`` keyword, in order, the segment scores of ``systems`` as
+    lists of floats. All of them must have one length, else an
+    InsufficientDataError; a score that is not finite is a DomainError
+    naming the kind, the system and the score. Errors name ``lang_pair``."""
+    rows = [[list(map(float, by_system[s])) for s in systems]
+            for by_system in scores.values()]
+    if len({len(row) for kind_rows in rows for row in kind_rows}) > 1:
+        raise InsufficientDataError(
+            f"{_prefix(lang_pair)}segment score vectors differ in length")
+    for kind, kind_rows in zip(scores, rows):
+        for system, row in zip(systems, kind_rows):
+            bad = next(itertools.filterfalse(math.isfinite, row), None)
+            if bad is not None:
+                raise DomainError(f"{_prefix(lang_pair)}{kind} segment score "
+                                  f"of {system} is not finite: {bad}")
+    return rows
 
 
 def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
@@ -650,10 +657,9 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     and human mean differences agree; each mean is rounded once from its
     ``math.fsum``, so two systems with the same exact mean tie. The systems
     are the ``scored_systems`` of all human-scored ones, with no MAD
-    filter; their scores must cover the same segments, at least 2. One
-    system has no pair to compare and gives an all-zero tally. A segment
-    score that is not finite is a DomainError naming the system. Errors
-    name ``lang_pair``.
+    filter; their scores must be finite and cover the same segments
+    (``_segment_rows``), at least 2. One system has no pair to compare and
+    gives an all-zero tally. Errors name ``lang_pair``.
 
     Each system's scores are converted, checked, tallied (human) and
     averaged once per call; a pair then costs one paired t-test and one
@@ -663,22 +669,16 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     systems = scored_systems(lang_pair, human_segment_scores,
                              metric_segment_scores)
-    lengths = {len(metric_segment_scores[s]) for s in systems}
-    lengths |= {len(human_segment_scores[s]) for s in systems}
-    if len(lengths) != 1:
-        raise InsufficientDataError(
-            f"{_prefix(lang_pair)}segment score vectors differ in length")
+    human, metric = _segment_rows(lang_pair, systems,
+                                  human=human_segment_scores,
+                                  metric=metric_segment_scores)
     if len(systems) < 2:
         return PairwiseTally()
-    n_segments, = lengths
+    n_segments = len(human[0])
     if n_segments < 2:
         raise InsufficientDataError(
             f"{_prefix(lang_pair)}pairwise comparison needs >= 2 segments, "
             f"got {n_segments}")
-    human = [_finite_floats(lang_pair, "human", s, human_segment_scores[s])
-             for s in systems]
-    metric = [_finite_floats(lang_pair, "metric", s, metric_segment_scores[s])
-              for s in systems]
     # (human tally, human mean, metric scores, metric mean) per system
     rows = [(Counter(h), _mean(h), m, _mean(m)) for h, m in zip(human, metric)]
 
@@ -698,18 +698,6 @@ def pairwise_compare(metric_segment_scores: Mapping[str, Sequence[float]],
     return PairwiseTally(**cells)
 
 
-def _finite_floats(lang_pair: Optional[str], kind: str, system: str,
-                   scores: Sequence[float]) -> list:
-    """``scores`` as a list of floats; a DomainError naming the system and
-    its first score that is not finite."""
-    row = list(map(float, scores))
-    if not all(map(math.isfinite, row)):
-        bad = next(v for v in row if not math.isfinite(v))
-        raise DomainError(f"{_prefix(lang_pair)}{kind} segment score of "
-                          f"{system} is not finite: {bad}")
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Test-set-size analysis
 # ---------------------------------------------------------------------------
@@ -727,19 +715,17 @@ def subsample_correlations(human_scores: Mapping[str, float],
     ``correlate_pair``, and the size maps to that ``CorrelationResult`` with
     r the mean over its draws, or None when some draw has no correlation
     (constant scores, or fewer than 2 kept systems). The kept systems'
-    segment scores must be as long as each other. A size given twice is a
-    ConfigError; the other errors name ``lang_pair``.
+    segment scores must be finite and as long as each other
+    (``_segment_rows``). A size given twice is a ConfigError; the other
+    errors name ``lang_pair``.
     """
     import numpy as np
 
     kept, _ = kept_systems(lang_pair, human_scores, metric_segment_scores)
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
-    if len({len(metric_segment_scores[s]) for s in kept}) > 1:
-        raise InsufficientDataError(
-            f"{_prefix(lang_pair)}segment score vectors differ in length")
-    matrix = np.stack([np.asarray(metric_segment_scores[s], dtype=np.float64)
-                       for s in kept])
+    matrix = np.array(_segment_rows(lang_pair, kept,
+                                    metric=metric_segment_scores)[0])
     n_segments = matrix.shape[1]
     result = {}
     for size in sizes:
@@ -753,9 +739,11 @@ def subsample_correlations(human_scores: Mapping[str, float],
         for draw in range(draws):
             idx = np.random.default_rng([seed, size, draw]).choice(
                 n_segments, size=size, replace=False)
-            results.append(correlate_pair(
-                human_scores, dict(zip(kept, matrix[:, idx].mean(axis=1))),
-                lang_pair))
+            # a mean past the float range is correlate_pair's error
+            with np.errstate(over="ignore"):
+                means = matrix[:, idx].mean(axis=1)
+            results.append(correlate_pair(human_scores,
+                                          dict(zip(kept, means)), lang_pair))
         rs = [res.r for res in results]
         result[size] = results[0]._replace(
             r=None if None in rs else float(np.mean(rs)))

@@ -112,10 +112,13 @@ def regularize(samples: Sequence[TokenScoredSegment], mode: str,
                 "use segment mode"
             )
         stacked = np.array([s.logprobs for s in samples])
-        return TokenScoredSegment(seg_id, tokens, stacked.mean(axis=0).tolist())
+        with np.errstate(over="ignore"):   # an inf mean is the record's error
+            means = stacked.mean(axis=0)
+        return TokenScoredSegment(seg_id, tokens, means.tolist())
     if mode == "segment":
         sums = np.array([sum(s.logprobs) for s in samples])
-        value = float(sums.mean())
+        with np.errstate(over="ignore"):   # an inf mean is the record's error
+            value = float(sums.mean())
         if length_normalize:
             value /= float(np.mean([len(s.tokens) for s in samples]))
         return SegmentScore(seg_id, value)
@@ -127,7 +130,8 @@ def system_score(segment_scores: Sequence[SegmentScore], system_name: str,
     """System score = arithmetic mean over segment scores."""
     if not segment_scores:
         raise DomainError(f"{system_name}: no segment scores")
-    value = float(np.mean([s.value for s in segment_scores]))
+    with np.errstate(over="ignore"):   # an inf mean is the record's error
+        value = float(np.mean([s.value for s in segment_scores]))
     return SystemScore(system_name, lang_pair, value, method,
                        len(segment_scores))
 

@@ -67,10 +67,6 @@ class UnigramSubwordModel(namedtuple("UnigramSubwordModel", "vocab")):
         self._memo = {}
         return self
 
-    def __reduce__(self):
-        # a mappingproxy does not pickle; a copy rebuilds with an empty memo
-        return (UnigramSubwordModel, (dict(self.vocab),))
-
 
 def _nbest(vocab: dict, max_len: int, text: str, n: int,
            skip_full_span: Optional[str] = None) -> list:

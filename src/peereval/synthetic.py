@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LanguagePair, write_lines
+from .data import LanguagePair
 
 
 def _vocabulary(n_words: int, prefix: str) -> list:
@@ -71,22 +71,3 @@ def make_noise_benchmark(n_segments: int = 1000,
         LanguagePair("xa", "xb"),
         tuple(sources), tuple(references), system_outputs, rates,
     )
-
-
-def write_benchmark_files(bench: NoiseBenchmark, directory) -> dict:
-    """Write the benchmark as plain-text and TSV files; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    lp = str(bench.lang_pair)
-    texts = {"source": bench.sources, "reference": bench.references,
-             **dict(sorted(bench.system_outputs.items()))}
-    paths = {}
-    for key, segments in texts.items():
-        paths[key] = os.path.join(directory, f"{key}.txt")
-        write_lines(paths[key], (" ".join(toks) for toks in segments))
-    paths["human"] = os.path.join(directory, "human-sys.tsv")
-    write_lines(paths["human"], ["lang_pair\tsystem\tscore"] + [
-        f"{lp}\t{name}\t{-bench.noise_rates[name]!r}"
-        for name in sorted(bench.noise_rates)])
-    return paths

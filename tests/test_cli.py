@@ -23,8 +23,17 @@ from peereval.data import (
 
 def test_toy_scorer_to_meta_eval(tmp_path):
     bench = synthetic.make_noise_benchmark(n_segments=200)
-    paths = synthetic.write_benchmark_files(bench, tmp_path)
     lp = str(bench.lang_pair)
+    paths = {}
+    for key, segments in {"source": bench.sources,
+                          "reference": bench.references,
+                          **bench.system_outputs}.items():
+        path = tmp_path / f"{key}.txt"
+        path.write_text("".join(" ".join(toks) + "\n" for toks in segments))
+        paths[key] = str(path)
+    human = tmp_path / "human-sys.tsv"
+    human.write_text("lang_pair\tsystem\tscore\n" + "".join(
+        f"{lp}\t{name}\t{-rate!r}\n" for name, rate in bench.noise_rates.items()))
     table = str(tmp_path / "lexical-table.tsv")
     assert cli.main(["toy-scorer", "train", "--source", paths["source"],
                      "--target", paths["reference"], "-o", table]) == 0
@@ -43,7 +52,7 @@ def test_toy_scorer_to_meta_eval(tmp_path):
     metric = tmp_path / "metric.tsv"
     metric.write_text("\n".join([header] + rows) + "\n")
     report = tmp_path / "report.json"
-    assert cli.main(["meta-eval", "--human", paths["human"],
+    assert cli.main(["meta-eval", "--human", str(human),
                      "--scores", str(metric), "--format", "json",
                      "-o", str(report)]) == 0
     (pair,) = json.loads(report.read_text())["per_pair"]
@@ -372,6 +381,50 @@ def test_score_names_a_record_whose_sum_overflows(tmp_path, capsys, method):
                             "overflows\n")
 
 
+def overflowing_subsample(tmp_path):
+    # A's mean over a 2-segment draw is inf
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n" + segment_rows(
+        "de-en", [[1e308, 1e308]] + [[m, m + 0.5] for m in METRIC[1:]]))
+    return (["subsample", "--human", str(human), "--metric-seg", str(metric),
+             "--sizes", "2", "--draws", "1"],
+            "de-en: metric score of A is not finite: inf")
+
+
+def overflowing_system_mean(tmp_path):
+    path = write_samples(tmp_path / "a.jsonl", [[-1e307]] * 20)
+    return (["score", "--samples", path, "--method", "sum"],
+            "system: non-finite system score")
+
+
+def overflowing_sample_mean(tmp_path, tokens):
+    # one segment, scored 20 times: tokens differ (segment mode) or not
+    paths = []
+    for k in range(20):
+        path = tmp_path / f"s{k}.jsonl"
+        write_token_scores(path, [TokenScoredSegment(0, [tokens(k)],
+                                                     [-1e307])])
+        paths.append(str(path))
+    return ["score", "--samples", *paths, "--method", "sum"]
+
+
+@pytest.mark.parametrize("case", [
+    overflowing_subsample,
+    overflowing_system_mean,
+    lambda tmp_path: (overflowing_sample_mean(tmp_path, lambda k: f"t{k}"),
+                      "segment 0: non-finite score"),
+    lambda tmp_path: (overflowing_sample_mean(tmp_path, lambda k: "t"),
+                      "segment 0: non-finite log-prob -inf"),
+], ids=["subsample", "system-mean", "segment-mode", "token-mode"])
+def test_mean_past_the_float_range_is_one_error_line(tmp_path, capsys, case):
+    # finite inputs whose numpy mean overflows: the error, and no warning
+    args, message = case(tmp_path)
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_score_keeps_the_old_output_when_a_line_is_not_utf8(tmp_path, capsys):
     # argv bytes that are not UTF-8 reach Python as lone surrogates: the
     # byte 0xff as "\udcff"
@@ -612,6 +665,18 @@ def test_meta_eval_reports_degenerate_pair(tmp_path, capsys):
     assert cli.main(["meta-eval", "--human", str(human), "--scores",
                      str(scores), "-o", str(tsv)]) == 0
     assert "fr-en\t-\t5\t-\n" in tsv.read_text()
+
+
+def test_meta_eval_notes_a_pair_under_4_systems(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN) + rows("fr-en", HUMAN[:3]))
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(HEADER + rows("de-en", METRIC)
+                      + rows("fr-en", METRIC[:3]))
+    assert cli.main(["meta-eval", "--human", str(human),
+                     "--scores", str(scores)]) == 0
+    assert "fr-en\t0.500\t3\t-\t(unreliable: <4 systems)\n" in \
+        capsys.readouterr().out
 
 
 def test_meta_eval_names_the_pair_without_human_scores(tmp_path, capsys):
@@ -1135,6 +1200,24 @@ def pairwise_files(tmp_path, metric_rows):
     return ["pairwise", "--human-seg", str(human), "--metric-seg", str(metric)]
 
 
+def subsample_args(tmp_path, capsys):
+    human = tmp_path / "human.tsv"
+    human.write_text(HEADER + rows("de-en", HUMAN))
+    metric = tmp_path / "metric-seg.tsv"
+    metric.write_text("lang_pair\tsystem\tseg\tscore\n"
+                      + segment_rows("de-en", level_scores(METRIC, 5)))
+    return ["subsample", "--human", str(human), "--metric-seg", str(metric),
+            "--sizes", "2"]
+
+
+def toy_scorer_train_args(tmp_path, capsys):
+    source, target = tmp_path / "s.txt", tmp_path / "t.txt"
+    source.write_text("a b\nb\n")
+    target.write_text("x y\ny\n")
+    return ["toy-scorer", "train", "--source", str(source),
+            "--target", str(target), "-o", str(tmp_path / "table.tsv")]
+
+
 def chrf_args(tmp_path, capsys):
     text = tmp_path / "text.txt"
     text.write_text("a b c\n")
@@ -1173,6 +1256,8 @@ def subword_sample_args(tmp_path, capsys):
     (subword_train_args, "--rounds", "0", "0"),
     (subword_train_args, "--min-count", "0", "0"),
     (subword_sample_args, "--k", "0", "0"),
+    (subsample_args, "--draws", "0", "0"),
+    (toy_scorer_train_args, "--iterations", "0", "0"),
 ], ids=lambda p: p.__name__[:-5] if callable(p) else p)
 def test_bad_numeric_argument_is_one_error_line(tmp_path, capsys, command,
                                                 option, value, got):
@@ -1504,3 +1589,51 @@ def test_a_human_system_without_metric_scores_is_named(tmp_path, capsys,
     root = write_metric_inputs(tmp_path / "inputs", SYSTEMS[:-1])
     assert run_in(root, args, capsys) == (
         1, "", f"error: {root / blamed}: de-en: no metric score for E\n", None)
+
+
+TOY_SCORE = ["toy-scorer", "score", "--model", "table.tsv", "--source", "s.txt",
+             "--target", "t.txt", "-o", "out.jsonl"]
+TOY_INPUTS = {"s.txt": "a\nb\n", "t.txt": "x\nx\n"}
+
+
+@pytest.mark.parametrize("args, inputs, message", [
+    (["cross-bleu", "--outputs", "a/sys.txt", "b/sys.txt"],
+     {"a/sys.txt": "a b\n", "b/sys.txt": "a c\n"},
+     "output files must have distinct basenames"),
+    (["subsample", "--human", "human.tsv", "--metric-seg", "m.tsv",
+      "--sizes", ","], {}, "no sizes given"),
+    (["tune-thresholds", "--human", "human.tsv", "--scores-dir", "s",
+      "--grid", "1:2"], {}, "bad grid spec '1:2', expected lo:hi:n"),
+    (["tune-thresholds", "--human", "human.tsv", "--scores-dir", "s",
+      "--grid=-3:0:1"], {}, "grid size 1 below 2"),
+    (TOY_SCORE + ["--ids", "ids.txt"],
+     {"table.tsv": "x\t<NULL>\t1.0\n", "ids.txt": "0\nx\n", **TOY_INPUTS},
+     "ids.txt:2: bad segment id 'x'"),
+    (TOY_SCORE, {"table.tsv": "x\t<NULL>\n", **TOY_INPUTS},
+     "table.tsv:1: expected target<TAB>source<TAB>prob"),
+    (TOY_SCORE, {"table.tsv": "x\t<NULL>\tx\n", **TOY_INPUTS},
+     "table.tsv:1: bad probability 'x'"),
+    (TOY_SCORE, {"table.tsv": "\n", **TOY_INPUTS},
+     "table.tsv: empty lexical table"),
+    (["subword", "nbest", "--model", "model.tsv", "--text", ""],
+     {"model.tsv": "a\t-1.0\n"}, "cannot segment empty text"),
+    (["subword", "nbest", "--model", "model.tsv", "--text", "a"],
+     {"model.tsv": "a\tx\n"}, "model.tsv:1: bad log-prob 'x'"),
+    (["subword", "train", "--corpus", "corpus.txt", "--vocab-size", "9",
+      "-o", "model.tsv"], {"corpus.txt": "\n\n"}, "empty training corpus"),
+    (["subword", "train", "--corpus", "corpus.txt", "--vocab-size", "2",
+      "-o", "model.tsv"], {"corpus.txt": "abc cab\n"},
+     "vocab_size 2 below alphabet size 3"),
+], ids=["cross-bleu-basenames", "subsample-no-sizes", "grid-spec",
+        "grid-size", "toy-score-id", "lexical-table-fields",
+        "lexical-table-probability", "lexical-table-empty", "nbest-empty",
+        "subword-model-log-prob", "subword-train-empty",
+        "subword-train-vocab-size"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, args,
+                                     inputs, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

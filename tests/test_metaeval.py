@@ -882,6 +882,22 @@ class TestPairwise:
                            f"finite: {bad}$"):
             pairwise_compare(metric, human, lang_pair="de-en")
 
+    def test_segment_vectors_of_other_lengths_rejected(self):
+        three = {"A": [1.0, 2.0, 3.0], "B": [0.0, 1.0, 2.0]}
+        two = {**three, "B": [0.0, 1.0]}
+        for metric, human in ((two, three), (three, two),
+                              ({s: v[:2] for s, v in three.items()}, three)):
+            with pytest.raises(InsufficientDataError,
+                               match="^de-en: segment score vectors differ "
+                                     "in length$"):
+                pairwise_compare(metric, human, lang_pair="de-en")
+
+    def test_one_system_with_a_non_finite_score_is_rejected(self):
+        # finite, it gives the all-zero tally
+        with pytest.raises(DomainError, match="^human segment score of A is "
+                                              "not finite: nan$"):
+            pairwise_compare({"A": [1.0, 2.0]}, {"A": [math.nan, 2.0]})
+
     def test_scores_near_the_float_max_are_tallied(self):
         # their means' sums overflow: a metric without a t is not
         # significant, and nothing raises
@@ -1144,6 +1160,21 @@ class TestSubsample:
         metric["b"] = [2, 3, 4]
         assert subsample_correlations(
             human, {**metric, "x": [1.0]}, [2], draws=2) == \
+            subsample_correlations(human, metric, [2], draws=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_segment_score_names_the_segment_score(self, bad):
+        # a NaN used to surface later, as the mean's "metric score of b"
+        human = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4, "e": 0.5}
+        metric = {s: [i, i + 1.0, i + 0.5] for i, s in enumerate(human)}
+        with pytest.raises(DomainError,
+                           match=f"^de-en: metric segment score of b is not "
+                                 f"finite: {bad}$"):
+            subsample_correlations(human, {**metric, "b": [1.0, bad, 2.0]},
+                                   [2], lang_pair="de-en")
+        # a system that is not kept is not read
+        assert subsample_correlations(
+            human, {**metric, "x": [bad] * 3}, [2], draws=2) == \
             subsample_correlations(human, metric, [2], draws=2)
 
     def test_oversize_rejected(self):

@@ -1,8 +1,8 @@
 """Unigram subword segmentation: search, sampling, training and model files."""
 
 import math
-import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -183,10 +183,33 @@ def test_vocabulary_is_read_only(model):
     assert "lowe" not in model.vocab
 
 
-def test_model_pickles_without_its_memo(model):
-    subword.viterbi_segmentation(model, "lower")
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy == model and copy._memo == {}
+def test_seed_cap_keeps_the_most_frequent_pieces(monkeypatch):
+    # 300 words of 10 letters seed 6,461 multi-character pieces at
+    # min_count 1, past the cap of max(10 * 10, 1000)
+    rng = random.Random(0)
+    words = ["".join(rng.choice("abcdef") for _ in range(10))
+             for _ in range(300)]
+    counts = Counter(word[i:j] for word in words for i in range(len(word))
+                     for j in range(i + 2, min(i + 8, len(word)) + 1))
+    ranked = sorted(counts, key=lambda p: (-counts[p], p))
+    kept = 1000 - len("abcdef")
+    assert len(ranked) > kept
+    # a tie straddles the cut, so the order by piece decides it
+    assert counts[ranked[kept - 1]] == counts[ranked[kept]]
+    seeds = []
+    nbest = subword._nbest
+
+    def first_vocab(vocab, *args, **kwargs):
+        if not seeds:
+            seeds.append(set(vocab))
+        return nbest(vocab, *args, **kwargs)
+
+    monkeypatch.setattr(subword, "_nbest", first_vocab)
+    trained = subword.train_unigram(words, vocab_size=10, min_count=1)
+    assert seeds == [set("abcdef") | set(ranked[:kept])]
+    assert set("abcdef") <= set(trained.vocab)
+    assert len(trained.vocab) == 10
+    assert subword.train_unigram(words, vocab_size=10, min_count=1) == trained
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])

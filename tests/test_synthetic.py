@@ -1,6 +1,6 @@
-"""The synthetic noise benchmark and its files."""
+"""The synthetic noise benchmark."""
 
-from peereval import data, synthetic
+from peereval import synthetic
 
 
 def test_same_seed_same_benchmark():
@@ -29,18 +29,3 @@ def test_shapes_follow_n_segments():
     for outputs in bench.system_outputs.values():
         assert len(outputs) == 37
         assert [len(o) for o in outputs] == [len(r) for r in bench.references]
-
-
-def test_files_round_trip(tmp_path):
-    bench = synthetic.make_noise_benchmark(n_segments=30, seed=3)
-    paths = synthetic.write_benchmark_files(bench, tmp_path)
-    expected = {"source": bench.sources, "reference": bench.references,
-                **bench.system_outputs}
-    assert set(paths) == set(expected) | {"human"}
-    for key, segments in expected.items():
-        assert data.read_lines_with_ids(paths[key]) == \
-            [(i, " ".join(toks)) for i, toks in enumerate(segments)]
-    human = data.read_score_table(paths["human"], data.SYSTEM_KEYS)
-    lp = str(bench.lang_pair)
-    assert human == \
-        {(lp, name): -rate for name, rate in bench.noise_rates.items()}
