@@ -388,40 +388,43 @@ def overflowing_subsample(tmp_path):
     metric = tmp_path / "metric-seg.tsv"
     metric.write_text("lang_pair\tsystem\tseg\tscore\n" + segment_rows(
         "de-en", [[1e308, 1e308]] + [[m, m + 0.5] for m in METRIC[1:]]))
-    return (["subsample", "--human", str(human), "--metric-seg", str(metric),
-             "--sizes", "2", "--draws", "1"],
-            "de-en: metric score of A is not finite: inf")
+    return ["subsample", "--human", str(human), "--metric-seg", str(metric),
+            "--sizes", "2", "--draws", "1"]
 
 
 def overflowing_system_mean(tmp_path):
     path = write_samples(tmp_path / "a.jsonl", [[-1e307]] * 20)
-    return (["score", "--samples", path, "--method", "sum"],
-            "system: non-finite system score")
+    return ["score", "--samples", path, "--method", "sum"]
 
 
-def overflowing_sample_mean(tmp_path, tokens):
-    # one segment, scored 20 times: tokens differ (segment mode) or not
+def overflowing_samples(tmp_path, tokens):
+    """20 samples of segment 0, sample k one token ``tokens[k]``."""
     paths = []
-    for k in range(20):
+    for k, token in enumerate(tokens):
         path = tmp_path / f"s{k}.jsonl"
-        write_token_scores(path, [TokenScoredSegment(0, [tokens(k)],
-                                                     [-1e307])])
+        write_token_scores(path, [TokenScoredSegment(0, [token], [-1e307])])
         paths.append(str(path))
     return ["score", "--samples", *paths, "--method", "sum"]
 
 
-@pytest.mark.parametrize("case", [
-    overflowing_subsample,
-    overflowing_system_mean,
-    lambda tmp_path: (overflowing_sample_mean(tmp_path, lambda k: f"t{k}"),
-                      "segment 0: non-finite score"),
-    lambda tmp_path: (overflowing_sample_mean(tmp_path, lambda k: "t"),
-                      "segment 0: non-finite log-prob -inf"),
+def overflowing_segment_mode(tmp_path):
+    return overflowing_samples(tmp_path, [f"t{k}" for k in range(20)])
+
+
+def overflowing_token_mode(tmp_path):
+    return overflowing_samples(tmp_path, ["t"] * 20)
+
+
+@pytest.mark.parametrize("command, message", [
+    (overflowing_subsample, "de-en: metric score of A is not finite: inf"),
+    (overflowing_system_mean, "system: non-finite system score"),
+    (overflowing_segment_mode, "segment 0: non-finite score"),
+    (overflowing_token_mode, "segment 0: non-finite log-prob -inf"),
 ], ids=["subsample", "system-mean", "segment-mode", "token-mode"])
-def test_mean_past_the_float_range_is_one_error_line(tmp_path, capsys, case):
+def test_mean_past_the_float_range_is_one_error_line(tmp_path, capsys,
+                                                     command, message):
     # finite inputs whose numpy mean overflows: the error, and no warning
-    args, message = case(tmp_path)
-    assert cli.main(args) == 1
+    assert cli.main(command(tmp_path)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
